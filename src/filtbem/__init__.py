@@ -27,8 +27,8 @@ from .qh3d import (FilteredProjectors, Grams, IncidenceMatrices,
                    filtered_projectors, icosphere, octahedron,
                    orthonormalize_incidence, projectors, read_off,
                    tetrahedron, torus_mesh, write_off)
-from .solver import (MemoryReport, WoodburyInverse, apply_inverse,
-                     dense_solve, memory_report, woodbury_factorize)
+from .solver import (MemoryReport, WoodburyInverse, dense_solve,
+                     memory_report, woodbury_factorize)
 from .special import hankel_h1_0, hankel_h1_1
 from .spectral import (LaplacianFilter, SymEigenbasis, circulant_filter_apply,
                        filtered_matrix, laplacian_filter, sym_sqrt_and_invsqrt)
@@ -51,7 +51,7 @@ __all__ = [
     "build_grams", "build_incidence", "filtered_projectors", "icosphere",
     "octahedron", "orthonormalize_incidence", "projectors", "read_off",
     "tetrahedron", "torus_mesh", "write_off",
-    "MemoryReport", "WoodburyInverse", "apply_inverse", "dense_solve",
+    "MemoryReport", "WoodburyInverse", "dense_solve",
     "memory_report", "woodbury_factorize",
     "hankel_h1_0", "hankel_h1_1",
     "LaplacianFilter", "SymEigenbasis", "circulant_filter_apply",

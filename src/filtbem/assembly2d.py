@@ -6,8 +6,10 @@ variational Laplacian over a :class:`~filtbem.mesh2d.CurveMesh`.
 
 Quadrature strategy
 -------------------
-Segment pairs that do not touch are integrated with tensor Gauss-Legendre.
-The kernel log singularity on touching pairs is split off analytically:
+Segment pairs that do not touch are integrated with tensor Gauss-Legendre,
+in one loop that the single and double layers call with their kernels
+(the hypersingular operator reuses the single-layer blocks).  The kernel
+log singularity on touching pairs is split off analytically:
 
 * same segment: the log part of the double integral has a closed form for
   linear shape functions; the remainder is smooth up to d^2 log d terms.
@@ -132,7 +134,7 @@ def _kernel_smooth_limit(k: float, kind: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery: per-pair shape-function blocks of the single layer
+# Shared machinery: per-pair shape-function blocks
 # ---------------------------------------------------------------------------
 def _rolled_add(dst: np.ndarray, src: np.ndarray, a: int, b: int):
     """dst[i, j] += src[i-a, j-b] with cyclic wrap, without temporaries."""
@@ -144,10 +146,36 @@ def _rolled_add(dst: np.ndarray, src: np.ndarray, a: int, b: int):
     dst[:ra, :rb] += src[n - ra:, n - rb:]
 
 
-def _far_pair_accumulate(mesh, k, quad_order, kind, accum):
-    """Tensor-Gauss contributions of all segment pairs to the four
-    shape-function accumulators ``accum[a][b]``; touching-pair entries are
-    filled with garbage and must be overwritten by the caller."""
+def _blocks_to_matrix(blocks, name: str, symmetric: bool = True) -> np.ndarray:
+    """Sum shape-function blocks onto hat functions and check the result.
+
+    ``blocks[a][b][p, q]`` pairs local shape a on segment p with local
+    shape b on segment q, i.e. the hats of nodes p + a and q + b (cyclic).
+    """
+    n = blocks[0][0].shape[0]
+    out = np.zeros((n, n), np.complex128)
+    for a in range(2):
+        for b in range(2):
+            _rolled_add(out, blocks[a][b], a, b)
+    if symmetric:
+        assert_symmetric(out, name=name)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(f"{name} contains non-finite entries")
+    return out
+
+
+def _gauss_pair_blocks(mesh, k, quad_order, kernel, symmetric):
+    """Tensor-Gauss blocks ``accum[a][b]`` of every segment pair.
+
+    ``kernel(dx, dy, d)`` maps the (n, n) test-minus-source offsets and
+    distances of one Gauss pair to kernel values.  A symmetric kernel visits
+    only Gauss pairs gi <= hi and adds the mirrored pair as a transpose.
+    Touching-pair entries are filled with garbage and must be overwritten
+    by the caller.
+    """
+    _check_order(quad_order)
+    if k <= 0:
+        raise ValueError("wavenumber must be positive")
     n = mesh.n_nodes
     ell = mesh.segment_lengths
     x, w = _gauss01(quad_order)
@@ -159,29 +187,46 @@ def _far_pair_accumulate(mesh, k, quad_order, kind, accum):
     jac = np.outer(ell, ell)
     floor = 1e-12 * mesh.h
 
-    kern = np.empty((n, n), np.complex128)
-    kern_t = np.empty((n, n), np.complex128)
+    accum = [[np.zeros((n, n), np.complex128) for _ in range(2)] for _ in range(2)]
+    kern_t = np.empty((n, n), np.complex128) if symmetric else None
     for gi in range(g):
-        dxi = pts[gi, :, 0][:, None]
-        dyi = pts[gi, :, 1][:, None]
-        for hi in range(gi, g):
-            dx = dxi - pts[hi, :, 0][None, :]
-            dy = dyi - pts[hi, :, 1][None, :]
+        for hi in range(gi if symmetric else 0, g):
+            dx = pts[gi, :, 0][:, None] - pts[hi, :, 0][None, :]
+            dy = pts[gi, :, 1][:, None] - pts[hi, :, 1][None, :]
             d = np.sqrt(dx * dx + dy * dy)
             np.maximum(d, floor, out=d)
-            kern[:] = _kernel_full(k, d, kind)
+            kern = kernel(dx, dy, d)
             kern *= jac
             ww = w[gi] * w[hi]
-            if hi == gi:
-                for a in range(2):
-                    for b in range(2):
-                        accum[a][b] += (ww * shapes[a, gi] * shapes[b, gi]) * kern
-            else:
+            for a in range(2):
+                for b in range(2):
+                    accum[a][b] += (ww * shapes[a, gi] * shapes[b, hi]) * kern
+            if symmetric and hi != gi:
                 np.copyto(kern_t, kern.T)
                 for a in range(2):
                     for b in range(2):
-                        accum[a][b] += (ww * shapes[a, gi] * shapes[b, hi]) * kern
                         accum[a][b] += (ww * shapes[a, hi] * shapes[b, gi]) * kern_t
+    return accum
+
+
+def _duffy_geometry(lt, ls, cc, near_order):
+    """Gauss rule and squared distances for every adjacent segment pair.
+
+    Both local coordinates run away from the shared node v: test point
+    r = v + u lt e_T, source r' = v + s ls e_S, ``cc = e_T . e_S``, so
+    |r - r'|^2 = (u lt)^2 + (s ls)^2 - 2 u s lt ls cc.  Returns the rule
+    (tg, tw), the angular factors ``rho1_sq`` (u = 1, s = t) and
+    ``rho2_sq`` (s = 1, u = t) of the two Duffy triangles, each (n, g),
+    and ``d_sq`` on the tensor grid, (n, g, g).
+    """
+    tg, tw = _gauss01(near_order)
+    cross = 2.0 * (lt * ls)[:, None] * tg * cc[:, None]
+    rho1_sq = lt[:, None] ** 2 + (ls[:, None] * tg) ** 2 - cross
+    rho2_sq = ls[:, None] ** 2 + (lt[:, None] * tg) ** 2 - cross
+    d_sq = (lt[:, None, None] * tg[None, :, None]) ** 2 \
+        + (ls[:, None, None] * tg[None, None, :]) ** 2 \
+        - 2.0 * (lt * ls * cc)[:, None, None] * tg[None, :, None] * tg[None, None, :]
+    return tg, tw, rho1_sq, rho2_sq, d_sq
 
 
 def _self_pair_blocks(mesh, k, near_order, kind):
@@ -216,32 +261,19 @@ def _adjacent_pair_blocks(mesh, k, near_order, kind):
     variable runs backward (so shape a=1, the shared node, is 1-x) and on
     segment p+1 forward.  Returns blocks[a][b] of shape (n,).
     """
-    n = mesh.n_nodes
-    ell = mesh.segment_lengths
-    lp = ell
-    lq = np.roll(ell, -1)
-    cosang = np.sum(mesh.tangents * np.roll(mesh.tangents, -1, axis=0), axis=1)
-
-    tg, tw = _gauss01(near_order)
-    # radial factors rho on the two Duffy triangles
-    rho1_sq = lp[:, None] ** 2 + (lq[:, None] * tg) ** 2 \
-        + 2.0 * lp[:, None] * lq[:, None] * tg * cosang[:, None]
-    rho2_sq = lq[:, None] ** 2 + (lp[:, None] * tg) ** 2 \
-        + 2.0 * lp[:, None] * lq[:, None] * tg * cosang[:, None]
+    lp = mesh.segment_lengths
+    lq = np.roll(lp, -1)
+    cc = -np.sum(mesh.tangents * np.roll(mesh.tangents, -1, axis=0), axis=1)
+    tg, tw, rho1_sq, rho2_sq, d_sq = _duffy_geometry(lp, lq, cc, near_order)
     t0_1 = 0.5 * (np.log(rho1_sq) @ tw)
     t1_1 = 0.5 * (np.log(rho1_sq) @ (tw * tg))
     t0_2 = 0.5 * (np.log(rho2_sq) @ tw)
     t1_2 = 0.5 * (np.log(rho2_sq) @ (tw * tg))
-
-    # smooth remainder over the full square, from-shared-node coordinates
-    xg = tg
-    d_sq = (lp[:, None, None] * xg[None, :, None]) ** 2 \
-        + (lq[:, None, None] * xg[None, None, :]) ** 2 \
-        + 2.0 * (lp * lq * cosang)[:, None, None] * xg[None, :, None] * xg[None, None, :]
+    # smooth remainder over the full square
     sm = _kernel_smooth(k, np.sqrt(d_sq), kind)
 
-    shp_p = np.stack([xg, 1.0 - xg])       # psi_a on segment p vs from-node coord
-    shp_q = np.stack([1.0 - xg, xg])       # psi_b on segment q
+    shp_p = np.stack([tg, 1.0 - tg])       # psi_a on segment p vs from-node coord
+    shp_q = np.stack([1.0 - tg, tg])       # psi_b on segment q
     blocks = [[None, None], [None, None]]
     scale = lp * lq
     for a in range(2):
@@ -257,14 +289,11 @@ def _adjacent_pair_blocks(mesh, k, near_order, kind):
 
 def _single_layer_blocks(mesh, k, quad_order, kind="helmholtz"):
     """Shape-function blocks A[a][b][p, q] = iint psi_a psi_b g over pair (p, q)."""
-    _check_order(quad_order)
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    accum = _gauss_pair_blocks(mesh, k, quad_order,
+                               lambda dx, dy, d: _kernel_full(k, d, kind),
+                               symmetric=True)
     n = mesh.n_nodes
     near_order = max(3 * quad_order, 24)
-    accum = [[np.zeros((n, n), np.complex128) for _ in range(2)] for _ in range(2)]
-    _far_pair_accumulate(mesh, k, quad_order, kind, accum)
-
     idx = np.arange(n)
     nxt = (idx + 1) % n
     self_blocks = _self_pair_blocks(mesh, k, near_order, kind)
@@ -336,15 +365,7 @@ def assemble_single_layer(mesh: CurveMesh, k: float, quad_order: int = 8,
     np.ndarray, complex128, (n, n), symmetric.
     """
     blocks = _single_layer_blocks(mesh, k, quad_order, kind)
-    n = mesh.n_nodes
-    out = np.zeros((n, n), np.complex128)
-    for a in range(2):
-        for b in range(2):
-            _rolled_add(out, blocks[a][b], a, b)
-    assert_symmetric(out, name="single-layer matrix")
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("single-layer matrix contains non-finite entries")
-    return out
+    return _blocks_to_matrix(blocks, "single-layer matrix")
 
 
 def assemble_hypersingular(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:
@@ -360,27 +381,24 @@ def assemble_hypersingular(mesh: CurveMesh, k: float, quad_order: int = 8) -> np
 
 
 def _hypersingular_from_blocks(mesh, k, blocks):
-    n = mesh.n_nodes
-    ell = mesh.segment_lengths
-    total = blocks[0][0] + blocks[0][1] + blocks[1][0] + blocks[1][1]
-    winv = total * np.outer(1.0 / ell, 1.0 / ell)
-    deriv = np.zeros((n, n), np.complex128)
-    _rolled_add(deriv, winv, 1, 1)
-    _rolled_add(deriv, -winv, 1, 0)
-    _rolled_add(deriv, -winv, 0, 1)
-    deriv += winv
+    """Hypersingular matrix from single-layer blocks, which it overwrites.
 
+    The arclength derivative of local shape a on segment p is
+    (2a - 1) / l_p, so the derivative part of block [a][b] is
+    +-(sum of the four blocks) / (l_p l_q), positive where a == b.
+    """
+    ell = mesh.segment_lengths
+    winv = blocks[0][0] + blocks[0][1] + blocks[1][0] + blocks[1][1]
+    winv *= np.outer(1.0 / ell, 1.0 / ell)
     normal_dot = mesh.normals @ mesh.normals.T
-    nweighted = np.zeros((n, n), np.complex128)
     for a in range(2):
         for b in range(2):
-            _rolled_add(nweighted, normal_dot * blocks[a][b], a, b)
-
-    out = 1j * k * (deriv - k * k * nweighted)
-    assert_symmetric(out, name="hypersingular matrix")
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("hypersingular matrix contains non-finite entries")
-    return out
+            blk = blocks[a][b]
+            blk *= normal_dot
+            blk *= -k * k
+            (np.add if a == b else np.subtract)(blk, winv, out=blk)
+            blk *= 1j * k
+    return _blocks_to_matrix(blocks, "hypersingular matrix")
 
 
 def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
@@ -391,66 +409,26 @@ def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
     (slayer, hyper) : tuple of np.ndarray
     """
     blocks = _single_layer_blocks(mesh, k, quad_order)
-    n = mesh.n_nodes
-    slayer = np.zeros((n, n), np.complex128)
-    for a in range(2):
-        for b in range(2):
-            _rolled_add(slayer, blocks[a][b], a, b)
-    assert_symmetric(slayer, name="single-layer matrix")
-    hyper = _hypersingular_from_blocks(mesh, k, blocks)
-    return slayer, hyper
+    slayer = _blocks_to_matrix(blocks, "single-layer matrix")
+    return slayer, _hypersingular_from_blocks(mesh, k, blocks)
 
 
 # ---------------------------------------------------------------------------
 # Double layer
 # ---------------------------------------------------------------------------
-def _dlayer_far_accumulate(mesh, k, quad_order, accum):
-    n = mesh.n_nodes
-    ell = mesh.segment_lengths
-    x, w = _gauss01(quad_order)
-    g = len(x)
-    chords = mesh.tangents * ell[:, None]
-    pts = mesh.nodes[None, :, :] + x[:, None, None] * chords[None, :, :]
-    shapes = np.stack([1.0 - x, x])
-    jac = np.outer(ell, ell)
-    nx = mesh.normals[:, 0]
-    ny = mesh.normals[:, 1]
-    floor = 1e-12 * mesh.h
-
-    for gi in range(g):
-        for hi in range(g):
-            dx = pts[gi, :, 0][:, None] - pts[hi, :, 0][None, :]
-            dy = pts[gi, :, 1][:, None] - pts[hi, :, 1][None, :]
-            d = np.sqrt(dx * dx + dy * dy)
-            np.maximum(d, floor, out=d)
-            wdot = dx * nx[None, :] + dy * ny[None, :]
-            kern = (0.25j * k) * hankel_h1_1(k * d) * (wdot / d)
-            kern *= jac
-            ww = w[gi] * w[hi]
-            for a in range(2):
-                for b in range(2):
-                    accum[a][b] += (ww * shapes[a, gi] * shapes[b, hi]) * kern
-
-
 def _dlayer_adjacent_generic(k, lt, ls, cc, wc, near_order):
     """Double-layer blocks for ordered adjacent pairs sharing a node.
 
-    Coordinates run away from the shared node on both segments: test point
-    r = v + u e_T, source r' = v + s e_S, with ``cc = e_T . e_S`` and
-    ``wc = e_T . n_S`` (source normal).  Then (r - r').n_S = u * wc and
-    d^2 = u^2 + s^2 - 2 u s cc, so after the Duffy split the static
-    inverse-square part of the kernel is a polynomial over an angular
-    factor, integrated exactly in the radial direction.
+    Geometry as in :func:`_duffy_geometry`, with ``wc = e_T . n_S``
+    (source normal).  Then (r - r').n_S = u lt wc, so after the Duffy
+    split the static inverse-square part of the kernel is a polynomial
+    over an angular factor, integrated exactly in the radial direction.
 
     Shape functions are in shared-node convention: index 0 is the hat of
     the shared node (1 - coordinate), index 1 the far one.  Returns
     blocks[a_hat][b_hat], each of shape (n,).
     """
-    tg, tw = _gauss01(near_order)
-    rho1_sq = lt[:, None] ** 2 + (ls[:, None] * tg) ** 2 \
-        - 2.0 * (lt * ls)[:, None] * tg * cc[:, None]
-    rho2_sq = ls[:, None] ** 2 + (lt[:, None] * tg) ** 2 \
-        - 2.0 * (lt * ls)[:, None] * tg * cc[:, None]
+    tg, tw, rho1_sq, rho2_sq, d_sq = _duffy_geometry(lt, ls, cc, near_order)
 
     # int psi_a(x) psi_b(x t) dx on the first triangle and
     # int psi_a(y t) psi_b(y) dy on the second, as polynomials in t
@@ -462,9 +440,6 @@ def _dlayer_adjacent_generic(k, lt, ls, cc, wc, near_order):
     static_scale = (lt * lt * ls * wc) / (2.0 * np.pi)
 
     # remainder (full kernel minus static part) over the full square
-    d_sq = (lt[:, None, None] * tg[None, :, None]) ** 2 \
-        + (ls[:, None, None] * tg[None, None, :]) ** 2 \
-        - 2.0 * (lt * ls * cc)[:, None, None] * tg[None, :, None] * tg[None, None, :]
     d = np.sqrt(d_sq)
     wdot = (lt * wc)[:, None, None] * tg[None, :, None]
     rem = wdot * ((0.25j * k) * hankel_h1_1(k * d) / d - 1.0 / (2.0 * np.pi * d_sq))
@@ -490,14 +465,16 @@ def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.
     self-pair blocks are zero and adjacent pairs carry the near-singular
     static part, integrated by the Duffy split.
     """
-    _check_order(quad_order)
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    nx = mesh.normals[:, 0]
+    ny = mesh.normals[:, 1]
+
+    def kernel(dx, dy, d):
+        wdot = dx * nx[None, :] + dy * ny[None, :]
+        return (0.25j * k) * hankel_h1_1(k * d) * (wdot / d)
+
+    accum = _gauss_pair_blocks(mesh, k, quad_order, kernel, symmetric=False)
     n = mesh.n_nodes
     near_order = max(3 * quad_order, 24)
-    accum = [[np.zeros((n, n), np.complex128) for _ in range(2)] for _ in range(2)]
-    _dlayer_far_accumulate(mesh, k, quad_order, accum)
-
     idx = np.arange(n)
     nxt = (idx + 1) % n
     ell = mesh.segment_lengths
@@ -515,13 +492,9 @@ def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.
         k, ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1),
         near_order)
 
-    out = np.zeros((n, n), np.complex128)
     for a in range(2):
         for b in range(2):
             accum[a][b][idx, idx] = 0.0
             accum[a][b][idx, nxt] = fwd[1 - a][b]
             accum[a][b][nxt, idx] = bwd[a][1 - b]
-            _rolled_add(out, accum[a][b], a, b)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("double-layer matrix contains non-finite entries")
-    return out
+    return _blocks_to_matrix(accum, "double-layer matrix", symmetric=False)

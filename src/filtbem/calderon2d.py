@@ -24,6 +24,7 @@ from .assembly2d import (
     assemble_double_layer,
     assemble_gram,
     assemble_helmholtz_pair,
+    assemble_hypersingular,
     assemble_laplacian,
     assemble_single_layer,
 )
@@ -68,23 +69,11 @@ class Operators2D:
         if n not in self._filters:
             if self._filters:
                 base = next(iter(self._filters.values()))
-                filt = laplacian_filter_from_basis(base, n)
+                filt = LaplacianFilter.from_basis(base.basis, n, base.tau)
             else:
                 filt = laplacian_filter(self.lap_norm, n)
             self._filters[n] = filt
         return self._filters[n]
-
-
-def laplacian_filter_from_basis(other: LaplacianFilter, n: int) -> LaplacianFilter:
-    """New filter index on an already computed Laplacian eigenbasis."""
-    size = other.size
-    if not 1 <= n <= size:
-        raise ValueError(f"filter index {n} out of range [1, {size}]")
-    sigma = other.basis.singular_values
-    active = np.zeros(size, bool)
-    active[size - n:] = True
-    active &= sigma > other.tau
-    return LaplacianFilter(basis=other.basis, n=n, tau=other.tau, active=active)
 
 
 def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
@@ -105,7 +94,7 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
         slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
     else:
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
-        _, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
+        hyper = assemble_hypersingular(mesh, k, quad_order)
     dlayer = assemble_double_layer(mesh, k, quad_order) if need_double_layer else None
     return Operators2D(
         mesh=mesh, k=k, gram=gram, gram_sqrt=groot, gram_invsqrt=ginvroot,

@@ -331,14 +331,23 @@ def run_table(cfg: ExperimentConfig):
     """Memory/accuracy study; rows above the size cap are skipped.
 
     CSV columns: N, rel_error, dense_bytes, skeleton_bytes, rank, status.
+    A size whose solve fails gets a ``failed:`` row; the CSV is still
+    written, and then the failure is raised as a ``LinAlgError``.
     """
     rows = []
+    failed = []
     for n_nodes in cfg.sizes:
         if n_nodes > cfg.max_n:
             rows.append((n_nodes, float("nan"), 16 * n_nodes * n_nodes, 0, 0,
                          "skipped:max_n"))
             continue
-        res = _solve_one(cfg, n_nodes)
+        try:
+            res = _solve_one(cfg, n_nodes)
+        except np.linalg.LinAlgError as exc:
+            rows.append((n_nodes, float("nan"), 16 * n_nodes * n_nodes, 0, 0,
+                         f"failed:{exc}"))
+            failed.append(n_nodes)
+            continue
         report = memory_report(res["inverse"])
         rows.append((n_nodes, res["rel_error"], report.dense_bytes,
                      report.skeleton_bytes, res["skeleton"].rank, "ok"))
@@ -347,6 +356,8 @@ def run_table(cfg: ExperimentConfig):
               ["N", "rel_error", "dense_bytes", "skeleton_bytes", "rank",
                "status"], rows)
     write_metadata(out / "table_meta.json", "table", cfg)
+    if failed:
+        raise np.linalg.LinAlgError(f"table sizes {failed} failed (see table.csv)")
     return rows
 
 

@@ -23,12 +23,12 @@ from .compression import LowRankFactor
 __all__ = [
     "WoodburyInverse",
     "woodbury_factorize",
-    "apply_inverse",
     "dense_solve",
     "MemoryReport",
     "memory_report",
 ]
 
+CORE_COND_WARN = 1e8
 CORE_COND_LIMIT = 1e12
 DENSE_RESIDUAL_TOL = 1e-10
 MEGABYTE = 1e6
@@ -88,6 +88,12 @@ def woodbury_factorize(beta: float,
     ValueError
         For beta = 0 or a numerically singular core (condition number
         above 1e12), which signals -beta is an eigenvalue of U V^T.
+
+    Warns
+    -----
+    RuntimeWarning
+        For a near-singular core (condition number above 1e8): the solve
+        still runs, but may lose up to log10(condition number) digits.
     """
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
@@ -104,15 +110,13 @@ def woodbury_factorize(beta: float,
     cond = np.linalg.cond(core) if rank else 1.0
     if not np.isfinite(cond) or cond > CORE_COND_LIMIT:
         raise ValueError(f"singular core: condition number {cond:.3e}")
+    if cond > CORE_COND_WARN:
+        warnings.warn(f"near-singular core: condition number {cond:.3e}",
+                      RuntimeWarning, stacklevel=2)
     core_lu = scipy.linalg.lu_factor(core) if rank else (core, np.zeros(0, np.int32))
     return WoodburyInverse(beta=float(beta), left=left, right=right,
                            core_lu=core_lu, core_cond=float(cond),
                            n=n, rank=rank)
-
-
-def apply_inverse(inv: WoodburyInverse, rhs: np.ndarray) -> np.ndarray:
-    """Module-level alias of :meth:`WoodburyInverse.apply`."""
-    return inv.apply(rhs)
 
 
 def dense_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -40,6 +40,11 @@ def _check_symmetric(mat, tol=1e-12, name="matrix"):
         raise ValueError(f"{name} is not symmetric")
 
 
+def _check_filter_index(n, size):
+    if not 1 <= n <= size:
+        raise ValueError(f"filter index {n} out of range [1, {size}]")
+
+
 @dataclass(frozen=True)
 class SymEigenbasis:
     """Eigendecomposition of a real symmetric matrix, eigenvalues descending.
@@ -145,6 +150,16 @@ class LaplacianFilter:
     tau: float
     active: np.ndarray = field(repr=False, default=None)  # bool mask, descending order
 
+    @classmethod
+    def from_basis(cls, basis: SymEigenbasis, n: int, tau: float) -> "LaplacianFilter":
+        """Filter at index n on a Laplacian eigenbasis with null threshold tau."""
+        size = basis.vectors.shape[0]
+        _check_filter_index(n, size)
+        active = np.zeros(size, bool)
+        active[size - n:] = True                  # n smallest in descending order
+        active &= basis.singular_values > tau     # pseudo-inverse drops the nullspace
+        return cls(basis=basis, n=n, tau=tau, active=active)
+
     @property
     def rank(self) -> int:
         return int(self.active.sum())
@@ -199,16 +214,11 @@ def laplacian_filter(lap_norm: np.ndarray, n: int,
     -------
     LaplacianFilter
     """
-    size = np.asarray(lap_norm).shape[0]
-    if not 1 <= n <= size:
-        raise ValueError(f"filter index {n} out of range [1, {size}]")
+    _check_filter_index(n, np.asarray(lap_norm).shape[0])
     basis = SymEigenbasis.from_symmetric(lap_norm, validate=False)
     sigma = basis.singular_values
     tau = tau_rel * sigma[0] if sigma[0] > 0 else 0.0
-    active = np.zeros(size, bool)
-    active[size - n:] = True          # n smallest in descending order
-    active &= sigma > tau             # pseudo-inverse drops the nullspace
-    return LaplacianFilter(basis=basis, n=n, tau=tau, active=active)
+    return LaplacianFilter.from_basis(basis, n, tau)
 
 
 def circulant_filter_apply(mesh: CurveMesh, n: int, x: np.ndarray) -> np.ndarray:
@@ -227,8 +237,7 @@ def circulant_filter_apply(mesh: CurveMesh, n: int, x: np.ndarray) -> np.ndarray
     if not mesh.is_uniform():
         raise ValueError("FFT filter path requires equal segment lengths")
     size = mesh.n_nodes
-    if not 1 <= n <= size:
-        raise ValueError(f"filter index {n} out of range [1, {size}]")
+    _check_filter_index(n, size)
     x = np.asarray(x)
     if x.shape[0] != size:
         raise ValueError("vector length does not match mesh size")

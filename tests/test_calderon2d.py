@@ -7,6 +7,7 @@ from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
 from filtbem.excitation2d import MagneticLineSource
 from filtbem.mesh2d import Ellipse, build_mesh
 from filtbem.solver import dense_solve
+from filtbem.spectral import laplacian_filter
 
 K = 0.4
 ETA = 1.0
@@ -167,6 +168,22 @@ class TestFilteredSystem:
         system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
         filt_rows = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)
         assert filt_rows[21:].max() <= 1e-12 * filt_rows.max()
+
+
+def test_cached_basis_filter_matches_fresh_filter():
+    # the second index reuses the eigenbasis computed for the first
+    mesh = build_mesh(Ellipse(1.42, 1.32), 256)
+    ops = assemble_operators(mesh, K)
+    first = ops.filter(21)
+    second = ops.filter(200)
+    assert second.basis is first.basis
+    fresh = laplacian_filter(ops.lap_norm, 200)
+    assert second.n == 200
+    assert second.tau == fresh.tau
+    assert np.array_equal(second.active, fresh.active)
+    assert np.abs(second.matrix() - fresh.matrix()).max() <= 1e-14
+    with pytest.raises(ValueError):
+        ops.filter(257)
 
 
 class TestConditioning:

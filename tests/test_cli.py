@@ -73,6 +73,24 @@ class TestConfig:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    def test_table_keeps_rows_around_a_failed_size(self, tmp_path, monkeypatch):
+        import filtbem.cli as cli_mod
+        solve_one = cli_mod._solve_one
+
+        def fail_at_96(cfg, n_nodes):
+            if n_nodes == 96:
+                raise np.linalg.LinAlgError("synthetic singular system")
+            return solve_one(cfg, n_nodes)
+
+        monkeypatch.setattr(cli_mod, "_solve_one", fail_at_96)
+        code = main(["table", "--sizes", "64,96,128", "--filter-n", "20",
+                     "--epsilon", "1e-3", "--out", str(tmp_path)])
+        assert code == 3
+        _, rows = read_csv(tmp_path / "table.csv")
+        assert [(r[0], r[-1]) for r in rows] == [
+            ("64", "ok"), ("96", "failed:synthetic singular system"),
+            ("128", "ok")]
+
     def test_config_file_through_main(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("geometry = circle\na = 1.0\nn = 64\n"

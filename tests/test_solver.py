@@ -83,6 +83,19 @@ class TestWoodbury:
         with pytest.raises(ValueError):
             woodbury_factorize(0.0, (u, v))
 
+    def test_near_singular_core_warns(self):
+        # core diag(1e-10, 2): condition 2e10, between the warning (1e8)
+        # and the rejection (1e12) thresholds
+        eye = np.eye(6) + 0j
+        u = np.stack([-(1.0 - 1e-10) * eye[:, 0], eye[:, 1]], axis=1)
+        v = eye[:, :2]
+        with pytest.warns(RuntimeWarning, match="near-singular core"):
+            inv = woodbury_factorize(1.0, (u, v))
+        assert 1e8 < inv.core_cond < 1e12
+        rhs = np.arange(1.0, 7.0) + 0j
+        mat = np.eye(6) + u @ v.T
+        assert np.allclose(mat @ inv.apply(rhs), rhs, rtol=1e-5)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
         u, v = random_skeleton(rng, 20, 3, scale=0.1)
