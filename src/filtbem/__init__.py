@@ -16,7 +16,7 @@ from .assembly2d import (ScatteringParams, assemble_double_layer,
 from .calderon2d import (FilteredSystem, Operators2D, assemble_operators,
                          build_calderon_matrix, build_compact_part,
                          build_filtered_system, normalized_double_layer,
-                         normalized_rhs)
+                         normalized_rhs, second_kind_split)
 from .compression import LowRankFactor, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
                            assemble_rhs, incident_e_field, incident_fields)
@@ -41,7 +41,7 @@ __all__ = [
     "assemble_laplacian", "assemble_single_layer",
     "FilteredSystem", "Operators2D", "assemble_operators",
     "build_calderon_matrix", "build_compact_part", "build_filtered_system",
-    "normalized_double_layer", "normalized_rhs",
+    "normalized_double_layer", "normalized_rhs", "second_kind_split",
     "LowRankFactor", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",
     "incident_e_field", "incident_fields",

@@ -40,6 +40,7 @@ __all__ = [
     "build_compact_part",
     "normalized_double_layer",
     "normalized_rhs",
+    "second_kind_split",
     "build_filtered_system",
     "FORMULATIONS",
 ]
@@ -49,18 +50,19 @@ FORMULATIONS = ("efie", "mfie", "cfie")
 
 @dataclass
 class Operators2D:
-    """Dense operator bundle over one mesh and wavenumber."""
+    """Operator bundle over one mesh and wavenumber.
+
+    ``slayer``, ``hyper`` and ``dlayer`` hold the read-only Gram-normalized
+    G^{-1/2} X G^{-1/2} of S, N and D; the raw matrices are not kept.
+    """
 
     mesh: CurveMesh
     k: float
-    gram: np.ndarray
-    gram_sqrt: np.ndarray
     gram_invsqrt: np.ndarray
-    laplacian: np.ndarray
     lap_norm: np.ndarray            # G^{-1/2} L G^{-1/2}
     slayer: np.ndarray
     hyper: np.ndarray
-    dlayer: Optional[np.ndarray] = None
+    dlayer: Optional[np.ndarray] = None   # assembled on first use
     quad_order: int = 8
     _filters: dict = field(default_factory=dict, repr=False)
 
@@ -76,31 +78,47 @@ class Operators2D:
         return self._filters[n]
 
 
+def _gram_normalized(gm: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Read-only G^{-1/2} X G^{-1/2}, evaluated as (gm @ X) @ gm."""
+    out = gm @ raw @ gm
+    out.flags.writeable = False
+    return out
+
+
 def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
                        need_double_layer: bool = False,
                        slayer_kind: str = "helmholtz") -> Operators2D:
-    """Assemble every dense operator a filtered system may need.
+    """Assemble and Gram-normalize every operator a filtered system may need.
 
     The single-layer/hypersingular pair shares one kernel pass; the double
-    layer is only assembled when requested (second-kind and combined
-    formulations).
+    layer is assembled here only when requested, otherwise on first use by
+    :func:`normalized_double_layer`.
     """
-    gram = assemble_gram(mesh)
-    lap = assemble_laplacian(mesh)
-    groot, ginvroot = sym_sqrt_and_invsqrt(gram)
-    lap_norm = ginvroot @ lap @ ginvroot
+    _, gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))
+    lap_norm = _gram_normalized(gm, assemble_laplacian(mesh))
     lap_norm = 0.5 * (lap_norm + lap_norm.T)
     if slayer_kind == "helmholtz":
         slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
     else:
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
         hyper = assemble_hypersingular(mesh, k, quad_order)
-    dlayer = assemble_double_layer(mesh, k, quad_order) if need_double_layer else None
-    return Operators2D(
-        mesh=mesh, k=k, gram=gram, gram_sqrt=groot, gram_invsqrt=ginvroot,
-        laplacian=lap, lap_norm=lap_norm, slayer=slayer, hyper=hyper,
-        dlayer=dlayer, quad_order=quad_order,
-    )
+    ops = Operators2D(mesh=mesh, k=k, gram_invsqrt=gm, lap_norm=lap_norm,
+                      slayer=_gram_normalized(gm, slayer),
+                      hyper=_gram_normalized(gm, hyper), quad_order=quad_order)
+    del slayer, hyper       # free the raw matrices before the double layer
+    if need_double_layer:
+        ops.dlayer = _gram_normalized(gm, assemble_double_layer(mesh, k, quad_order))
+    return ops
+
+
+def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
+                   quad_order: int) -> Operators2D:
+    """The given bundle, checked against mesh and k, or a new one."""
+    if ops is None:
+        return assemble_operators(mesh, k, quad_order)
+    if ops.mesh is not mesh or ops.k != k:
+        raise ValueError("ops was assembled for another mesh or wavenumber")
+    return ops
 
 
 def build_calderon_matrix(mesh: CurveMesh, k: float,
@@ -109,14 +127,10 @@ def build_calderon_matrix(mesh: CurveMesh, k: float,
     """Normalized preconditioned first-kind matrix (eigenvalues near 1/4).
 
     Computes (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} over the given mesh;
-    pass ``ops`` to reuse assembled operators.
+    pass ``ops`` (assembled on this mesh at this k) to reuse operators.
     """
-    if ops is None:
-        ops = assemble_operators(mesh, k, quad_order)
-    gm = ops.gram_invsqrt
-    left = gm @ ops.slayer @ gm
-    right = gm @ ops.hyper @ gm
-    return (left @ right) / (1j * ops.k)
+    ops = _operators_for(mesh, k, ops, quad_order)
+    return (ops.slayer @ ops.hyper) / (1j * ops.k)
 
 
 def build_compact_part(calderon: np.ndarray) -> np.ndarray:
@@ -128,11 +142,11 @@ def build_compact_part(calderon: np.ndarray) -> np.ndarray:
 
 
 def normalized_double_layer(ops: Operators2D) -> np.ndarray:
-    """Gram-normalized double layer G^{-1/2} D G^{-1/2}."""
+    """Gram-normalized double layer G^{-1/2} D G^{-1/2} (read-only)."""
     if ops.dlayer is None:
-        ops.dlayer = assemble_double_layer(ops.mesh, ops.k, ops.quad_order)
-    gm = ops.gram_invsqrt
-    return gm @ ops.dlayer @ gm
+        ops.dlayer = _gram_normalized(
+            ops.gram_invsqrt, assemble_double_layer(ops.mesh, ops.k, ops.quad_order))
+    return ops.dlayer
 
 
 def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
@@ -143,9 +157,31 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     """
     e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order)
     gm = ops.gram_invsqrt
-    v_e = -(1.0 / eta) * (gm @ (ops.slayer @ (gm @ (gm @ e_vec))))
+    v_e = -(1.0 / eta) * (ops.slayer @ (gm @ e_vec))
     v_h = -(gm @ h_vec)
     return v_e, v_h
+
+
+def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
+    """Split a formulation's unfiltered system into ``(beta, C)``, system beta I + C.
+
+    * efie: beta = 1/4, C = Z - I/4 with Z from :func:`build_calderon_matrix`;
+    * mfie: beta = 1/2, C = -Dn with the normalized double layer Dn;
+    * cfie: beta = (1 + 2 alpha)/4, C = Z - I/4 - alpha Dn, alpha > 0.
+
+    C is returned as a new array.
+    """
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
+    if formulation == "cfie" and alpha <= 0:
+        raise ValueError("combined-field coupling alpha must be positive")
+    if formulation == "mfie":
+        return 0.5, -normalized_double_layer(ops)
+    compact = build_compact_part(build_calderon_matrix(ops.mesh, ops.k, ops=ops))
+    if formulation == "efie":
+        return 0.25, compact
+    compact -= alpha * normalized_double_layer(ops)
+    return (1.0 + 2.0 * alpha) / 4.0, compact
 
 
 @dataclass(frozen=True)
@@ -163,7 +199,6 @@ class FilteredSystem:
     formulation: str
     filter_n: int
     alpha: float = 0.0
-    mfie_sign: float = -1.0
 
     @property
     def matrix(self) -> np.ndarray:
@@ -173,8 +208,8 @@ class FilteredSystem:
         return out
 
 
-def _filter_with_passthrough(filt, compact_raw, null_passthrough):
-    """Low-pass the compact block, optionally keeping its nullspace-mode rows.
+def _low_pass(filt: LaplacianFilter, compact_raw: np.ndarray) -> np.ndarray:
+    """Low-pass the compact block, keeping its nullspace-mode rows.
 
     The projector excludes the Laplacian nullspace (the mean mode), but on
     a closed curve that mode carries the dominant net-loop current and its
@@ -184,16 +219,14 @@ def _filter_with_passthrough(filt, compact_raw, null_passthrough):
     the filtering still annihilates everything above the cutoff.
     """
     out = filt.apply(compact_raw)
-    if null_passthrough:
-        nullv = filt.null_vectors()
-        if nullv.shape[1]:
-            out += nullv @ (nullv.T @ compact_raw)
+    nullv = filt.null_vectors()
+    if nullv.shape[1]:
+        out += nullv @ (nullv.T @ compact_raw)
     return out
 
 
 def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
                           formulation: str, filter_n: int, alpha: float = 0.5,
-                          mfie_sign: float = -1.0, null_passthrough: bool = True,
                           ops: Optional[Operators2D] = None,
                           quad_order: int = 8) -> FilteredSystem:
     """Assemble one of the three filtered formulations.
@@ -201,53 +234,30 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     Parameters
     ----------
     formulation : {"efie", "mfie", "cfie"}
-        Preconditioned first-kind, second-kind, or combined system.
+        Preconditioned first-kind, second-kind, or combined system (see
+        :func:`second_kind_split`).
     filter_n : int
         Low-pass filter index (number of retained Laplacian modes).
     alpha : float
         Combined-field coupling, > 0 (combined formulation only).
-    mfie_sign : float
-        Sign convention of the normalized double layer in the second-kind
-        system; -1 matches the well-posed static limit and is the default.
-    null_passthrough : bool
-        Keep the compact block exact on the Laplacian nullspace mode (see
-        :func:`_filter_with_passthrough`); on by default.
     ops : Operators2D, optional
-        Reuse previously assembled operators.
+        Reuse operators previously assembled on this mesh at this k.
 
     Returns
     -------
     FilteredSystem
     """
     formulation = formulation.lower()
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}")
-    if mfie_sign not in (-1.0, 1.0):
-        raise ValueError("mfie_sign must be +-1")
-    if formulation == "cfie" and alpha <= 0:
-        raise ValueError("combined-field coupling alpha must be positive")
-    need_d = formulation in ("mfie", "cfie")
-    if ops is None:
-        ops = assemble_operators(mesh, k, quad_order, need_double_layer=need_d)
+    ops = _operators_for(mesh, k, ops, quad_order)
     filt = ops.filter(filter_n)
+    beta, compact_raw = second_kind_split(ops, formulation, alpha)
     v_e, v_h = normalized_rhs(ops, src, eta)
-
     if formulation == "efie":
-        compact_raw = build_compact_part(build_calderon_matrix(mesh, k, ops=ops))
-        compact = _filter_with_passthrough(filt, compact_raw, null_passthrough)
-        return FilteredSystem(beta=0.25, compact=compact, rhs=v_e,
-                              formulation=formulation, filter_n=filter_n,
-                              mfie_sign=mfie_sign)
-    dn = normalized_double_layer(ops)
-    if formulation == "mfie":
-        compact = _filter_with_passthrough(filt, mfie_sign * dn, null_passthrough)
-        return FilteredSystem(beta=0.5, compact=compact, rhs=v_h,
-                              formulation=formulation, filter_n=filter_n,
-                              mfie_sign=mfie_sign)
-    compact_raw = build_compact_part(build_calderon_matrix(mesh, k, ops=ops))
-    compact_raw += alpha * mfie_sign * dn
-    beta = (1.0 + 2.0 * alpha) / 4.0
-    compact = _filter_with_passthrough(filt, compact_raw, null_passthrough)
-    return FilteredSystem(beta=beta, compact=compact,
-                          rhs=v_e + alpha * v_h, formulation=formulation,
-                          filter_n=filter_n, alpha=alpha, mfie_sign=mfie_sign)
+        rhs = v_e
+    elif formulation == "mfie":
+        rhs = v_h
+    else:
+        rhs = v_e + alpha * v_h
+    return FilteredSystem(beta=beta, compact=_low_pass(filt, compact_raw),
+                          rhs=rhs, formulation=formulation, filter_n=filter_n,
+                          alpha=alpha if formulation == "cfie" else 0.0)

@@ -10,8 +10,9 @@ Subcommands
 
 Each run writes a CSV (17-significant-digit scientific notation, LF line
 endings) plus a JSON metadata sidecar echoing the fully resolved
-configuration, the seed and the package version, sufficient to reproduce
-the run bit-identically.
+configuration, the seed, the package version and the numerical
+environment (numpy and scipy versions, BLAS thread-count variables).  A
+run is bit-reproducible for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
 ``key = value`` config file (``#`` comments), overridden by command-line
@@ -24,16 +25,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .calderon2d import (assemble_operators, build_calderon_matrix,
-                         build_filtered_system, normalized_double_layer)
+from .calderon2d import (FORMULATIONS, assemble_operators,
+                         build_filtered_system, second_kind_split)
 from .compression import lowrank_factor
 from .excitation2d import MagneticLineSource, PlaneWaveTE
 from .mesh2d import Ellipse, PerturbedCircle, build_mesh
@@ -47,6 +50,8 @@ __all__ = ["ExperimentConfig", "main", "run_spectra", "run_refinement",
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -161,8 +166,8 @@ def resolve_config(command: str, file_values: dict, cli_values: dict) -> Experim
         raise ValueError("epsilon must lie in (0, 1)")
     if cfg.filter_n < 1:
         raise ValueError("filter_n must be >= 1")
-    if cfg.formulation not in ("efie", "mfie", "cfie"):
-        raise ValueError("formulation must be efie, mfie or cfie")
+    if cfg.formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
     if cfg.alpha <= 0:
         raise ValueError("alpha must be positive")
     return cfg
@@ -195,6 +200,8 @@ def write_metadata(path, command: str, cfg: ExperimentConfig, extra=None) -> Non
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
         "formulation": cfg.formulation,
+        "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
+                        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
     }
     if extra:
         payload.update(extra)
@@ -215,46 +222,35 @@ def _outdir(cfg) -> Path:
 def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     """Full filtered-compressed pipeline at one mesh size.
 
-    Returns a dict with the skeleton, solutions, reference and timings.
+    Returns a dict with the mesh, the structured inverse, the error against
+    the dense reference and the factorize/apply timings.
     """
     mesh = build_mesh(cfg.curve(), n_nodes)
     if cfg.filter_n > mesh.n_nodes:
         raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
     slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
-    ops = assemble_operators(mesh, cfg.k, cfg.quad_order,
-                             need_double_layer=cfg.formulation in ("mfie", "cfie"),
-                             slayer_kind=slayer_kind)
+    ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
     system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
                                    cfg.formulation, cfg.filter_n,
                                    alpha=cfg.alpha, ops=ops)
-    t0 = time.perf_counter()
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
-    t_compress = time.perf_counter() - t0
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0
     t0 = time.perf_counter()
     solution = inverse.apply(system.rhs)
     t_apply = time.perf_counter() - t0
+    rhs = system.rhs
+    del system    # free the filtered block before the dense reference
 
     # reference: dense solve of the unfiltered system of the same formulation
-    if cfg.formulation == "efie":
-        dense_mat = build_calderon_matrix(mesh, cfg.k, ops=ops)
-    elif cfg.formulation == "mfie":
-        dense_mat = 0.5 * np.eye(mesh.n_nodes) - normalized_double_layer(ops)
-    else:
-        dense_mat = build_calderon_matrix(mesh, cfg.k, ops=ops)
-        dense_mat += cfg.alpha * (0.5 * np.eye(mesh.n_nodes)
-                                  - normalized_double_layer(ops))
-    reference = dense_solve(dense_mat, system.rhs)
+    beta, dense_mat = second_kind_split(ops, cfg.formulation, cfg.alpha)
+    dense_mat[np.diag_indices_from(dense_mat)] += beta
+    reference = dense_solve(dense_mat, rhs)
     rel_error = float(np.linalg.norm(solution - reference)
                       / np.linalg.norm(reference))
-    return {
-        "mesh": mesh, "ops": ops, "system": system, "skeleton": skeleton,
-        "inverse": inverse, "solution": solution, "reference": reference,
-        "rel_error": rel_error, "t_compress": t_compress,
-        "t_factorize": t_factorize, "t_apply": t_apply,
-    }
+    return {"mesh": mesh, "inverse": inverse, "rel_error": rel_error,
+            "t_factorize": t_factorize, "t_apply": t_apply}
 
 
 def run_spectra(cfg: ExperimentConfig):
@@ -264,15 +260,14 @@ def run_spectra(cfg: ExperimentConfig):
     below ``filter_n``), row norms of the compact block / its filtered and
     compressed variants in that basis, the right-hand-side projection
     magnitude, and a flag marking modes present in the compression range.
+    The compact block is that of the configured formulation.
     """
     mesh = build_mesh(cfg.curve(), cfg.n)
-    ops = assemble_operators(mesh, cfg.k, cfg.quad_order,
-                             need_double_layer=cfg.formulation in ("mfie", "cfie"))
+    ops = assemble_operators(mesh, cfg.k, cfg.quad_order)
     system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
                                    cfg.formulation, cfg.filter_n,
                                    alpha=cfg.alpha, ops=ops)
-    compact_raw = build_calderon_matrix(mesh, cfg.k, ops=ops)
-    compact_raw[np.arange(cfg.n), np.arange(cfg.n)] -= 0.25
+    _, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
 
     filt = ops.filter(cfg.filter_n)
@@ -304,26 +299,32 @@ def run_refinement(cfg: ExperimentConfig):
 
     CSV columns: N, inv_h, rel_error_vs_dense, skeleton_rank,
     factorize_ms, apply_ms, status.
+    A size whose solve fails gets a ``failed:`` row; the CSV is still
+    written, and then the failure is raised as a ``LinAlgError``.
     """
     sizes = [n for n in cfg.sizes if n <= cfg.max_n]
     if len(sizes) < 3:
         raise ValueError("refinement sweep needs at least 3 mesh sizes "
                          "(raise --max-n or extend --sizes)")
     rows = []
+    failed = []
     for n_nodes in sizes:
         try:
             res = _solve_one(cfg, n_nodes)
             rows.append((n_nodes, 1.0 / res["mesh"].h, res["rel_error"],
-                         res["skeleton"].rank, 1e3 * res["t_factorize"],
+                         res["inverse"].rank, 1e3 * res["t_factorize"],
                          1e3 * res["t_apply"], "ok"))
         except np.linalg.LinAlgError as exc:
             rows.append((n_nodes, float("nan"), float("nan"), 0,
                          float("nan"), float("nan"), f"failed:{exc}"))
+            failed.append(n_nodes)
     out = _outdir(cfg)
     write_csv(out / "refine.csv",
               ["N", "inv_h", "rel_error_vs_dense", "skeleton_rank",
                "factorize_ms", "apply_ms", "status"], rows)
     write_metadata(out / "refine_meta.json", "refine", cfg)
+    if failed:
+        raise np.linalg.LinAlgError(f"refine sizes {failed} failed (see refine.csv)")
     return rows
 
 
@@ -350,7 +351,7 @@ def run_table(cfg: ExperimentConfig):
             continue
         report = memory_report(res["inverse"])
         rows.append((n_nodes, res["rel_error"], report.dense_bytes,
-                     report.skeleton_bytes, res["skeleton"].rank, "ok"))
+                     report.skeleton_bytes, report.rank, "ok"))
     out = _outdir(cfg)
     write_csv(out / "table.csv",
               ["N", "rel_error", "dense_bytes", "skeleton_bytes", "rank",
@@ -430,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--max-n", dest="max_n", type=int, default=None,
                          help="largest mesh size actually run")
         cmd.add_argument("--formulation", type=str, default=None,
-                         choices=["efie", "mfie", "cfie"])
+                         choices=FORMULATIONS)
         cmd.add_argument("--alpha", type=float, default=None,
                          help="combined-field coupling")
         cmd.add_argument("--filter-n", dest="filter_n", type=int, default=None,
@@ -472,8 +473,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cli_values = {key: val for key, val in vars(args).items()
                   if key not in ("command", "config") and val is not None}
-    if "sizes" in cli_values:
-        cli_values["sizes"] = _coerce("sizes", cli_values["sizes"])
     try:
         file_values = (parse_config_file(args.config) if args.config else {})
         cfg = resolve_config(args.command, file_values, cli_values)

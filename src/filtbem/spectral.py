@@ -62,26 +62,11 @@ class SymEigenbasis:
         return np.abs(self.eigenvalues)
 
     @classmethod
-    def from_symmetric(cls, mat: np.ndarray, validate: bool = True) -> "SymEigenbasis":
+    def from_symmetric(cls, mat: np.ndarray) -> "SymEigenbasis":
         _check_symmetric(mat, name="eigenbasis input")
         vals, vecs = scipy.linalg.eigh(mat)
         order = np.argsort(-np.abs(vals), kind="stable")
-        basis = cls(eigenvalues=vals[order], vectors=vecs[:, order])
-        if validate:
-            basis.validate(mat)
-        return basis
-
-    def validate(self, original: np.ndarray | None = None):
-        v = self.vectors
-        ortho = np.abs(v.T @ v - np.eye(v.shape[0])).max()
-        if ortho > 1e-12:
-            raise AssertionError(f"eigenvector orthonormality defect {ortho:.2e}")
-        if original is not None:
-            rec = (v * self.eigenvalues) @ v.T
-            scale = max(np.abs(original).max(), 1e-300)
-            err = np.abs(rec - original).max() / scale
-            if err > 1e-10:
-                raise AssertionError(f"eigen reconstruction defect {err:.2e}")
+        return cls(eigenvalues=vals[order], vectors=vecs[:, order])
 
 
 def sym_sqrt_and_invsqrt(gram: np.ndarray):
@@ -129,7 +114,7 @@ def filtered_matrix(mat: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"filter index {n} out of range [0, {size}]")
     if n == 0:
         return np.zeros_like(np.asarray(mat, float))
-    basis = SymEigenbasis.from_symmetric(mat, validate=False)
+    basis = SymEigenbasis.from_symmetric(mat)
     kept = basis.eigenvalues.copy()
     kept[: size - n] = 0.0
     return (basis.vectors * kept) @ basis.vectors.T
@@ -215,7 +200,7 @@ def laplacian_filter(lap_norm: np.ndarray, n: int,
     LaplacianFilter
     """
     _check_filter_index(n, np.asarray(lap_norm).shape[0])
-    basis = SymEigenbasis.from_symmetric(lap_norm, validate=False)
+    basis = SymEigenbasis.from_symmetric(lap_norm)
     sigma = basis.singular_values
     tau = tau_rel * sigma[0] if sigma[0] > 0 else 0.0
     return LaplacianFilter.from_basis(basis, n, tau)

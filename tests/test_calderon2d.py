@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from filtbem.assembly2d import assemble_double_layer, assemble_helmholtz_pair
 from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
                                 build_compact_part, build_filtered_system,
-                                normalized_double_layer)
-from filtbem.excitation2d import MagneticLineSource
+                                normalized_double_layer, normalized_rhs,
+                                second_kind_split)
+from filtbem.excitation2d import MagneticLineSource, assemble_rhs
 from filtbem.mesh2d import Ellipse, build_mesh
 from filtbem.solver import dense_solve
 from filtbem.spectral import laplacian_filter
@@ -40,6 +42,64 @@ class TestCalderonMatrix:
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         rolled = np.roll(zmat, (1, 1), axis=(0, 1))
         assert np.abs(zmat - rolled).max() <= 1e-10 * np.abs(zmat).max()
+
+
+class TestOperatorBundle:
+    def test_operators_stored_gram_normalized_and_read_only(self):
+        mesh = build_mesh(Ellipse(1.42, 1.32), 96)
+        ops = assemble_operators(mesh, K)
+        gm = ops.gram_invsqrt
+        slayer, hyper = assemble_helmholtz_pair(mesh, K)
+        dlayer = assemble_double_layer(mesh, K)
+        assert ops.dlayer is None
+        dn = normalized_double_layer(ops)
+        assert normalized_double_layer(ops) is dn is ops.dlayer
+        for stored, raw in ((ops.slayer, slayer), (ops.hyper, hyper), (dn, dlayer)):
+            assert not stored.flags.writeable
+            assert np.array_equal(stored, gm @ raw @ gm)
+
+    def test_rhs_matches_unnormalized_formula(self):
+        mesh = build_mesh(Ellipse(1.42, 1.32), 96)
+        ops = assemble_operators(mesh, K)
+        gm = ops.gram_invsqrt
+        slayer, _ = assemble_helmholtz_pair(mesh, K)
+        e_vec, h_vec = assemble_rhs(mesh, SRC, K, ETA)
+        v_e, v_h = normalized_rhs(ops, SRC, ETA)
+        ref = -(1.0 / ETA) * (gm @ (slayer @ (gm @ (gm @ e_vec))))
+        assert np.abs(v_e - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(v_h, -(gm @ h_vec))
+
+    def test_mismatched_bundle_rejected(self, circle_ops):
+        mesh, ops = circle_ops
+        other = build_mesh(Ellipse(1.0, 1.0), mesh.n_nodes)
+        with pytest.raises(ValueError):
+            build_calderon_matrix(mesh, 2.0, ops=ops)
+        with pytest.raises(ValueError):
+            build_calderon_matrix(other, K, ops=ops)
+        with pytest.raises(ValueError):
+            build_filtered_system(mesh, 2.0, ETA, SRC, "efie", 21, ops=ops)
+        with pytest.raises(ValueError):
+            build_filtered_system(other, K, ETA, SRC, "efie", 21, ops=ops)
+
+    def test_second_kind_split(self, circle_ops):
+        mesh, ops = circle_ops
+        eye = np.eye(mesh.n_nodes)
+        zmat = build_calderon_matrix(mesh, K, ops=ops)
+        dn = normalized_double_layer(ops)
+        beta, compact = second_kind_split(ops, "efie")
+        assert beta == 0.25
+        assert np.array_equal(compact, build_compact_part(zmat))
+        beta, compact = second_kind_split(ops, "mfie")
+        assert beta == 0.5
+        assert np.array_equal(compact, -dn)
+        beta, compact = second_kind_split(ops, "cfie", alpha=0.3)
+        assert beta == pytest.approx(0.4)
+        expected = zmat + 0.3 * (0.5 * eye - dn)
+        assert np.abs(compact + beta * eye - expected).max() <= 1e-14
+        with pytest.raises(ValueError):
+            second_kind_split(ops, "EFIE")
+        with pytest.raises(ValueError):
+            second_kind_split(ops, "cfie", alpha=0.0)
 
 
 class TestCompactPart:

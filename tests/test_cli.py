@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from filtbem.cli import (ExperimentConfig, main, parse_config_file,
                          resolve_config, run_refinement, run_spectra,
@@ -91,6 +92,26 @@ class TestConfig:
             ("64", "ok"), ("96", "failed:synthetic singular system"),
             ("128", "ok")]
 
+    def test_refine_keeps_rows_around_a_failed_size(self, tmp_path, monkeypatch):
+        import filtbem.cli as cli_mod
+        solve_one = cli_mod._solve_one
+
+        def fail_at_96(cfg, n_nodes):
+            if n_nodes == 96:
+                raise np.linalg.LinAlgError("synthetic singular system")
+            return solve_one(cfg, n_nodes)
+
+        monkeypatch.setattr(cli_mod, "_solve_one", fail_at_96)
+        code = main(["refine", "--geometry", "circle", "--a", "1.0",
+                     "--sizes", "48,96,192", "--filter-n", "13",
+                     "--epsilon", "1e-4", "--out", str(tmp_path)])
+        assert code == 3
+        _, rows = read_csv(tmp_path / "refine.csv")
+        assert [(r[0], r[-1]) for r in rows] == [
+            ("48", "ok"), ("96", "failed:synthetic singular system"),
+            ("192", "ok")]
+        assert (tmp_path / "refine_meta.json").exists()
+
     def test_config_file_through_main(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("geometry = circle\na = 1.0\nn = 64\n"
@@ -146,6 +167,11 @@ class TestSpectra:
         assert meta["config"]["n"] == 96
         assert meta["formulation"] == "efie"
         assert "version" in meta
+        env = meta["environment"]
+        assert set(env) == {"numpy", "scipy", "OPENBLAS_NUM_THREADS",
+                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
 
     def test_seeded_rerun_bit_identical(self, tmp_path):
         outs = []
@@ -158,6 +184,21 @@ class TestSpectra:
             run_spectra(cfg)
             outs.append((out / "spectra.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("formulation", ["efie", "mfie", "cfie"])
+def test_spectra_raw_block_is_the_configured_formulation(tmp_path, formulation):
+    # the filter keeps modes 0..filter_n-1 (the null mode passes through),
+    # so there the raw and filtered projections of one block coincide
+    cfg = resolve_config("spectra", {}, {
+        "n": 128, "filter_n": 21, "formulation": formulation,
+        "epsilon": 1e-4, "out": str(tmp_path)})
+    rows = run_spectra(cfg)
+    proj_raw = np.array([r[1] for r in rows])
+    proj_filtered = np.array([r[2] for r in rows])
+    kept = slice(0, cfg.filter_n)
+    assert (np.abs(proj_raw[kept] - proj_filtered[kept]).max()
+            <= 1e-12 * proj_raw.max())
 
 
 class TestRefine:
