@@ -25,6 +25,7 @@ that the normalized composition with the single layer is second kind; see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,14 @@ def assert_symmetric(mat: np.ndarray, rel_tol: float = SYMMETRY_TOL, name: str =
         raise AssertionError(f"{name} asymmetry {asym:.3e} exceeds {rel_tol:.1e}")
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss01(order: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1] (cached, read-only)."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _check_order(quad_order: int):

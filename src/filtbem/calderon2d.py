@@ -112,22 +112,30 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
 
 
 def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
-                   quad_order: int) -> Operators2D:
-    """The given bundle, checked against mesh and k, or a new one."""
+                   quad_order: Optional[int]) -> Operators2D:
+    """The given bundle, checked against mesh, k and quad_order, or a new one.
+
+    A ``quad_order`` of None means the bundle's order, or 8 for a new bundle.
+    """
     if ops is None:
-        return assemble_operators(mesh, k, quad_order)
+        return assemble_operators(mesh, k, 8 if quad_order is None else quad_order)
     if ops.mesh is not mesh or ops.k != k:
         raise ValueError("ops was assembled for another mesh or wavenumber")
+    if quad_order is not None and quad_order != ops.quad_order:
+        raise ValueError(f"quad_order {quad_order} differs from the order "
+                         f"{ops.quad_order} ops was assembled at")
     return ops
 
 
 def build_calderon_matrix(mesh: CurveMesh, k: float,
                           ops: Optional[Operators2D] = None,
-                          quad_order: int = 8) -> np.ndarray:
+                          quad_order: Optional[int] = None) -> np.ndarray:
     """Normalized preconditioned first-kind matrix (eigenvalues near 1/4).
 
     Computes (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} over the given mesh;
     pass ``ops`` (assembled on this mesh at this k) to reuse operators.
+    ``quad_order`` defaults to that of ``ops`` (8 without ``ops``); an
+    order that differs from it raises ``ValueError``.
     """
     ops = _operators_for(mesh, k, ops, quad_order)
     return (ops.slayer @ ops.hyper) / (1j * ops.k)
@@ -153,12 +161,16 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     """Normalized electric and magnetic right-hand sides.
 
     v_e = -eta^{-1} G^{-1/2} S G^{-1} e  and  v_h = -G^{-1/2} h, where e, h
-    are the Galerkin moments of the incident traces.
+    are the Galerkin moments of the incident traces.  The real G^{-1/2}
+    multiplies the real and imaginary parts of both moments in one (N, 4)
+    product, so no complex copy of it is made; the normalized S then takes
+    one complex matvec.
     """
     e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order)
-    gm = ops.gram_invsqrt
-    v_e = -(1.0 / eta) * (ops.slayer @ (gm @ e_vec))
-    v_h = -(gm @ h_vec)
+    y = ops.gram_invsqrt @ np.column_stack(
+        [e_vec.real, e_vec.imag, h_vec.real, h_vec.imag])
+    v_e = -(1.0 / eta) * (ops.slayer @ (y[:, 0] + 1j * y[:, 1]))
+    v_h = -(y[:, 2] + 1j * y[:, 3])
     return v_e, v_h
 
 
@@ -228,7 +240,7 @@ def _low_pass(filt: LaplacianFilter, compact_raw: np.ndarray) -> np.ndarray:
 def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
                           formulation: str, filter_n: int, alpha: float = 0.5,
                           ops: Optional[Operators2D] = None,
-                          quad_order: int = 8) -> FilteredSystem:
+                          quad_order: Optional[int] = None) -> FilteredSystem:
     """Assemble one of the three filtered formulations.
 
     Parameters
@@ -242,6 +254,9 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
         Combined-field coupling, > 0 (combined formulation only).
     ops : Operators2D, optional
         Reuse operators previously assembled on this mesh at this k.
+    quad_order : int, optional
+        Defaults to that of ``ops`` (8 without ``ops``); an order that
+        differs from it raises ``ValueError``.
 
     Returns
     -------
@@ -249,8 +264,20 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     """
     formulation = formulation.lower()
     ops = _operators_for(mesh, k, ops, quad_order)
-    filt = ops.filter(filter_n)
+    ops.filter(filter_n)        # reject a bad index before the dense product
     beta, compact_raw = second_kind_split(ops, formulation, alpha)
+    return _filtered_system(ops, src, eta, formulation, filter_n, alpha,
+                            beta, compact_raw)
+
+
+def _filtered_system(ops: Operators2D, src: Source2D, eta: float,
+                     formulation: str, filter_n: int, alpha: float,
+                     beta: float, compact_raw: np.ndarray) -> FilteredSystem:
+    """The filtered system of an unfiltered split ``(beta, compact_raw)``.
+
+    ``compact_raw`` is left unchanged, so a caller that formed the split
+    itself can reuse it, for instance for a dense reference.
+    """
     v_e, v_h = normalized_rhs(ops, src, eta)
     if formulation == "efie":
         rhs = v_e
@@ -258,6 +285,7 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
         rhs = v_h
     else:
         rhs = v_e + alpha * v_h
-    return FilteredSystem(beta=beta, compact=_low_pass(filt, compact_raw),
-                          rhs=rhs, formulation=formulation, filter_n=filter_n,
+    compact = _low_pass(ops.filter(filter_n), compact_raw)
+    return FilteredSystem(beta=beta, compact=compact, rhs=rhs,
+                          formulation=formulation, filter_n=filter_n,
                           alpha=alpha if formulation == "cfie" else 0.0)

@@ -35,8 +35,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .calderon2d import (FORMULATIONS, assemble_operators,
-                         build_filtered_system, second_kind_split)
+from .calderon2d import (FORMULATIONS, _filtered_system, assemble_operators,
+                         second_kind_split)
 from .compression import lowrank_factor
 from .excitation2d import MagneticLineSource, PlaneWaveTE
 from .mesh2d import Ellipse, PerturbedCircle, build_mesh
@@ -230,9 +230,11 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
         raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
     slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
     ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
-    system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
-                                   cfg.formulation, cfg.filter_n,
-                                   alpha=cfg.alpha, ops=ops)
+    # the unfiltered block is formed once: it is filtered here and becomes
+    # the dense reference below
+    beta, dense_mat = second_kind_split(ops, cfg.formulation, cfg.alpha)
+    system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
+                              cfg.filter_n, cfg.alpha, beta, dense_mat)
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
@@ -244,7 +246,6 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     del system    # free the filtered block before the dense reference
 
     # reference: dense solve of the unfiltered system of the same formulation
-    beta, dense_mat = second_kind_split(ops, cfg.formulation, cfg.alpha)
     dense_mat[np.diag_indices_from(dense_mat)] += beta
     reference = dense_solve(dense_mat, rhs)
     rel_error = float(np.linalg.norm(solution - reference)
@@ -264,13 +265,12 @@ def run_spectra(cfg: ExperimentConfig):
     """
     mesh = build_mesh(cfg.curve(), cfg.n)
     ops = assemble_operators(mesh, cfg.k, cfg.quad_order)
-    system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
-                                   cfg.formulation, cfg.filter_n,
-                                   alpha=cfg.alpha, ops=ops)
-    _, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
+    filt = ops.filter(cfg.filter_n)
+    beta, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
+    system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
+                              cfg.filter_n, cfg.alpha, beta, compact_raw)
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
 
-    filt = ops.filter(cfg.filter_n)
     _, modes = filt.modes_ascending()
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
     proj_filtered = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)

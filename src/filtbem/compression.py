@@ -10,6 +10,7 @@ fixed seed.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,8 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0,
     -------
     LowRankFactor
         With ``converged`` false (and the captured-range rank) only if the
-        tolerance is unreachable below rank n.
+        tolerance is unreachable below rank n; that case also emits a
+        ``RuntimeWarning``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -193,6 +195,10 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0,
         achieved = SAFETY * _factor_residual_norm(mat, left, right,
                                                   NORM_EST_ITERS, rng)
         converged = achieved <= target
+    if not converged:
+        warnings.warn(f"low-rank factor not converged: error {achieved / norm_est:.3e} "
+                      f"at rank {rank} exceeds epsilon {epsilon:.1e}",
+                      RuntimeWarning, stacklevel=2)
     return LowRankFactor(left=np.ascontiguousarray(left),
                          right=np.ascontiguousarray(right),
                          rank=rank, epsilon=epsilon,

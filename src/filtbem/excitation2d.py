@@ -12,6 +12,7 @@ from typing import Union
 
 import numpy as np
 
+from .assembly2d import _gauss01
 from .mesh2d import CurveMesh
 from .special import hankel_h1_0, hankel_h1_1
 
@@ -105,8 +106,9 @@ def incident_fields(src: Source2D, k: float, eta: float, pts, tangents):
     pts = np.atleast_2d(pts)
     tangents = np.atleast_2d(tangents)
     h, grad = _h_and_grad(src, k, pts)
-    efield = (eta / (1j * k)) * np.column_stack([grad[:, 1], -grad[:, 0]])
-    e_t = np.sum(efield * tangents, axis=1)
+    # E = c (g_y, -g_x) with c = eta/(i k), so E . t = c g_y t_x - c g_x t_y
+    coef = eta / (1j * k)
+    e_t = (coef * grad[:, 1]) * tangents[:, 0] - (coef * grad[:, 0]) * tangents[:, 1]
     if scalar:
         return e_t[0], h[0]
     return e_t, h
@@ -131,9 +133,7 @@ def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
     n = mesh.n_nodes
     ell = mesh.segment_lengths
 
-    x, w = np.polynomial.legendre.leggauss(quad_order)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    x, w = _gauss01(quad_order)
     chords = mesh.tangents * ell[:, None]
     pts = (mesh.nodes[None, :, :] + x[:, None, None] * chords[None, :, :]).reshape(-1, 2)
 
@@ -150,13 +150,11 @@ def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
     e_t = e_t.reshape(len(x), n)
     h_z = h_z.reshape(len(x), n)
 
-    shapes = np.stack([1.0 - x, x])  # local hat values per node
-    e_vec = np.zeros(n, np.complex128)
-    h_vec = np.zeros(n, np.complex128)
-    for a in range(2):
-        we = ell * ((w * shapes[a])[:, None] * e_t).sum(axis=0)
-        wh = ell * ((w * shapes[a])[:, None] * h_z).sum(axis=0)
-        idx = (np.arange(n) + a) % n
-        np.add.at(e_vec, idx, we)
-        np.add.at(h_vec, idx, wh)
-    return e_vec, h_vec
+    # segment i carries the hats of node i (shape 1 - x) and node i + 1
+    # (shape x); node i collects its segment i moment and segment i - 1's
+    def moments(trace):
+        first = ell * ((w * (1.0 - x))[:, None] * trace).sum(axis=0)
+        second = ell * ((w * x)[:, None] * trace).sum(axis=0)
+        return first + np.roll(second, 1)
+
+    return moments(e_t), moments(h_z)

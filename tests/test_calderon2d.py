@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,22 @@ class TestCalderonMatrix:
         z8 = build_calderon_matrix(mesh, K, quad_order=8)
         z16 = build_calderon_matrix(mesh, K, quad_order=16)
         assert np.abs(z16 - z8).max() / np.abs(z8).max() <= 1e-8
+        assert np.array_equal(build_calderon_matrix(mesh, K), z8)
+
+    def test_quad_order_follows_the_bundle(self):
+        # an explicit order must match the one ops was assembled at
+        mesh = build_mesh(Ellipse(1.0, 1.0), 64)
+        ops = assemble_operators(mesh, K, quad_order=12)
+        zmat = build_calderon_matrix(mesh, K, ops=ops)
+        assert np.array_equal(build_calderon_matrix(mesh, K, ops=ops,
+                                                    quad_order=12), zmat)
+        system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
+        assert system.compact.shape == zmat.shape
+        with pytest.raises(ValueError, match="quad_order"):
+            build_calderon_matrix(mesh, K, ops=ops, quad_order=8)
+        with pytest.raises(ValueError, match="quad_order"):
+            build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops,
+                                  quad_order=8)
 
     def test_rotation_invariance_on_circle(self, circle_ops):
         # uniform circle assembly is shift-equivariant: entries equal after
@@ -67,7 +85,21 @@ class TestOperatorBundle:
         v_e, v_h = normalized_rhs(ops, SRC, ETA)
         ref = -(1.0 / ETA) * (gm @ (slayer @ (gm @ (gm @ e_vec))))
         assert np.abs(v_e - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(v_h, -(gm @ h_vec))
+        ref_h = -(gm @ h_vec)
+        assert np.abs(v_h - ref_h).max() <= 1e-14 * np.abs(ref_h).max()
+
+    def test_rhs_allocates_no_dense_temporary(self, circle_ops):
+        # G^{-1/2} is real: promoting it to complex would allocate 16 N^2 bytes
+        mesh, ops = circle_ops
+        n = mesh.n_nodes
+        normalized_rhs(ops, SRC, ETA)
+        tracemalloc.start()
+        try:
+            normalized_rhs(ops, SRC, ETA)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
     def test_mismatched_bundle_rejected(self, circle_ops):
         mesh, ops = circle_ops

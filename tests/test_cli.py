@@ -224,6 +224,46 @@ class TestRefine:
             run_refinement(cfg)
 
 
+    def test_quad_order_reaches_the_operators(self, tmp_path, monkeypatch):
+        import filtbem.cli as cli_mod
+        assemble = cli_mod.assemble_operators
+        orders = []
+
+        def spy(mesh, k, quad_order=8, **kwargs):
+            orders.append(quad_order)
+            return assemble(mesh, k, quad_order, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "assemble_operators", spy)
+        code = main(["refine", "--geometry", "circle", "--a", "1.0",
+                     "--sizes", "48,96,192", "--filter-n", "13",
+                     "--epsilon", "1e-4", "--quad-order", "12",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert orders == [12, 12, 12]
+        _, rows = read_csv(tmp_path / "refine.csv")
+        assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("command, sizes", [
+    (["refine", "--sizes", "48,96,192", "--filter-n", "13"], [48, 96, 192]),
+    (["spectra", "--n", "64", "--filter-n", "13"], [64]),
+])
+def test_calderon_product_formed_once_per_size(tmp_path, monkeypatch,
+                                               command, sizes):
+    import filtbem.calderon2d as calderon_mod
+    build = calderon_mod.build_calderon_matrix
+    calls = []
+
+    def counting(mesh, *args, **kwargs):
+        calls.append(mesh.n_nodes)
+        return build(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(calderon_mod, "build_calderon_matrix", counting)
+    code = main(command + ["--epsilon", "1e-4", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == sizes
+
+
 class TestTable:
     def test_skip_above_cap_and_schema(self, tmp_path):
         cfg = resolve_config("table", {}, {

@@ -90,6 +90,15 @@ class TestLowRankFactor:
         assert skel.converged  # full rank reproduces the matrix exactly
         assert spectral_norm(q - skel.reconstruct()) <= 1e-10
 
+    def test_unconverged_factor_warns(self):
+        # below rounding the tolerance is unreachable even at full rank
+        rng = np.random.default_rng(0)
+        mat = rng.standard_normal((24, 24))
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            skel = lowrank_factor(mat, 1e-17)
+        assert skel.rank == 24
+        assert not skel.converged
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             lowrank_factor(np.eye(4), 0.0)

@@ -78,6 +78,32 @@ class TestAssembleRhs:
         # residual phase k * |r| ~ 3e-12 bounds the agreement
         assert np.abs(h_vec - gram_rows).max() <= 1e-11 * gram_rows.max()
 
+    @pytest.mark.parametrize("src", [
+        MagneticLineSource((3.0, 0.5)),
+        PlaneWaveTE((0.6, 0.8)),
+    ])
+    def test_moments_match_scatter_reference(self, src):
+        # scatter each segment's two shape-function moments onto its end
+        # nodes; same arithmetic, so the results agree bit for bit
+        mesh, k, eta = self.mesh, 0.4, 1.0
+        n, ell = mesh.n_nodes, mesh.segment_lengths
+        x, w = np.polynomial.legendre.leggauss(8)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+        pts = mesh.nodes[None] + x[:, None, None] * (mesh.tangents * ell[:, None])[None]
+        tangents = np.broadcast_to(mesh.tangents, pts.shape)
+        e_t, h_z = incident_fields(src, k, eta, pts.reshape(-1, 2),
+                                   tangents.reshape(-1, 2))
+        refs = []
+        for trace in (e_t.reshape(8, n), h_z.reshape(8, n)):
+            ref = np.zeros(n, np.complex128)
+            for a, shape in enumerate((1.0 - x, x)):
+                np.add.at(ref, (np.arange(n) + a) % n,
+                          ell * ((w * shape)[:, None] * trace).sum(axis=0))
+            refs.append(ref)
+        e_vec, h_vec = assemble_rhs(mesh, src, k, eta)
+        assert np.array_equal(e_vec, refs[0])
+        assert np.array_equal(h_vec, refs[1])
+
     def test_small_k_plane_wave_against_higher_order_quadrature(self):
         k, eta = 1e-6, 1.0
         src = PlaneWaveTE((0.8, 0.6))
