@@ -21,12 +21,12 @@ ops = assemble_operators(mesh, k)
 cmat = build_compact_part(build_calderon_matrix(mesh, k, ops=ops))
 
 print("== filter construction ==")
-filt = ops.filter(21)
-print(f"filter index 21 -> projector rank {filt.rank} "
-      "(the constant mode is excluded)")
+w = ops.modes[:, :21]
+print(f"filter index 21 -> projection onto {w.shape[1]} modes "
+      "(the constant mode, which carries the net-loop current, and 20 above it)")
 
 print("\n== effect on the compact block ==")
-filtered = filt.apply(cmat)
+filtered = w @ (w.T @ cmat)
 sv_raw = np.linalg.svd(cmat, compute_uv=False)
 sv_fil = np.linalg.svd(filtered, compute_uv=False)
 for eps in (1e-3, 1e-5, 6e-6):
@@ -36,8 +36,7 @@ for eps in (1e-3, 1e-5, 6e-6):
 
 print("\n== the right-hand side is band-limited ==")
 v_e, _ = normalized_rhs(ops, MagneticLineSource((3.0, 0.0)), eta)
-_, modes = filt.modes_ascending()
-proj = np.abs(modes.T @ v_e)
+proj = np.abs(ops.modes.T @ v_e)
 print(f"projection peak at mode {np.argmax(proj)}; "
       f"content above mode 21: {proj[21:].max() / proj.max():.1e} of peak")
 
@@ -45,6 +44,7 @@ print("\n== FFT fast path on a uniform circle ==")
 circle = build_mesh(Ellipse(1.0, 1.0), 1024)
 circle_ops = assemble_operators(circle, k)
 x = np.random.default_rng(0).standard_normal(1024)
-dense = circle_ops.filter(41).apply(x)
+w = circle_ops.modes[:, 1:41]     # the FFT path drops the constant mode
+dense = w @ (w.T @ x)
 fast = circulant_filter_apply(circle, 41, x)
 print(f"dense vs N log N application: max gap {np.abs(dense - fast).max():.1e}")

@@ -9,10 +9,9 @@ right-hand side.  A companion toolkit provides the loop/star splitting
 and filtered projectors on closed triangle meshes in 3D.
 """
 
-from .assembly2d import (ScatteringParams, assemble_double_layer,
-                         assemble_gram, assemble_helmholtz_pair,
-                         assemble_hypersingular, assemble_laplacian,
-                         assemble_single_layer)
+from .assembly2d import (assemble_double_layer, assemble_gram,
+                         assemble_helmholtz_pair, assemble_hypersingular,
+                         assemble_laplacian, assemble_single_layer)
 from .calderon2d import (FilteredSystem, Operators2D, assemble_operators,
                          build_calderon_matrix, build_compact_part,
                          build_filtered_system, normalized_double_layer,
@@ -31,12 +30,13 @@ from .solver import (MemoryReport, WoodburyInverse, dense_solve,
                      memory_report, woodbury_factorize)
 from .special import hankel_h1_0, hankel_h1_1
 from .spectral import (LaplacianFilter, SymEigenbasis, circulant_filter_apply,
-                       filtered_matrix, laplacian_filter, sym_sqrt_and_invsqrt)
+                       filtered_matrix, laplacian_filter, laplacian_modes,
+                       sym_sqrt_and_invsqrt)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ScatteringParams", "assemble_double_layer", "assemble_gram",
+    "assemble_double_layer", "assemble_gram",
     "assemble_helmholtz_pair", "assemble_hypersingular",
     "assemble_laplacian", "assemble_single_layer",
     "FilteredSystem", "Operators2D", "assemble_operators",
@@ -55,6 +55,7 @@ __all__ = [
     "memory_report", "woodbury_factorize",
     "hankel_h1_0", "hankel_h1_1",
     "LaplacianFilter", "SymEigenbasis", "circulant_filter_apply",
-    "filtered_matrix", "laplacian_filter", "sym_sqrt_and_invsqrt",
+    "filtered_matrix", "laplacian_filter", "laplacian_modes",
+    "sym_sqrt_and_invsqrt",
     "__version__",
 ]

@@ -26,7 +26,6 @@ that the normalized composition with the single layer is second kind; see
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .mesh2d import CurveMesh
 from .special import EULER_GAMMA, hankel_h1_0, hankel_h1_1
 
 __all__ = [
-    "ScatteringParams",
     "assemble_gram",
     "assemble_laplacian",
     "assemble_single_layer",
@@ -71,20 +69,6 @@ _ADJ_GAMMA_T2 = {
     "g0": np.array([[0.0, 0.0], [1.0 / 6.0, 1.0 / 3.0]]),
     "g1": np.array([[1.0 / 12.0, 1.0 / 4.0], [-1.0 / 12.0, -1.0 / 4.0]]),
 }
-
-
-@dataclass(frozen=True)
-class ScatteringParams:
-    """Wavenumber/impedance pair describing the background medium."""
-
-    k: float    # rad/m
-    eta: float  # ohm
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
-        if self.eta <= 0:
-            raise ValueError("impedance must be positive")
 
 
 def assert_symmetric(mat: np.ndarray, rel_tol: float = SYMMETRY_TOL, name: str = "matrix"):

@@ -15,7 +15,7 @@ Woodbury solver modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .assembly2d import (
 )
 from .excitation2d import Source2D, assemble_rhs
 from .mesh2d import CurveMesh
-from .spectral import LaplacianFilter, laplacian_filter, sym_sqrt_and_invsqrt
+from .spectral import _check_filter_index, laplacian_modes, sym_sqrt_and_invsqrt
 
 __all__ = [
     "Operators2D",
@@ -54,28 +54,19 @@ class Operators2D:
 
     ``slayer``, ``hyper`` and ``dlayer`` hold the read-only Gram-normalized
     G^{-1/2} X G^{-1/2} of S, N and D; the raw matrices are not kept.
+    ``modes`` holds the read-only eigenvectors of G^{-1/2} L G^{-1/2},
+    lowest mode (the constant) first; a filter at index n keeps the
+    first n columns.
     """
 
     mesh: CurveMesh
     k: float
     gram_invsqrt: np.ndarray
-    lap_norm: np.ndarray            # G^{-1/2} L G^{-1/2}
+    modes: np.ndarray
     slayer: np.ndarray
     hyper: np.ndarray
     dlayer: Optional[np.ndarray] = None   # assembled on first use
     quad_order: int = 8
-    _filters: dict = field(default_factory=dict, repr=False)
-
-    def filter(self, n: int) -> LaplacianFilter:
-        """Laplacian filter at index n (cached; the eigenbasis is shared)."""
-        if n not in self._filters:
-            if self._filters:
-                base = next(iter(self._filters.values()))
-                filt = LaplacianFilter.from_basis(base.basis, n, base.tau)
-            else:
-                filt = laplacian_filter(self.lap_norm, n)
-            self._filters[n] = filt
-        return self._filters[n]
 
 
 def _gram_normalized(gm: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -92,23 +83,27 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
 
     The single-layer/hypersingular pair shares one kernel pass; the double
     layer is assembled here only when requested, otherwise on first use by
-    :func:`normalized_double_layer`.
+    :func:`normalized_double_layer`.  The kernel pass, which sets the peak
+    memory, runs before the Gram root and the Laplacian eigenbasis exist.
     """
-    _, gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))
-    lap_norm = _gram_normalized(gm, assemble_laplacian(mesh))
-    lap_norm = 0.5 * (lap_norm + lap_norm.T)
     if slayer_kind == "helmholtz":
         slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
     else:
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
         hyper = assemble_hypersingular(mesh, k, quad_order)
-    ops = Operators2D(mesh=mesh, k=k, gram_invsqrt=gm, lap_norm=lap_norm,
-                      slayer=_gram_normalized(gm, slayer),
-                      hyper=_gram_normalized(gm, hyper), quad_order=quad_order)
-    del slayer, hyper       # free the raw matrices before the double layer
-    if need_double_layer:
-        ops.dlayer = _gram_normalized(gm, assemble_double_layer(mesh, k, quad_order))
-    return ops
+    gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))[1]
+    slayer = _gram_normalized(gm, slayer)   # rebinding frees each raw matrix
+    hyper = _gram_normalized(gm, hyper)
+    dlayer = (_gram_normalized(gm, assemble_double_layer(mesh, k, quad_order))
+              if need_double_layer else None)
+    lap_norm = gm @ assemble_laplacian(mesh) @ gm
+    lap_norm = 0.5 * (lap_norm + lap_norm.T)
+    modes = laplacian_modes(lap_norm)[1]
+    del lap_norm
+    modes.flags.writeable = False
+    return Operators2D(mesh=mesh, k=k, gram_invsqrt=gm, modes=modes,
+                       slayer=slayer, hyper=hyper, dlayer=dlayer,
+                       quad_order=quad_order)
 
 
 def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
@@ -220,23 +215,6 @@ class FilteredSystem:
         return out
 
 
-def _low_pass(filt: LaplacianFilter, compact_raw: np.ndarray) -> np.ndarray:
-    """Low-pass the compact block, keeping its nullspace-mode rows.
-
-    The projector excludes the Laplacian nullspace (the mean mode), but on
-    a closed curve that mode carries the dominant net-loop current and its
-    coupling in the compact block is order one; dropping it would perturb
-    the solution at order one instead of at the band-limit tail.  Passing
-    the nullspace rows through keeps the system exact on that mode while
-    the filtering still annihilates everything above the cutoff.
-    """
-    out = filt.apply(compact_raw)
-    nullv = filt.null_vectors()
-    if nullv.shape[1]:
-        out += nullv @ (nullv.T @ compact_raw)
-    return out
-
-
 def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
                           formulation: str, filter_n: int, alpha: float = 0.5,
                           ops: Optional[Operators2D] = None,
@@ -264,7 +242,7 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     """
     formulation = formulation.lower()
     ops = _operators_for(mesh, k, ops, quad_order)
-    ops.filter(filter_n)        # reject a bad index before the dense product
+    _check_filter_index(filter_n, mesh.n_nodes)   # before the dense product
     beta, compact_raw = second_kind_split(ops, formulation, alpha)
     return _filtered_system(ops, src, eta, formulation, filter_n, alpha,
                             beta, compact_raw)
@@ -285,7 +263,12 @@ def _filtered_system(ops: Operators2D, src: Source2D, eta: float,
         rhs = v_h
     else:
         rhs = v_e + alpha * v_h
-    compact = _low_pass(ops.filter(filter_n), compact_raw)
+    # the projection keeps the constant (nullspace) mode: on a closed curve
+    # it carries the net-loop current, whose coupling in the compact block
+    # is order one, so dropping it would perturb the solution at order one
+    # instead of at the band-limit tail
+    w = ops.modes[:, :filter_n]
+    compact = w @ (w.T @ compact_raw)
     return FilteredSystem(beta=beta, compact=compact, rhs=rhs,
                           formulation=formulation, filter_n=filter_n,
                           alpha=alpha if formulation == "cfie" else 0.0)

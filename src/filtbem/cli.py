@@ -264,14 +264,15 @@ def run_spectra(cfg: ExperimentConfig):
     The compact block is that of the configured formulation.
     """
     mesh = build_mesh(cfg.curve(), cfg.n)
+    if cfg.filter_n > mesh.n_nodes:
+        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
     ops = assemble_operators(mesh, cfg.k, cfg.quad_order)
-    filt = ops.filter(cfg.filter_n)
     beta, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
     system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
                               cfg.filter_n, cfg.alpha, beta, compact_raw)
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
 
-    _, modes = filt.modes_ascending()
+    modes = ops.modes
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
     proj_filtered = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)
     left_proj = modes.T @ skeleton.left

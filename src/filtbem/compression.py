@@ -42,14 +42,13 @@ class LowRankFactor:
     seed: int
     converged: bool = True
 
-    @property
-    def memory_bytes(self) -> int:
-        """Complex-double storage of the two factors plus an r x r core."""
-        n = self.left.shape[0]
-        return 16 * (2 * n * self.rank + self.rank * self.rank)
-
     def reconstruct(self) -> np.ndarray:
         return self.left @ self.right.T
+
+
+def _adjoint_times(mat, y):
+    """mat^H @ y without forming (copying) mat^H; y is a vector or a block."""
+    return (y.conj().T @ mat).conj().T
 
 
 def _power_norm(matvec, rmatvec, n, iters, rng):
@@ -74,7 +73,7 @@ def _factor_residual_norm(mat, left, right, iters, rng):
     """Estimate ||mat - left @ right.T||_2."""
     return _power_norm(
         lambda x: mat @ x - left @ (right.T @ x),
-        lambda y: mat.conj().T @ y - right.conj() @ (left.conj().T @ y),
+        lambda y: _adjoint_times(mat, y) - right.conj() @ (left.conj().T @ y),
         mat.shape[1], iters, rng,
     )
 
@@ -87,7 +86,7 @@ def _range_residual_norm(mat, q, iters, rng):
         return y - q @ (q.conj().T @ y)
 
     def rmatvec(y):
-        return mat.conj().T @ (y - q @ (q.conj().T @ y))
+        return _adjoint_times(mat, y - q @ (q.conj().T @ y))
 
     return _power_norm(matvec, rmatvec, mat.shape[1], iters, rng)
 
@@ -111,9 +110,7 @@ def _orthonormalize_against(q, block):
     return qb[:, keep]
 
 
-def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0,
-                   block_size: int = DEFAULT_BLOCK,
-                   power_iters: int = DEFAULT_POWER_ITERS) -> LowRankFactor:
+def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFactor:
     """Factor a dense matrix to relative spectral tolerance ``epsilon``.
 
     Parameters
@@ -124,8 +121,6 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0,
     seed : int
         Seed of the Gaussian sketches; the output is bit-reproducible for
         a fixed seed.
-    block_size, power_iters : int
-        Sketch block width and subspace-iteration count.
 
     Returns
     -------
@@ -142,7 +137,7 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0,
         raise ValueError("expected a square matrix")
     rng = np.random.default_rng(seed)
 
-    norm_est = _power_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+    norm_est = _power_norm(lambda x: mat @ x, lambda y: _adjoint_times(mat, y),
                            n, NORM_EST_ITERS, rng)
     if norm_est == 0.0:
         empty = np.zeros((n, 0), np.complex128)
@@ -153,16 +148,16 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0,
     target = epsilon * norm_est
     q = np.zeros((n, 0), np.complex128)
     while True:
-        width = min(block_size, n - q.shape[1])
+        width = min(DEFAULT_BLOCK, n - q.shape[1])
         omega = (rng.standard_normal((n, width))
                  + 1j * rng.standard_normal((n, width))) / np.sqrt(2.0)
         y = mat @ omega
-        for _ in range(power_iters):
+        for _ in range(DEFAULT_POWER_ITERS):
             # renormalize between applications: an unnormalized power pass
             # raises the singular-value spread to the third power and buries
             # small genuine directions in the noise threshold
             y = np.linalg.qr(y)[0]
-            y = mat @ (mat.conj().T @ y)
+            y = mat @ _adjoint_times(mat, y)
         q_new = _orthonormalize_against(q, y)
         if q_new.shape[1] == 0 and width:
             # powered sketches see sigma^2-weighted directions; retry once

@@ -10,7 +10,7 @@ uniformly discretized closed curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +22,7 @@ __all__ = [
     "LaplacianFilter",
     "sym_sqrt_and_invsqrt",
     "filtered_matrix",
+    "laplacian_modes",
     "laplacian_filter",
     "circulant_filter_apply",
 ]
@@ -51,7 +52,7 @@ class SymEigenbasis:
 
     For symmetric matrices the singular values are the absolute eigenvalues
     and the singular vectors coincide with the eigenvectors, so this also
-    encodes the SVD ordering used by the spectral filters.
+    encodes the SVD ordering used by :func:`filtered_matrix`.
     """
 
     eigenvalues: np.ndarray   # (n,) descending by |value|
@@ -120,70 +121,42 @@ def filtered_matrix(mat: np.ndarray, n: int) -> np.ndarray:
     return (basis.vectors * kept) @ basis.vectors.T
 
 
+def laplacian_modes(lap_norm: np.ndarray):
+    """Eigenpairs of an (orthonormalized) Laplacian, lowest mode first.
+
+    Returns ``(values, vectors)`` from ``scipy.linalg.eigh``: values
+    ascending, column i of ``vectors`` pairs with values[i].  On a closed
+    curve column 0 is the constant (nullspace) mode.
+    """
+    _check_symmetric(lap_norm, name="Laplacian")
+    return scipy.linalg.eigh(lap_norm)
+
+
 @dataclass(frozen=True)
 class LaplacianFilter:
     """Orthogonal projector onto the n lowest-frequency Laplacian modes.
 
-    Built from the eigenbasis of the orthonormalized Laplacian; modes whose
-    singular value falls below the nullspace threshold (the constant mode
-    on a closed connected curve) are excluded by the pseudo-inverse, so the
-    projector rank is n minus the nullity inside the kept window.
+    Modes whose eigenvalue falls below the nullspace threshold (the
+    constant mode on a closed connected curve) are excluded, as a
+    pseudo-inverse would, so the projector rank is n minus the nullity
+    inside the kept window.
     """
 
-    basis: SymEigenbasis
-    n: int
-    tau: float
-    active: np.ndarray = field(repr=False, default=None)  # bool mask, descending order
-
-    @classmethod
-    def from_basis(cls, basis: SymEigenbasis, n: int, tau: float) -> "LaplacianFilter":
-        """Filter at index n on a Laplacian eigenbasis with null threshold tau."""
-        size = basis.vectors.shape[0]
-        _check_filter_index(n, size)
-        active = np.zeros(size, bool)
-        active[size - n:] = True                  # n smallest in descending order
-        active &= basis.singular_values > tau     # pseudo-inverse drops the nullspace
-        return cls(basis=basis, n=n, tau=tau, active=active)
+    vectors: np.ndarray       # (N, rank) orthonormal columns spanning the range
 
     @property
     def rank(self) -> int:
-        return int(self.active.sum())
-
-    @property
-    def size(self) -> int:
-        return self.basis.vectors.shape[0]
-
-    def active_vectors(self) -> np.ndarray:
-        """Columns spanning the projector range."""
-        return self.basis.vectors[:, self.active]
+        return self.vectors.shape[1]
 
     def matrix(self) -> np.ndarray:
-        v = self.active_vectors()
-        return v @ v.T
+        return self.vectors @ self.vectors.T
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Project a vector or matrix (column-wise) in O(N^2 r) at most."""
-        v = self.active_vectors()
-        return v @ (v.T @ rhs)
-
-    def modes_ascending(self):
-        """(frequencies, vectors) sorted by ascending singular value.
-
-        Mode 0 is the nullspace (constant) mode; the filter keeps modes
-        0..n-1 of this ordering and annihilates the rest.
-        """
-        vals = self.basis.singular_values[::-1].copy()
-        vecs = self.basis.vectors[:, ::-1].copy()
-        return vals, vecs
-
-    def null_vectors(self) -> np.ndarray:
-        """Orthonormal basis of the Laplacian nullspace (the modes the
-        pseudo-inverse excludes; one constant mode on a closed curve)."""
-        return self.basis.vectors[:, self.basis.singular_values <= self.tau]
+        return self.vectors @ (self.vectors.T @ rhs)
 
 
-def laplacian_filter(lap_norm: np.ndarray, n: int,
-                     tau_rel: float = DEFAULT_NULL_TOL) -> LaplacianFilter:
+def laplacian_filter(lap_norm: np.ndarray, n: int) -> LaplacianFilter:
     """Build the low-pass filter of an (orthonormalized) Laplacian.
 
     Parameters
@@ -191,19 +164,18 @@ def laplacian_filter(lap_norm: np.ndarray, n: int,
     lap_norm : np.ndarray
         Symmetric PSD matrix, typically G^{-1/2} L G^{-1/2}.
     n : int
-        Number of retained smallest singular values, 1 <= n <= N.
-    tau_rel : float
-        Relative zero threshold for the pseudo-inverse.
+        Number of retained lowest modes, 1 <= n <= N; of these, the modes
+        with |eigenvalue| <= DEFAULT_NULL_TOL * max |eigenvalue| are dropped.
 
     Returns
     -------
     LaplacianFilter
     """
     _check_filter_index(n, np.asarray(lap_norm).shape[0])
-    basis = SymEigenbasis.from_symmetric(lap_norm)
-    sigma = basis.singular_values
-    tau = tau_rel * sigma[0] if sigma[0] > 0 else 0.0
-    return LaplacianFilter.from_basis(basis, n, tau)
+    vals, vecs = laplacian_modes(lap_norm)
+    sigma = np.abs(vals)
+    active = sigma[:n] > DEFAULT_NULL_TOL * sigma.max()
+    return LaplacianFilter(vectors=vecs[:, :n][:, active])
 
 
 def circulant_filter_apply(mesh: CurveMesh, n: int, x: np.ndarray) -> np.ndarray:

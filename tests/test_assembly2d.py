@@ -4,10 +4,10 @@ import scipy.linalg
 from scipy.integrate import quad, simpson
 from scipy.special import h1vp, hankel1, jv, jvp
 
-from filtbem.assembly2d import (ScatteringParams, assemble_double_layer,
-                                assemble_gram, assemble_helmholtz_pair,
-                                assemble_hypersingular, assemble_laplacian,
-                                assemble_single_layer, _single_layer_blocks)
+from filtbem.assembly2d import (assemble_double_layer, assemble_gram,
+                                assemble_helmholtz_pair, assemble_hypersingular,
+                                assemble_laplacian, assemble_single_layer,
+                                _single_layer_blocks)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 
 
@@ -22,14 +22,6 @@ def circle_ops(circle256):
     slayer, hyper = assemble_helmholtz_pair(circle256, k, 8)
     return {"mesh": circle256, "k": k, "slayer": slayer, "hyper": hyper,
             "gram": assemble_gram(circle256)}
-
-
-def test_scattering_params_validation():
-    ScatteringParams(0.4, 376.73)
-    with pytest.raises(ValueError):
-        ScatteringParams(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        ScatteringParams(1.0, 0.0)
 
 
 class TestGram:

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from filtbem.assembly2d import assemble_double_layer, assemble_helmholtz_pair
+from filtbem.assembly2d import (assemble_double_layer, assemble_gram,
+                                assemble_helmholtz_pair, assemble_laplacian)
 from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
                                 build_compact_part, build_filtered_system,
                                 normalized_double_layer, normalized_rhs,
@@ -11,7 +12,7 @@ from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
 from filtbem.excitation2d import MagneticLineSource, assemble_rhs
 from filtbem.mesh2d import Ellipse, build_mesh
 from filtbem.solver import dense_solve
-from filtbem.spectral import laplacian_filter
+from filtbem.spectral import laplacian_filter, sym_sqrt_and_invsqrt
 
 K = 0.4
 ETA = 1.0
@@ -22,6 +23,13 @@ SRC = MagneticLineSource((3.0, 0.0))
 def circle_ops():
     mesh = build_mesh(Ellipse(1.0, 1.0), 256)
     return mesh, assemble_operators(mesh, K, need_double_layer=True)
+
+
+def gram_root_and_laplacian(mesh):
+    """G^{1/2} and the symmetrized G^{-1/2} L G^{-1/2}."""
+    root, gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))
+    lap_norm = gm @ assemble_laplacian(mesh) @ gm
+    return root, 0.5 * (lap_norm + lap_norm.T)
 
 
 class TestCalderonMatrix:
@@ -75,6 +83,32 @@ class TestOperatorBundle:
         for stored, raw in ((ops.slayer, slayer), (ops.hyper, hyper), (dn, dlayer)):
             assert not stored.flags.writeable
             assert np.array_equal(stored, gm @ raw @ gm)
+
+    def test_modes_are_read_only_orthonormal_and_ascending(self):
+        mesh = build_mesh(Ellipse(1.42, 1.32), 96)
+        ops = assemble_operators(mesh, K)
+        root, lap_norm = gram_root_and_laplacian(mesh)
+        w = ops.modes
+        assert not w.flags.writeable
+        assert np.abs(w.T @ w - np.eye(96)).max() <= 1e-12
+        rayleigh = np.einsum("ij,ij->j", w, lap_norm @ w)
+        assert np.all(np.diff(rayleigh) >= -1e-12 * rayleigh.max())
+        u = root @ np.ones(96)       # the constant mode, Gram-normalized
+        assert abs(u @ w[:, 0]) == pytest.approx(np.linalg.norm(u), rel=1e-12)
+
+    @pytest.mark.parametrize("need_double_layer", [False, True])
+    def test_assembly_peak_memory(self, need_double_layer):
+        # the kernel pass runs before the Gram root and the Laplacian
+        # eigenbasis exist, so fewer N x N arrays are live at the peak
+        mesh = build_mesh(Ellipse(1.0, 1.0), 256)
+        n = mesh.n_nodes
+        tracemalloc.start()
+        try:
+            assemble_operators(mesh, K, need_double_layer=need_double_layer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 16 * n * n
 
     def test_rhs_matches_unnormalized_formula(self):
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
@@ -151,11 +185,12 @@ class TestCompactPart:
         mesh, ops = circle_ops
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         cmat = build_compact_part(zmat)
-        filt = ops.filter(21)
-        sv = np.linalg.svd(filt.apply(cmat), compute_uv=False)
+        w = ops.modes[:, 1:21]      # filter index 21 without the constant mode
+        filtered = w @ (w.T @ cmat)
+        sv = np.linalg.svd(filtered, compute_uv=False)
         rank_at_tol = int(np.sum(sv > 6e-6 * sv[0]))
         assert rank_at_tol <= 40
-        assert np.linalg.norm(filt.apply(cmat), 2) <= np.linalg.norm(cmat, 2)
+        assert np.linalg.norm(filtered, 2) <= np.linalg.norm(cmat, 2)
 
 
 class TestFilteredSystem:
@@ -182,8 +217,8 @@ class TestFilteredSystem:
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         x_dense = dense_solve(zmat, system.rhs)
         x_filt = np.linalg.solve(system.matrix, system.rhs)
-        filt = ops.filter(mesh.n_nodes)
-        proj = filt.matrix()
+        w = ops.modes[:, 1:]        # every mode but the constant one
+        proj = w @ w.T
         num = np.linalg.norm(proj @ (x_filt - x_dense))
         assert num / np.linalg.norm(proj @ x_dense) <= 1e-8
 
@@ -237,6 +272,26 @@ class TestFilteredSystem:
         vals = np.linalg.eigvals(zmat)
         assert np.mean(np.abs(vals - 0.25) <= 0.1) >= 0.8
 
+    @pytest.mark.parametrize("formulation", ["efie", "cfie"])
+    def test_projection_matches_filter_plus_constant_mode(self, circle_ops,
+                                                          formulation):
+        # one projection onto the first filter_n modes equals the
+        # nullspace-free Laplacian filter plus the constant mode passed
+        # through; eigh resolves the constant mode to about
+        # eps ||L|| / gap (4e-13 here), which bounds the gap to this oracle
+        mesh, ops = circle_ops
+        root, lap_norm = gram_root_and_laplacian(mesh)
+        u = root @ np.ones(mesh.n_nodes)
+        u /= np.linalg.norm(u)
+        _, compact_raw = second_kind_split(ops, formulation)
+        for filter_n in (1, 21, mesh.n_nodes):
+            system = build_filtered_system(mesh, K, ETA, SRC, formulation,
+                                           filter_n, ops=ops)
+            expected = (laplacian_filter(lap_norm, filter_n).apply(compact_raw)
+                        + np.outer(u, u @ compact_raw))
+            assert (np.abs(system.compact - expected).max()
+                    <= 1e-12 * np.abs(compact_raw).max())
+
     def test_validation(self, circle_ops):
         mesh, ops = circle_ops
         with pytest.raises(ValueError):
@@ -244,8 +299,10 @@ class TestFilteredSystem:
         with pytest.raises(ValueError):
             build_filtered_system(mesh, K, ETA, SRC, "cfie", 21, alpha=-1.0,
                                   ops=ops)
-        with pytest.raises(ValueError):
-            build_filtered_system(mesh, K, ETA, SRC, "efie", 0, ops=ops)
+        for filter_n in (0, mesh.n_nodes + 1):
+            with pytest.raises(ValueError):
+                build_filtered_system(mesh, K, ETA, SRC, "efie", filter_n,
+                                      ops=ops)
 
     def test_spectral_deviation_profile(self, circle_ops):
         # raw compact block grows toward high modes; filtered one is dead
@@ -253,29 +310,12 @@ class TestFilteredSystem:
         mesh, ops = circle_ops
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         cmat = build_compact_part(zmat)
-        filt = ops.filter(21)
-        _, modes = filt.modes_ascending()
+        modes = ops.modes
         raw_rows = np.linalg.norm(modes.T @ cmat @ modes, axis=1)
         assert raw_rows[-26:].max() > np.median(raw_rows[:200])
         system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
         filt_rows = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)
         assert filt_rows[21:].max() <= 1e-12 * filt_rows.max()
-
-
-def test_cached_basis_filter_matches_fresh_filter():
-    # the second index reuses the eigenbasis computed for the first
-    mesh = build_mesh(Ellipse(1.42, 1.32), 256)
-    ops = assemble_operators(mesh, K)
-    first = ops.filter(21)
-    second = ops.filter(200)
-    assert second.basis is first.basis
-    fresh = laplacian_filter(ops.lap_norm, 200)
-    assert second.n == 200
-    assert second.tau == fresh.tau
-    assert np.array_equal(second.active, fresh.active)
-    assert np.abs(second.matrix() - fresh.matrix()).max() <= 1e-14
-    with pytest.raises(ValueError):
-        ops.filter(257)
 
 
 class TestConditioning:
