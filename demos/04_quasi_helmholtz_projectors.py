@@ -2,8 +2,8 @@
 
 Edge-function coefficients on a closed surface split into non-solenoidal
 (star), solenoidal (loop) and harmonic parts; the harmonic dimension
-counts handles.  The filtered variants low-pass the two graph Laplacians
-before pseudo-inversion.
+counts handles.  The filtered variants keep only the lowest modes of the
+two graph Laplacians (the same rule as the 2D Laplacian filter).
 
 Run:  python demos/04_quasi_helmholtz_projectors.py
 """

@@ -29,9 +29,8 @@ from .qh3d import (FilteredProjectors, Grams, IncidenceMatrices,
 from .solver import (MemoryReport, WoodburyInverse, dense_solve,
                      memory_report, woodbury_factorize)
 from .special import hankel_h1_0, hankel_h1_1
-from .spectral import (LaplacianFilter, SymEigenbasis, circulant_filter_apply,
-                       filtered_matrix, laplacian_filter, laplacian_modes,
-                       sym_sqrt_and_invsqrt)
+from .spectral import (LaplacianFilter, circulant_filter_apply,
+                       laplacian_filter, laplacian_modes, sym_sqrt_and_invsqrt)
 
 __version__ = "0.1.0"
 
@@ -54,8 +53,7 @@ __all__ = [
     "MemoryReport", "WoodburyInverse", "dense_solve",
     "memory_report", "woodbury_factorize",
     "hankel_h1_0", "hankel_h1_1",
-    "LaplacianFilter", "SymEigenbasis", "circulant_filter_apply",
-    "filtered_matrix", "laplacian_filter", "laplacian_modes",
-    "sym_sqrt_and_invsqrt",
+    "LaplacianFilter", "circulant_filter_apply", "laplacian_filter",
+    "laplacian_modes", "sym_sqrt_and_invsqrt",
     "__version__",
 ]

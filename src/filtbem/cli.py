@@ -219,30 +219,35 @@ def _outdir(cfg) -> Path:
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
+def _set_up(cfg: ExperimentConfig, n_nodes: int):
+    """``(ops, compact_raw, system, skeleton)`` at one size; the unfiltered
+    block is formed once, filtered here and reused by the caller."""
+    mesh = build_mesh(cfg.curve(), n_nodes)
+    if cfg.filter_n > mesh.n_nodes:
+        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
+    slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
+    ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
+    beta, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
+    system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
+                              cfg.filter_n, cfg.alpha, beta, compact_raw)
+    skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
+    return ops, compact_raw, system, skeleton
+
+
 def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     """Full filtered-compressed pipeline at one mesh size.
 
     Returns a dict with the mesh, the structured inverse, the error against
     the dense reference and the factorize/apply timings.
     """
-    mesh = build_mesh(cfg.curve(), n_nodes)
-    if cfg.filter_n > mesh.n_nodes:
-        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
-    slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
-    ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
-    # the unfiltered block is formed once: it is filtered here and becomes
-    # the dense reference below
-    beta, dense_mat = second_kind_split(ops, cfg.formulation, cfg.alpha)
-    system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
-                              cfg.filter_n, cfg.alpha, beta, dense_mat)
-    skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
+    ops, dense_mat, system, skeleton = _set_up(cfg, n_nodes)
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0
     t0 = time.perf_counter()
     solution = inverse.apply(system.rhs)
     t_apply = time.perf_counter() - t0
-    rhs = system.rhs
+    rhs, beta = system.rhs, system.beta
     del system    # free the filtered block before the dense reference
 
     # reference: dense solve of the unfiltered system of the same formulation
@@ -250,7 +255,7 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     reference = dense_solve(dense_mat, rhs)
     rel_error = float(np.linalg.norm(solution - reference)
                       / np.linalg.norm(reference))
-    return {"mesh": mesh, "inverse": inverse, "rel_error": rel_error,
+    return {"mesh": ops.mesh, "inverse": inverse, "rel_error": rel_error,
             "t_factorize": t_factorize, "t_apply": t_apply}
 
 
@@ -263,15 +268,8 @@ def run_spectra(cfg: ExperimentConfig):
     magnitude, and a flag marking modes present in the compression range.
     The compact block is that of the configured formulation.
     """
-    mesh = build_mesh(cfg.curve(), cfg.n)
-    if cfg.filter_n > mesh.n_nodes:
-        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
-    ops = assemble_operators(mesh, cfg.k, cfg.quad_order)
-    beta, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
-    system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
-                              cfg.filter_n, cfg.alpha, beta, compact_raw)
-    skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
-
+    ops, compact_raw, system, skeleton = _set_up(cfg, cfg.n)
+    mesh = ops.mesh
     modes = ops.modes
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
     proj_filtered = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)

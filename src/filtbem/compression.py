@@ -97,7 +97,10 @@ def _orthonormalize_against(q, block):
     Column acceptance is judged against the pre-projection block scale:
     once the captured range is exhausted, the projected block is pure
     rounding noise and must yield no new columns (normalizing noise would
-    silently destroy the orthonormality of q).
+    silently destroy the orthonormality of q).  Normalizing a column barely
+    above that cut amplifies the QR's rounding inside span(q), so accepted
+    columns are projected once more and those losing half their norm are
+    dropped ("twice is enough": Parlett, The Symmetric Eigenvalue Problem).
     """
     scale = np.linalg.norm(block, axis=0).max() if block.size else 0.0
     if scale == 0.0:
@@ -106,8 +109,11 @@ def _orthonormalize_against(q, block):
         if q.shape[1]:
             block = block - q @ (q.conj().T @ block)
     qb, rb = np.linalg.qr(block)
-    keep = np.abs(np.diag(rb)) > 1e-12 * scale
-    return qb[:, keep]
+    qb = qb[:, np.abs(np.diag(rb)) > 1e-12 * scale]
+    if q.shape[1]:
+        qb = qb - q @ (q.conj().T @ qb)
+        qb = np.linalg.qr(qb[:, np.linalg.norm(qb, axis=0) >= 0.5])[0]
+    return qb
 
 
 def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFactor:

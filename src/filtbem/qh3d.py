@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
-from .spectral import filtered_matrix
+from .spectral import laplacian_filter, sym_sqrt_and_invsqrt
 
 __all__ = [
     "TriangleMesh",
@@ -40,8 +39,6 @@ __all__ = [
     "projectors",
     "filtered_projectors",
 ]
-
-PINV_TOL = 1e-10  # relative pseudo-inverse threshold
 
 
 @dataclass(frozen=True)
@@ -341,8 +338,6 @@ def orthonormalize_incidence(inc: IncidenceMatrices, grams: Grams) -> IncidenceM
     loop -> G_rwg^{1/2} loop G_pyramid^{-1/2}; their mutual orthogonality
     is preserved exactly.
     """
-    from .spectral import sym_sqrt_and_invsqrt
-
     rwg_root, rwg_invroot = sym_sqrt_and_invsqrt(grams.rwg)
     patch_root = np.diag(np.sqrt(np.diag(grams.patch)))
     _, pyr_invroot = sym_sqrt_and_invsqrt(grams.pyramid)
@@ -355,11 +350,14 @@ def orthonormalize_incidence(inc: IncidenceMatrices, grams: Grams) -> IncidenceM
 # ---------------------------------------------------------------------------
 # Projectors
 # ---------------------------------------------------------------------------
-def _graph_pinv(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = scipy.linalg.eigh(mat)
-    tau = PINV_TOL * np.abs(vals).max()
-    inv = np.where(np.abs(vals) > tau, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return (vecs * inv) @ vecs.T
+def _range_projector(inc_map: np.ndarray, n: int) -> np.ndarray:
+    """inc_map [X_n]^+ inc_map^T, X = inc_map^T inc_map: with V the kept
+    ``laplacian_filter`` modes, X V = V Lambda makes the columns of inc_map V
+    orthogonal with norms Lambda^{1/2}; normalized, they span the range."""
+    inc_map = np.asarray(inc_map, float)   # integer matmul bypasses BLAS
+    spanned = inc_map @ laplacian_filter(inc_map.T @ inc_map, n).vectors
+    basis = spanned / np.linalg.norm(spanned, axis=0)
+    return basis @ basis.T
 
 
 def projectors(inc: IncidenceMatrices):
@@ -368,17 +366,10 @@ def projectors(inc: IncidenceMatrices):
     Returns (p_star, p_loop, p_harmonic) with p_star + p_loop + p_harmonic
     = identity and rank(p_harmonic) = 2 * genus.
     """
-    star = np.asarray(inc.star, float)
-    loop = np.asarray(inc.loop, float)
-    p_star = star @ _graph_pinv(star.T @ star) @ star.T
-    p_loop = loop @ _graph_pinv(loop.T @ loop) @ loop.T
-    p_harm = np.eye(star.shape[0]) - p_star - p_loop
+    p_star = _range_projector(inc.star, inc.star.shape[1])
+    p_loop = _range_projector(inc.loop, inc.loop.shape[1])
+    p_harm = np.eye(len(p_star)) - p_star - p_loop
     return p_star, p_loop, p_harm
-
-
-def _filtered_pinv(gram_lap: np.ndarray, n: int) -> np.ndarray:
-    """[(X)_n]^+ : keep the n smallest singular values, then pseudo-invert."""
-    return _graph_pinv(filtered_matrix(gram_lap, n))
 
 
 @dataclass(frozen=True)
@@ -400,24 +391,16 @@ def filtered_projectors(inc: IncidenceMatrices, n_star: int, n_loop: int
                         ) -> FilteredProjectors:
     """Filtered primal/dual projector family at indices (n_star, n_loop).
 
-    The filter acts on the triangle and vertex graph Laplacians before the
-    pseudo-inversion; the harmonic complements use the unfiltered
+    Each filtered projector spans an incidence map applied to the
+    ``laplacian_filter`` modes of its graph Laplacian, which rejects an
+    out-of-range index; the harmonic complements use the unfiltered
     projectors.  At full indices every output reduces to the unfiltered
     projectors (combined with the harmonic part where applicable).
     """
-    star = np.asarray(inc.star, float)
-    loop = np.asarray(inc.loop, float)
-    n_s_max = star.shape[1]
-    n_l_max = loop.shape[1]
-    if not 1 <= n_star <= n_s_max:
-        raise ValueError(f"star filter index {n_star} out of range [1, {n_s_max}]")
-    if not 1 <= n_loop <= n_l_max:
-        raise ValueError(f"loop filter index {n_loop} out of range [1, {n_l_max}]")
-
+    star_n = _range_projector(inc.star, n_star)
+    loop_n = _range_projector(inc.loop, n_loop)
     p_star, p_loop, _ = projectors(inc)
-    complement = np.eye(star.shape[0]) - p_star - p_loop
-    star_n = star @ _filtered_pinv(star.T @ star, n_star) @ star.T
-    loop_n = loop @ _filtered_pinv(loop.T @ loop, n_loop) @ loop.T
+    complement = np.eye(len(p_star)) - p_star - p_loop
     return FilteredProjectors(
         primal_star=star_n,
         primal_loop_harmonic=loop_n + complement,

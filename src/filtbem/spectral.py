@@ -1,11 +1,11 @@
 """Symmetric eigendecompositions, matrix square roots and spectral filters.
 
-The central object is the low-pass projector built from the orthonormalized
-variational Laplacian: keeping its n smallest singular values and forming
-pinv(filtered) @ filtered yields an orthogonal projector onto the n lowest
-frequency modes minus the nullspace (constants on a closed curve).  A
-circulant FFT fast path applies the same projector in O(N log N) on
-uniformly discretized closed curves.
+The central object is the low-pass projector of a symmetric PSD Laplacian
+(the orthonormalized variational Laplacian of a curve, or a graph
+Laplacian of a triangle mesh): the orthogonal projector onto its n lowest
+eigenmodes minus the nullspace (constants on a closed curve or a
+connected graph).  A circulant FFT fast path applies the same projector in
+O(N log N) on uniformly discretized closed curves.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ import scipy.linalg
 from .mesh2d import CurveMesh
 
 __all__ = [
-    "SymEigenbasis",
     "LaplacianFilter",
     "sym_sqrt_and_invsqrt",
-    "filtered_matrix",
     "laplacian_modes",
     "laplacian_filter",
     "circulant_filter_apply",
 ]
 
-DEFAULT_NULL_TOL = 1e-10  # relative threshold for pseudo-inverse/nullspace
+DEFAULT_NULL_TOL = 1e-10  # relative nullspace threshold
 
 
 def _check_symmetric(mat, tol=1e-12, name="matrix"):
@@ -44,30 +42,6 @@ def _check_symmetric(mat, tol=1e-12, name="matrix"):
 def _check_filter_index(n, size):
     if not 1 <= n <= size:
         raise ValueError(f"filter index {n} out of range [1, {size}]")
-
-
-@dataclass(frozen=True)
-class SymEigenbasis:
-    """Eigendecomposition of a real symmetric matrix, eigenvalues descending.
-
-    For symmetric matrices the singular values are the absolute eigenvalues
-    and the singular vectors coincide with the eigenvectors, so this also
-    encodes the SVD ordering used by :func:`filtered_matrix`.
-    """
-
-    eigenvalues: np.ndarray   # (n,) descending by |value|
-    vectors: np.ndarray       # (n, n), column i pairs with eigenvalues[i]
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        return np.abs(self.eigenvalues)
-
-    @classmethod
-    def from_symmetric(cls, mat: np.ndarray) -> "SymEigenbasis":
-        _check_symmetric(mat, name="eigenbasis input")
-        vals, vecs = scipy.linalg.eigh(mat)
-        order = np.argsort(-np.abs(vals), kind="stable")
-        return cls(eigenvalues=vals[order], vectors=vecs[:, order])
 
 
 def sym_sqrt_and_invsqrt(gram: np.ndarray):
@@ -91,34 +65,6 @@ def sym_sqrt_and_invsqrt(gram: np.ndarray):
     root = (vecs * np.sqrt(vals)) @ vecs.T
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
     return root, inv_root
-
-
-def filtered_matrix(mat: np.ndarray, n: int) -> np.ndarray:
-    """Keep only the n smallest singular values of a symmetric matrix.
-
-    With descending singular-value ordering this zeroes the leading
-    N - n values and reconstructs; ties at the cut are broken by the
-    stable descending sort.
-
-    Parameters
-    ----------
-    mat : symmetric np.ndarray
-    n : int, 0 <= n <= N
-
-    Returns
-    -------
-    np.ndarray of the same shape.
-    """
-    _check_symmetric(mat, name="filter input")
-    size = np.asarray(mat).shape[0]
-    if not 0 <= n <= size:
-        raise ValueError(f"filter index {n} out of range [0, {size}]")
-    if n == 0:
-        return np.zeros_like(np.asarray(mat, float))
-    basis = SymEigenbasis.from_symmetric(mat)
-    kept = basis.eigenvalues.copy()
-    kept[: size - n] = 0.0
-    return (basis.vectors * kept) @ basis.vectors.T
 
 
 def laplacian_modes(lap_norm: np.ndarray):
@@ -157,12 +103,14 @@ class LaplacianFilter:
 
 
 def laplacian_filter(lap_norm: np.ndarray, n: int) -> LaplacianFilter:
-    """Build the low-pass filter of an (orthonormalized) Laplacian.
+    """Build the low-pass filter of a symmetric PSD Laplacian.
 
     Parameters
     ----------
     lap_norm : np.ndarray
-        Symmetric PSD matrix, typically G^{-1/2} L G^{-1/2}.
+        Symmetric PSD matrix: the orthonormalized curve Laplacian
+        G^{-1/2} L G^{-1/2}, or a triangle-mesh graph Laplacian
+        inc^T inc (``qh3d`` builds its projectors from these).
     n : int
         Number of retained lowest modes, 1 <= n <= N; of these, the modes
         with |eigenvalue| <= DEFAULT_NULL_TOL * max |eigenvalue| are dropped.

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy
 
-from filtbem.cli import (ExperimentConfig, main, parse_config_file,
-                         resolve_config, run_refinement, run_spectra,
-                         run_table)
+from filtbem.cli import (ExperimentConfig, _solve_one, main,
+                         parse_config_file, resolve_config, run_refinement,
+                         run_spectra, run_table)
 
 
 def read_csv(path):
@@ -242,6 +242,34 @@ class TestRefine:
         assert orders == [12, 12, 12]
         _, rows = read_csv(tmp_path / "refine.csv")
         assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ["refine", "--sizes", "48,96,192"],
+    ["spectra", "--n", "64"],
+])
+def test_yukawa_reaches_the_operators(tmp_path, monkeypatch, command):
+    import filtbem.cli as cli_mod
+    assemble = cli_mod.assemble_operators
+    kinds = []
+
+    def spy(mesh, k, quad_order=8, **kwargs):
+        kinds.append(kwargs.get("slayer_kind", "helmholtz"))
+        return assemble(mesh, k, quad_order, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "assemble_operators", spy)
+    code = main(command + ["--filter-n", "13", "--epsilon", "1e-4", "--yukawa",
+                           "--out", str(tmp_path)])
+    assert code == 0
+    assert kinds and set(kinds) == {"yukawa"}
+
+
+def test_refine_rank_at_n512_stays_within_filter_n():
+    # the filtered block has rank <= filter_n, so a larger skeleton means the
+    # compressor's range basis lost orthonormality (this size once ran to
+    # rank 512)
+    cfg = resolve_config("refine", {}, {"seed": 0})
+    assert _solve_one(cfg, 512)["inverse"].rank <= cfg.filter_n
 
 
 @pytest.mark.parametrize("command, sizes", [

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from filtbem.compression import LowRankFactor, lowrank_factor
+from filtbem.compression import (LowRankFactor, _orthonormalize_against,
+                                 lowrank_factor)
 
 
 def spectral_norm(mat):
@@ -91,6 +92,23 @@ class TestLowRankFactor:
             skel = lowrank_factor(mat, 1e-17)
         assert skel.rank == 24
         assert not skel.converged
+
+    def test_new_columns_keep_the_basis_orthonormal(self):
+        # a block mostly inside span(q) plus two new directions and noise
+        # just above the acceptance cut: the QR normalizes that noise, and
+        # its rounding inside span(q) must not survive into the new columns
+        rng = np.random.default_rng(0)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        basis = np.linalg.qr(gaussian(200, 52))[0]
+        q, u = basis[:, :50], basis[:, 50:]
+        block = q @ gaussian(50, 8) + u @ gaussian(2, 8) + 1e-11 * gaussian(200, 8)
+        full = np.hstack([q, _orthonormalize_against(q, block)])
+        gram = full.conj().T @ full
+        assert full.shape[1] >= 52  # the two new directions are kept
+        assert np.abs(gram - np.eye(full.shape[1])).max() <= 1e-12
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):

@@ -173,10 +173,32 @@ class TestFilteredProjectors:
         assert np.abs(total - np.eye(mesh.n_edges)).max() <= 1e-10
 
     def test_minimal_index_gives_zero(self, meshes):
-        inc = build_incidence(meshes["tetra"])
-        fp = filtered_projectors(inc, 1, 1)
-        assert np.abs(fp.primal_star).max() <= 1e-12
-        assert np.abs(fp.dual_loop).max() <= 1e-12
+        # index 1 keeps only the null mode of each graph Laplacian
+        for mesh in meshes.values():
+            fp = filtered_projectors(build_incidence(mesh), 1, 1)
+            assert np.abs(fp.primal_star).max() <= 1e-12
+            assert np.abs(fp.dual_loop).max() <= 1e-12
+
+    def test_matches_pseudo_inverse_oracle_at_gap_cuts(self, meshes):
+        # inc [X_n]^+ inc^T with X = inc^T inc from a plain eigh; the cut is
+        # moved up to the next spectral gap so the kept space is basis-free
+        def cut_and_oracle(inc_map):
+            inc_map = inc_map.astype(float)
+            vals, vecs = np.linalg.eigh(inc_map.T @ inc_map)
+            n = vals.size // 2
+            while n < vals.size and vals[n] - vals[n - 1] <= 1e-8 * vals[-1]:
+                n += 1
+            live = np.flatnonzero(vals[:n] > 1e-10 * vals[-1])
+            pinv = (vecs[:, live] / vals[live]) @ vecs[:, live].T
+            return n, inc_map @ pinv @ inc_map.T
+
+        for mesh in meshes.values():
+            inc = build_incidence(mesh)
+            n_star, star_oracle = cut_and_oracle(inc.star)
+            n_loop, loop_oracle = cut_and_oracle(inc.loop)
+            fp = filtered_projectors(inc, n_star, n_loop)
+            assert np.abs(fp.primal_star - star_oracle).max() <= 1e-12
+            assert np.abs(fp.dual_loop - loop_oracle).max() <= 1e-12
 
     def test_projector_properties_and_range_inclusion(self, meshes):
         mesh = meshes["ico"]

@@ -3,9 +3,8 @@ import pytest
 
 from filtbem.assembly2d import assemble_gram, assemble_laplacian
 from filtbem.mesh2d import Ellipse, build_mesh
-from filtbem.spectral import (LaplacianFilter, SymEigenbasis,
-                              circulant_filter_apply, filtered_matrix,
-                              laplacian_filter, sym_sqrt_and_invsqrt)
+from filtbem.spectral import (circulant_filter_apply, laplacian_filter,
+                              laplacian_modes, sym_sqrt_and_invsqrt)
 
 
 def normalized_laplacian(mesh):
@@ -14,23 +13,6 @@ def normalized_laplacian(mesh):
     _, gm = sym_sqrt_and_invsqrt(gram)
     out = gm @ lap @ gm
     return 0.5 * (out + out.T), gram
-
-
-class TestSymEigenbasis:
-    def test_descending_order_and_reconstruction(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((30, 30))
-        x = x + x.T
-        basis = SymEigenbasis.from_symmetric(x)
-        sigma = basis.singular_values
-        assert np.all(np.diff(sigma) <= 1e-12 * sigma[0])
-        rec = (basis.vectors * basis.eigenvalues) @ basis.vectors.T
-        assert np.abs(rec - x).max() <= 1e-10 * np.abs(x).max()
-        assert np.abs(basis.vectors.T @ basis.vectors - np.eye(30)).max() <= 1e-12
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            SymEigenbasis.from_symmetric(np.arange(9.0).reshape(3, 3))
 
 
 class TestSymSqrt:
@@ -55,45 +37,6 @@ class TestSymSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             sym_sqrt_and_invsqrt(np.diag([1.0, -1.0]))
-
-
-class TestFilteredMatrix:
-    def test_zero_and_full_keep(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((12, 12))
-        x = x + x.T
-        assert np.abs(filtered_matrix(x, 0)).max() == 0.0
-        assert np.abs(filtered_matrix(x, 12) - x).max() <= 1e-10 * np.abs(x).max()
-
-    def test_keeps_smallest(self):
-        x = np.diag([3.0, 2.0, 1.0])
-        assert np.allclose(filtered_matrix(x, 1), np.diag([0.0, 0.0, 1.0]))
-        assert np.allclose(filtered_matrix(x, 2), np.diag([0.0, 2.0, 1.0]))
-
-    def test_complement_property(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((20, 20))
-        x = x + x.T
-        basis = SymEigenbasis.from_symmetric(x)
-        for n in (0, 5, 13, 20):
-            kept = basis.eigenvalues.copy()
-            kept[20 - n:] = 0.0
-            complement = (basis.vectors * kept) @ basis.vectors.T
-            assert np.abs(filtered_matrix(x, n) + complement - x).max() \
-                <= 1e-10 * np.abs(x).max()
-
-    def test_norm_is_boundary_singular_value(self):
-        # largest retained value is the (N - n + 1)-th singular value
-        x = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        for n in range(1, 6):
-            assert np.linalg.norm(filtered_matrix(x, n), 2) == pytest.approx(
-                float(n), rel=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            filtered_matrix(np.eye(3), 4)
-        with pytest.raises(ValueError):
-            filtered_matrix(np.eye(3), -1)
 
 
 class TestLaplacianFilter:
@@ -147,6 +90,10 @@ class TestLaplacianFilter:
             laplacian_filter(self.lap_norm, 0)
         with pytest.raises(ValueError):
             laplacian_filter(self.lap_norm, 49)
+
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(ValueError):
+            laplacian_modes(np.arange(9.0).reshape(3, 3))
 
 
 class TestCirculantFilter:
