@@ -70,8 +70,14 @@ class Operators2D:
 
 
 def _gram_normalized(gm: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Read-only G^{-1/2} X G^{-1/2}, evaluated as (gm @ X) @ gm."""
-    out = gm @ raw @ gm
+    """Read-only G^{-1/2} X G^{-1/2}, evaluated as (gm @ X) @ gm.
+
+    The real root multiplies the real and imaginary parts of X in real
+    products, so no complex copy of it is made and no complex GEMM runs.
+    """
+    out = np.empty(raw.shape, np.complex128)
+    out.real = gm @ raw.real @ gm
+    out.imag = gm @ raw.imag @ gm
     out.flags.writeable = False
     return out
 

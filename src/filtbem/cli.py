@@ -35,6 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .assembly2d import quadrature_rule
 from .calderon2d import (FORMULATIONS, _filtered_system, assemble_operators,
                          second_kind_split)
 from .compression import lowrank_factor
@@ -289,7 +290,8 @@ def run_spectra(cfg: ExperimentConfig):
               ["mode_index", "proj_C", "proj_Cfiltered", "proj_UV",
                "proj_rhs", "kept_flag"], rows)
     write_metadata(out / "spectra_meta.json", "spectra", cfg,
-                   {"n_nodes": mesh.n_nodes, "skeleton_rank": skeleton.rank})
+                   {"n_nodes": mesh.n_nodes, "skeleton_rank": skeleton.rank,
+                    "quadrature": quadrature_rule(cfg.quad_order)})
     return rows
 
 
@@ -321,7 +323,8 @@ def run_refinement(cfg: ExperimentConfig):
     write_csv(out / "refine.csv",
               ["N", "inv_h", "rel_error_vs_dense", "skeleton_rank",
                "factorize_ms", "apply_ms", "status"], rows)
-    write_metadata(out / "refine_meta.json", "refine", cfg)
+    write_metadata(out / "refine_meta.json", "refine", cfg,
+                   {"quadrature": quadrature_rule(cfg.quad_order)})
     if failed:
         raise np.linalg.LinAlgError(f"refine sizes {failed} failed (see refine.csv)")
     return rows
@@ -355,7 +358,8 @@ def run_table(cfg: ExperimentConfig):
     write_csv(out / "table.csv",
               ["N", "rel_error", "dense_bytes", "skeleton_bytes", "rank",
                "status"], rows)
-    write_metadata(out / "table_meta.json", "table", cfg)
+    write_metadata(out / "table_meta.json", "table", cfg,
+                   {"quadrature": quadrature_rule(cfg.quad_order)})
     if failed:
         raise np.linalg.LinAlgError(f"table sizes {failed} failed (see table.csv)")
     return rows

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import laplacian_filter, sym_sqrt_and_invsqrt
+from .spectral import _check_filter_index, laplacian_filter, sym_sqrt_and_invsqrt
 
 __all__ = [
     "TriangleMesh",
@@ -350,14 +350,28 @@ def orthonormalize_incidence(inc: IncidenceMatrices, grams: Grams) -> IncidenceM
 # ---------------------------------------------------------------------------
 # Projectors
 # ---------------------------------------------------------------------------
-def _range_projector(inc_map: np.ndarray, n: int) -> np.ndarray:
-    """inc_map [X_n]^+ inc_map^T, X = inc_map^T inc_map: with V the kept
-    ``laplacian_filter`` modes, X V = V Lambda makes the columns of inc_map V
-    orthogonal with norms Lambda^{1/2}; normalized, they span the range."""
+def _range_basis(inc_map: np.ndarray):
+    """Orthonormal basis of range(inc_map) and the nullity of X = inc_map^T inc_map.
+
+    With V the non-null ``laplacian_filter`` modes of X, ascending,
+    X V = V Lambda makes the columns of inc_map V orthogonal with norms
+    Lambda^{1/2}; normalized, they are the basis.  The null modes lead the
+    ascending order, so the first n - nullity columns span
+    inc_map [X_n]^+ inc_map^T at filter index n.
+    """
     inc_map = np.asarray(inc_map, float)   # integer matmul bypasses BLAS
-    spanned = inc_map @ laplacian_filter(inc_map.T @ inc_map, n).vectors
-    basis = spanned / np.linalg.norm(spanned, axis=0)
-    return basis @ basis.T
+    size = inc_map.shape[1]
+    spanned = inc_map @ laplacian_filter(inc_map.T @ inc_map, size).vectors
+    return spanned / np.linalg.norm(spanned, axis=0), size - spanned.shape[1]
+
+
+def _range_projectors(inc_map: np.ndarray, n: int):
+    """Range projectors of inc_map filtered at index n and unfiltered, from
+    one eigensolve of its graph Laplacian."""
+    _check_filter_index(n, inc_map.shape[1])
+    basis, nullity = _range_basis(inc_map)
+    low = basis[:, :max(0, n - nullity)]
+    return low @ low.T, basis @ basis.T
 
 
 def projectors(inc: IncidenceMatrices):
@@ -366,8 +380,10 @@ def projectors(inc: IncidenceMatrices):
     Returns (p_star, p_loop, p_harmonic) with p_star + p_loop + p_harmonic
     = identity and rank(p_harmonic) = 2 * genus.
     """
-    p_star = _range_projector(inc.star, inc.star.shape[1])
-    p_loop = _range_projector(inc.loop, inc.loop.shape[1])
+    star = _range_basis(inc.star)[0]
+    loop = _range_basis(inc.loop)[0]
+    p_star = star @ star.T
+    p_loop = loop @ loop.T
     p_harm = np.eye(len(p_star)) - p_star - p_loop
     return p_star, p_loop, p_harm
 
@@ -391,15 +407,16 @@ def filtered_projectors(inc: IncidenceMatrices, n_star: int, n_loop: int
                         ) -> FilteredProjectors:
     """Filtered primal/dual projector family at indices (n_star, n_loop).
 
-    Each filtered projector spans an incidence map applied to the
-    ``laplacian_filter`` modes of its graph Laplacian, which rejects an
-    out-of-range index; the harmonic complements use the unfiltered
-    projectors.  At full indices every output reduces to the unfiltered
-    projectors (combined with the harmonic part where applicable).
+    Each filtered projector spans an incidence map applied to the lowest
+    ``laplacian_filter`` modes of its graph Laplacian; the harmonic
+    complements use the unfiltered projectors, built from the same modes,
+    so each graph Laplacian is decomposed once.  An index outside
+    [1, size] raises ValueError.  At full indices every output reduces to
+    the unfiltered projectors (combined with the harmonic part where
+    applicable).
     """
-    star_n = _range_projector(inc.star, n_star)
-    loop_n = _range_projector(inc.loop, n_loop)
-    p_star, p_loop, _ = projectors(inc)
+    star_n, p_star = _range_projectors(inc.star, n_star)
+    loop_n, p_loop = _range_projectors(inc.loop, n_loop)
     complement = np.eye(len(p_star)) - p_star - p_loop
     return FilteredProjectors(
         primal_star=star_n,

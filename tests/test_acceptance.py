@@ -66,10 +66,10 @@ def test_criterion_2_calderon_clustering():
               f"{elapsed:.0f}s")
 
 
-def test_criterion_3_memory_accuracy_table():
+def test_criterion_3_memory_accuracy_table(tmp_path):
     start = time.perf_counter()
     cfg = resolve_config("table", {}, {
-        "sizes": "1004,2008,4016", "max_n": 4016, "out": "/tmp/filtbem_accept_table",
+        "sizes": "1004,2008,4016", "max_n": 4016, "out": str(tmp_path / "table"),
         "seed": 0,
     })
     assert cfg.geometry == "perturbed_circle"
@@ -92,10 +92,10 @@ def test_criterion_3_memory_accuracy_table():
               + f"; skeleton growth 2008->4016 = {ratio:.2f}; {elapsed:.0f}s")
 
 
-def test_criterion_4_rank_saturation_and_error_decrease():
+def test_criterion_4_rank_saturation_and_error_decrease(tmp_path):
     start = time.perf_counter()
     cfg = resolve_config("refine", {}, {
-        "out": "/tmp/filtbem_accept_refine", "seed": 0,
+        "out": str(tmp_path / "refine"), "seed": 0,
     })
     assert cfg.epsilon == 6e-6 and cfg.filter_n == 21
     assert cfg.geometry == "ellipse" and (cfg.a, cfg.b) == (1.42, 1.32)
@@ -113,10 +113,10 @@ def test_criterion_4_rank_saturation_and_error_decrease():
               + f"; {elapsed:.0f}s")
 
 
-def test_criterion_5_spectra_properties():
+def test_criterion_5_spectra_properties(tmp_path):
     start = time.perf_counter()
     cfg = resolve_config("spectra", {}, {
-        "n": 1004, "out": "/tmp/filtbem_accept_spectra", "seed": 0,
+        "n": 1004, "out": str(tmp_path / "spectra"), "seed": 0,
     })
     assert cfg.filter_n == 200 and cfg.geometry == "ellipse"
     rows = run_spectra(cfg)

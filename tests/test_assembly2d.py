@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import quad, simpson
-from scipy.special import h1vp, hankel1, jv, jvp
+from scipy.special import h1vp, hankel1, jv, jvp, k0
 
+from filtbem import assembly2d
 from filtbem.assembly2d import (assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_hypersingular,
                                 assemble_laplacian, assemble_single_layer,
-                                _single_layer_blocks)
+                                quadrature_rule, _single_layer_blocks)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 
 
@@ -255,3 +256,98 @@ class TestFiniteness:
         d = assemble_double_layer(mesh, k, 6)
         for mat in (s, nh, d):
             assert np.all(np.isfinite(mat))
+
+
+def _segment_far_mask(mesh):
+    """Segment pairs whose midpoints are >= 20 longer-segment lengths apart."""
+    ell = mesh.segment_lengths
+    mids = mesh.nodes + 0.5 * mesh.tangents * ell[:, None]
+    dist = np.linalg.norm(mids[:, None, :] - mids[None, :, :], axis=-1)
+    return dist >= 20.0 * np.maximum.outer(ell, ell)
+
+
+def _hat_pairs(seg_mask):
+    """Hat pairs (i, j) whose four supporting segment pairs all lie in seg_mask."""
+    prev = np.roll(np.arange(len(seg_mask)), 1)
+    return seg_mask & seg_mask[prev] & seg_mask[:, prev] & seg_mask[prev][:, prev]
+
+
+def _tensor_gauss_entry(mesh, i, j, kernel, order=16):
+    """<hat_i, K hat_j> by tensor Gauss-Legendre on each of the four segment
+    pairs; ``kernel(diff, d, q)`` takes test-minus-source offsets (g, g, 2),
+    distances and the source segment q."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    n = mesh.n_nodes
+    ell = mesh.segment_lengths
+    chords = mesh.tangents * ell[:, None]
+    total = 0.0j
+    for p, shape_p in (((i - 1) % n, x), (i, 1.0 - x)):
+        r_p = mesh.nodes[p] + x[:, None] * chords[p]
+        for q, shape_q in (((j - 1) % n, x), (j, 1.0 - x)):
+            r_q = mesh.nodes[q] + x[:, None] * chords[q]
+            diff = r_p[:, None, :] - r_q[None, :, :]
+            d = np.linalg.norm(diff, axis=-1)
+            total += ell[p] * ell[q] * ((w * shape_p) @ kernel(diff, d, q) @ (w * shape_q))
+    return total
+
+
+def _worst_against_oracle(mesh, k, rows, cols):
+    """Largest deviation of S, D and Yukawa S from the order-16 oracle at
+    the given hat pairs, relative to each matrix's largest entry."""
+    cases = (
+        (assemble_single_layer(mesh, k),
+         lambda diff, d, q: 0.25j * hankel1(0, k * d)),
+        (assemble_single_layer(mesh, k, kind="yukawa"),
+         lambda diff, d, q: k0(k * d) / (2.0 * np.pi)),
+        (assemble_double_layer(mesh, k),
+         lambda diff, d, q: 0.25j * k * hankel1(1, k * d) * (diff @ mesh.normals[q]) / d),
+    )
+    return max(
+        max(abs(mat[i, j] - _tensor_gauss_entry(mesh, i, j, kernel))
+            for i, j in zip(rows, cols)) / np.abs(mat).max()
+        for mat, kernel in cases)
+
+
+class TestGradedQuadrature:
+    @pytest.mark.parametrize("curve", [Ellipse(1.42, 1.32), PerturbedCircle(2.0, 0.2, 8)],
+                             ids=["ellipse", "lobed"])
+    @pytest.mark.parametrize("k", [0.4, 2.0])
+    def test_far_pairs_against_order16_oracle(self, curve, k):
+        # far pairs take the half-order rule; it must stay at the oracle
+        mesh = build_mesh(curve, 256)
+        rows, cols = np.nonzero(_hat_pairs(_segment_far_mask(mesh)))
+        pick = np.random.default_rng(7).choice(len(rows), 50, replace=False)
+        assert _worst_against_oracle(mesh, k, rows[pick], cols[pick]) <= 1e-13
+
+    def test_folded_curve_index_distant_close_pairs_against_oracle(self):
+        # the lobes of this curve come within a few segment lengths of each
+        # other while more than 20 indices apart; an admissibility test on
+        # the index distance would give these pairs the far rule
+        mesh = build_mesh(PerturbedCircle(1.0, 0.8, 5), 256)
+        n = mesh.n_nodes
+        idx = np.arange(n)
+        gap = np.abs(idx[:, None] - idx[None, :])
+        gap = np.minimum(gap, n - gap)
+        rows, cols = np.nonzero(_hat_pairs(~_segment_far_mask(mesh) & (gap > 20)))
+        dist = np.linalg.norm(mesh.nodes[rows] - mesh.nodes[cols], axis=1)
+        closest = np.argsort(dist, kind="stable")[:50]
+        assert dist[closest].max() < 5.0 * mesh.segment_lengths.max()
+        for k in (0.4, 2.0):
+            assert _worst_against_oracle(mesh, k, rows[closest], cols[closest]) <= 1e-13
+
+    def test_doubling_quad_order_doubles_far_order(self, monkeypatch):
+        # quad_order 16 integrates far pairs at order 8, so the order-8 vs
+        # order-16 convergence tests still probe the far field
+        assert quadrature_rule(8) == {"near_order": 8, "far_order": 4,
+                                      "far_radius": 20.0, "touching_order": 24}
+        assert quadrature_rule(16)["far_order"] == 8
+        assert quadrature_rule(3)["far_order"] == quadrature_rule(2)["far_order"] == 2
+        orders = []
+        real = assembly2d._gauss01
+        monkeypatch.setattr(assembly2d, "_gauss01",
+                            lambda order: orders.append(order) or real(order))
+        mesh = build_mesh(Ellipse(1.0, 1.0), 64)
+        assemble_single_layer(mesh, 0.4, 16)
+        assemble_double_layer(mesh, 0.4, 16)
+        assert set(orders) == {8, 16, 48}

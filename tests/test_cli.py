@@ -172,6 +172,8 @@ class TestSpectra:
                             "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
+        assert meta["quadrature"] == {"near_order": 8, "far_order": 4,
+                                      "far_radius": 20.0, "touching_order": 24}
 
     def test_seeded_rerun_bit_identical(self, tmp_path):
         outs = []

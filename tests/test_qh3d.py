@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from filtbem import spectral
 from filtbem.qh3d import (build_grams, build_incidence, filtered_projectors,
                           icosphere, make_mesh, octahedron,
                           orthonormalize_incidence, projectors, read_off,
@@ -219,6 +220,17 @@ class TestFilteredProjectors:
         for n_star in (1, 3, 8):
             fp = filtered_projectors(inc, n_star, 2)
             assert round(np.trace(fp.primal_star)) == n_star - 1
+
+    def test_one_eigensolve_per_graph_laplacian(self, meshes, monkeypatch):
+        # the filtered and the unfiltered projector of each incidence map
+        # come from the same laplacian_filter modes
+        calls = []
+        real = spectral.laplacian_modes
+        monkeypatch.setattr(spectral, "laplacian_modes",
+                            lambda mat: calls.append(mat.shape) or real(mat))
+        mesh = meshes["ico"]
+        filtered_projectors(build_incidence(mesh), 30, 20)
+        assert sorted(calls) == sorted([(mesh.n_triangles,) * 2, (mesh.n_vertices,) * 2])
 
     def test_index_validation(self, meshes):
         inc = build_incidence(meshes["tetra"])
