@@ -13,7 +13,7 @@ import numpy as np
 
 from filtbem import (Ellipse, MagneticLineSource, assemble_operators,
                      build_calderon_matrix, build_compact_part, build_mesh,
-                     circulant_filter_apply, normalized_rhs)
+                     circulant_filter_apply, filter_modes, normalized_rhs)
 
 k, eta = 0.4, 1.0
 mesh = build_mesh(Ellipse(1.42, 1.32), 502)
@@ -21,9 +21,11 @@ ops = assemble_operators(mesh, k)
 cmat = build_compact_part(build_calderon_matrix(mesh, k, ops=ops))
 
 print("== filter construction ==")
-w = ops.modes[:, :21]
+modes = filter_modes(ops, 21)
+w = modes.vectors
 print(f"filter index 21 -> projection onto {w.shape[1]} modes "
       "(the constant mode, which carries the net-loop current, and 20 above it)")
+print(f"relative eigen-gap at the cut {modes.cut_gap:.2f}: no pair is split")
 
 print("\n== effect on the compact block ==")
 filtered = w @ (w.T @ cmat)
@@ -36,15 +38,15 @@ for eps in (1e-3, 1e-5, 6e-6):
 
 print("\n== the right-hand side is band-limited ==")
 v_e, _ = normalized_rhs(ops, MagneticLineSource((3.0, 0.0)), eta)
-proj = np.abs(ops.modes.T @ v_e)
+proj = np.abs(filter_modes(ops, 60).vectors.T @ v_e)
 print(f"projection peak at mode {np.argmax(proj)}; "
-      f"content above mode 21: {proj[21:].max() / proj.max():.1e} of peak")
+      f"content in modes 21-59: {proj[21:].max() / proj.max():.1e} of peak")
 
 print("\n== FFT fast path on a uniform circle ==")
 circle = build_mesh(Ellipse(1.0, 1.0), 1024)
 circle_ops = assemble_operators(circle, k)
 x = np.random.default_rng(0).standard_normal(1024)
-w = circle_ops.modes[:, 1:41]     # the FFT path drops the constant mode
+w = filter_modes(circle_ops, 41).vectors[:, 1:]   # the FFT path drops mode 0
 dense = w @ (w.T @ x)
 fast = circulant_filter_apply(circle, 41, x)
 print(f"dense vs N log N application: max gap {np.abs(dense - fast).max():.1e}")

@@ -11,11 +11,14 @@ and filtered projectors on closed triangle meshes in 3D.
 
 from .assembly2d import (assemble_double_layer, assemble_gram,
                          assemble_helmholtz_pair, assemble_hypersingular,
-                         assemble_laplacian, assemble_single_layer)
-from .calderon2d import (FilteredSystem, Operators2D, assemble_operators,
-                         build_calderon_matrix, build_compact_part,
-                         build_filtered_system, normalized_double_layer,
-                         normalized_rhs, second_kind_split)
+                         assemble_laplacian, assemble_single_layer,
+                         sparse_gram, sparse_laplacian)
+from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
+                         assemble_operators, build_calderon_matrix,
+                         build_compact_part, build_filtered_system,
+                         canonical_modes, filter_modes,
+                         normalized_double_layer, normalized_rhs,
+                         second_kind_split)
 from .compression import LowRankFactor, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
                            assemble_rhs, incident_e_field, incident_fields)
@@ -29,8 +32,9 @@ from .qh3d import (FilteredProjectors, Grams, IncidenceMatrices,
 from .solver import (MemoryReport, WoodburyInverse, dense_solve,
                      memory_report, woodbury_factorize)
 from .special import hankel_h1_0, hankel_h1_1
-from .spectral import (LaplacianFilter, circulant_filter_apply,
-                       laplacian_filter, laplacian_modes, sym_sqrt_and_invsqrt)
+from .spectral import (LaplacianFilter, canonicalize_cut, chebyshev_invsqrt,
+                       circulant_filter_apply, laplacian_filter,
+                       laplacian_modes, pencil_modes, sym_sqrt_and_invsqrt)
 
 __version__ = "0.1.0"
 
@@ -38,8 +42,10 @@ __all__ = [
     "assemble_double_layer", "assemble_gram",
     "assemble_helmholtz_pair", "assemble_hypersingular",
     "assemble_laplacian", "assemble_single_layer",
-    "FilteredSystem", "Operators2D", "assemble_operators",
+    "sparse_gram", "sparse_laplacian",
+    "FilteredSystem", "FilterModes", "Operators2D", "assemble_operators",
     "build_calderon_matrix", "build_compact_part", "build_filtered_system",
+    "canonical_modes", "filter_modes",
     "normalized_double_layer", "normalized_rhs", "second_kind_split",
     "LowRankFactor", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",
@@ -53,7 +59,8 @@ __all__ = [
     "MemoryReport", "WoodburyInverse", "dense_solve",
     "memory_report", "woodbury_factorize",
     "hankel_h1_0", "hankel_h1_1",
-    "LaplacianFilter", "circulant_filter_apply", "laplacian_filter",
-    "laplacian_modes", "sym_sqrt_and_invsqrt",
+    "LaplacianFilter", "canonicalize_cut", "chebyshev_invsqrt",
+    "circulant_filter_apply", "laplacian_filter", "laplacian_modes",
+    "pencil_modes", "sym_sqrt_and_invsqrt",
     "__version__",
 ]

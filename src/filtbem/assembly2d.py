@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.sparse
 
 from .mesh2d import CurveMesh
 from .special import EULER_GAMMA, hankel_h1_0, hankel_h1_1
@@ -51,6 +52,8 @@ from .special import EULER_GAMMA, hankel_h1_0, hankel_h1_1
 __all__ = [
     "assemble_gram",
     "assemble_laplacian",
+    "sparse_gram",
+    "sparse_laplacian",
     "assemble_single_layer",
     "assemble_double_layer",
     "assemble_hypersingular",
@@ -414,37 +417,46 @@ def _single_layer_blocks(mesh, k, quad_order, kind="helmholtz"):
 # ---------------------------------------------------------------------------
 # Public assembly routines
 # ---------------------------------------------------------------------------
-def assemble_gram(mesh: CurveMesh) -> np.ndarray:
-    """Piecewise-linear mass matrix (analytic per-segment integrals).
+def _cyclic_tridiagonal(diag: np.ndarray,
+                        off: np.ndarray) -> scipy.sparse.csr_array:
+    """Symmetric cyclic tridiagonal matrix: ``diag`` on the diagonal and
+    ``off[i]`` at (i, i+1) and (i+1, i), indices modulo N (N >= 3)."""
+    n = diag.size
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    return scipy.sparse.csr_array(
+        (np.concatenate([diag, off, off]),
+         (np.concatenate([idx, idx, nxt]), np.concatenate([idx, nxt, idx]))),
+        shape=(n, n))
+
+
+def sparse_gram(mesh: CurveMesh) -> scipy.sparse.csr_array:
+    """Piecewise-linear mass matrix (analytic per-segment integrals), sparse.
 
     Uniform mesh of segment length h: diagonal 2h/3, neighbors h/6.
     Row sums equal the nodal arclength weights (l_left + l_right)/2.
     """
-    n = mesh.n_nodes
     ell = mesh.segment_lengths
-    gram = np.zeros((n, n))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    gram[idx, idx] = (np.roll(ell, 1) + ell) / 3.0
-    gram[idx, nxt] = ell / 6.0
-    gram[nxt, idx] = ell / 6.0
-    return gram
+    return _cyclic_tridiagonal((np.roll(ell, 1) + ell) / 3.0, ell / 6.0)
 
 
-def assemble_laplacian(mesh: CurveMesh) -> np.ndarray:
-    """Variational Laplacian: stiffness of arclength derivatives of hats.
+def sparse_laplacian(mesh: CurveMesh) -> scipy.sparse.csr_array:
+    """Variational Laplacian (stiffness of arclength derivatives of hats), sparse.
 
     Positive semidefinite with the constant vector in its nullspace.
     """
-    n = mesh.n_nodes
     inv = 1.0 / mesh.segment_lengths
-    lap = np.zeros((n, n))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    lap[idx, idx] = np.roll(inv, 1) + inv
-    lap[idx, nxt] = -inv
-    lap[nxt, idx] = -inv
-    return lap
+    return _cyclic_tridiagonal(np.roll(inv, 1) + inv, -inv)
+
+
+def assemble_gram(mesh: CurveMesh) -> np.ndarray:
+    """:func:`sparse_gram` as a dense array."""
+    return sparse_gram(mesh).toarray()
+
+
+def assemble_laplacian(mesh: CurveMesh) -> np.ndarray:
+    """:func:`sparse_laplacian` as a dense array."""
+    return sparse_laplacian(mesh).toarray()
 
 
 def assemble_single_layer(mesh: CurveMesh, k: float, quad_order: int = 8,

@@ -11,31 +11,42 @@ share one unknown:
 Writing each system as  beta I + C  and low-pass filtering the compact
 block C yields the structured form consumed by the compression and
 Woodbury solver modules.
+
+No dense eigendecomposition runs here.  G^{-1/2} is a sparse banded
+Chebyshev polynomial in the tridiagonal G (:func:`assemble_operators`);
+the filter's modes are the lowest ones of the sparse pencil (L, G),
+computed when a filter index is first known (:func:`filter_modes`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from .assembly2d import (
     assemble_double_layer,
-    assemble_gram,
     assemble_helmholtz_pair,
     assemble_hypersingular,
-    assemble_laplacian,
     assemble_single_layer,
+    sparse_gram,
+    sparse_laplacian,
 )
 from .excitation2d import Source2D, assemble_rhs
 from .mesh2d import CurveMesh
-from .spectral import _check_filter_index, laplacian_modes, sym_sqrt_and_invsqrt
+from .spectral import (_check_filter_index, canonicalize_cut,
+                       chebyshev_invsqrt, pencil_modes)
 
 __all__ = [
     "Operators2D",
+    "FilterModes",
     "FilteredSystem",
     "assemble_operators",
+    "filter_modes",
+    "canonical_modes",
     "build_calderon_matrix",
     "build_compact_part",
     "normalized_double_layer",
@@ -46,6 +57,7 @@ __all__ = [
 ]
 
 FORMULATIONS = ("efie", "mfie", "cfie")
+_ROW_BLOCK = 64   # rows per block of the in-place right Gram factor
 
 
 @dataclass
@@ -54,30 +66,33 @@ class Operators2D:
 
     ``slayer``, ``hyper`` and ``dlayer`` hold the read-only Gram-normalized
     G^{-1/2} X G^{-1/2} of S, N and D; the raw matrices are not kept.
-    ``modes`` holds the read-only eigenvectors of G^{-1/2} L G^{-1/2},
-    lowest mode (the constant) first; a filter at index n keeps the
-    first n columns.
+    ``gram_invsqrt`` is the sparse banded G^{-1/2}.  No Laplacian basis is
+    kept: :func:`filter_modes` computes the modes a filter index needs.
     """
 
     mesh: CurveMesh
     k: float
-    gram_invsqrt: np.ndarray
-    modes: np.ndarray
+    gram_invsqrt: scipy.sparse.csr_array
     slayer: np.ndarray
     hyper: np.ndarray
     dlayer: Optional[np.ndarray] = None   # assembled on first use
     quad_order: int = 8
 
 
-def _gram_normalized(gm: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Read-only G^{-1/2} X G^{-1/2}, evaluated as (gm @ X) @ gm.
+def _gram_normalized(gm, raw: np.ndarray) -> np.ndarray:
+    """Read-only G^{-1/2} X G^{-1/2} for the sparse symmetric root ``gm``.
 
-    The real root multiplies the real and imaginary parts of X in real
-    products, so no complex copy of it is made and no complex GEMM runs.
+    The real root acts on X viewed as interleaved real and imaginary
+    parts, so no complex product runs.  The right factor is applied in
+    place to blocks of rows of gm @ X (gm is symmetric), so the result is
+    the only N x N array made.
     """
-    out = np.empty(raw.shape, np.complex128)
-    out.real = gm @ raw.real @ gm
-    out.imag = gm @ raw.imag @ gm
+    out = (gm @ np.ascontiguousarray(raw, np.complex128).view(np.float64)
+           ).view(np.complex128)
+    for start in range(0, out.shape[0], _ROW_BLOCK):
+        rows = np.ascontiguousarray(out[start:start + _ROW_BLOCK].T)
+        out[start:start + _ROW_BLOCK] = (
+            gm @ rows.view(np.float64)).view(np.complex128).T
     out.flags.writeable = False
     return out
 
@@ -89,27 +104,102 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
 
     The single-layer/hypersingular pair shares one kernel pass; the double
     layer is assembled here only when requested, otherwise on first use by
-    :func:`normalized_double_layer`.  The kernel pass, which sets the peak
-    memory, runs before the Gram root and the Laplacian eigenbasis exist.
+    :func:`normalized_double_layer`.  G^{-1/2} is the banded
+    :func:`~filtbem.spectral.chebyshev_invsqrt` of the sparse Gram matrix.
     """
     if slayer_kind == "helmholtz":
         slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
     else:
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
         hyper = assemble_hypersingular(mesh, k, quad_order)
-    gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))[1]
+    gm = chebyshev_invsqrt(sparse_gram(mesh))
     slayer = _gram_normalized(gm, slayer)   # rebinding frees each raw matrix
     hyper = _gram_normalized(gm, hyper)
     dlayer = (_gram_normalized(gm, assemble_double_layer(mesh, k, quad_order))
               if need_double_layer else None)
-    lap_norm = gm @ assemble_laplacian(mesh) @ gm
-    lap_norm = 0.5 * (lap_norm + lap_norm.T)
-    modes = laplacian_modes(lap_norm)[1]
-    del lap_norm
-    modes.flags.writeable = False
-    return Operators2D(mesh=mesh, k=k, gram_invsqrt=gm, modes=modes,
-                       slayer=slayer, hyper=hyper, dlayer=dlayer,
-                       quad_order=quad_order)
+    return Operators2D(mesh=mesh, k=k, gram_invsqrt=gm, slayer=slayer,
+                       hyper=hyper, dlayer=dlayer, quad_order=quad_order)
+
+
+@dataclass(frozen=True)
+class FilterModes:
+    """The orthonormal modes a low-pass filter keeps, and its cut.
+
+    ``vectors`` (read-only) holds the lowest eigenvectors of
+    G^{-1/2} L G^{-1/2}, ascending, the constant mode first.  ``cut_gap``
+    is the relative eigen-gap between the last kept mode and the next
+    (None when every mode is kept); ``cut_canonicalized`` tells whether
+    the cut split a near-degenerate pair and was made canonical (see
+    :func:`~filtbem.spectral.canonicalize_cut`).
+    """
+
+    vectors: np.ndarray
+    cut_gap: Optional[float]
+    cut_canonicalized: bool
+
+
+def _gram_root_apply(ops: Operators2D, x: np.ndarray) -> np.ndarray:
+    """G^{1/2} x, evaluated as G (G^{-1/2} x) with the sparse G and root."""
+    return sparse_gram(ops.mesh) @ (ops.gram_invsqrt @ x)
+
+
+def canonical_modes(ops: Operators2D, values: np.ndarray,
+                    vectors: np.ndarray, filter_n: int) -> FilterModes:
+    """Fix the choices an eigensolver leaves open in ``vectors``, ascending
+    orthonormal eigenvectors of G^{-1/2} L G^{-1/2} with eigenvalues
+    ``values``, for a filter that keeps the first ``filter_n``.
+
+    * A cut after ``filter_n`` columns that splits a pair is made canonical
+      with the Gram-normalized nodal reference cos(2 pi m s / P) + z, in
+      arclength s, m = ceil(filter_n / 2), z a fixed pseudo-random vector.
+      The pair's continuum modes are cos and sin of 2 pi m s / P, so the
+      kept column is close to the cos-like member; z keeps the projection
+      away from 0 where a pair is not near Fourier modes (high modes of a
+      coarse mesh of an elongated curve localize on its flat sides).
+    * Column 0 becomes the closed-form constant mode G^{1/2} 1, normalized;
+      the other columns are orthogonalized against it once.
+
+    ``vectors`` must hold more than ``filter_n`` columns for a cut to exist.
+    """
+    mesh = ops.mesh
+    vectors = np.array(vectors, dtype=np.float64)
+    gap, fired = None, False
+    if filter_n < vectors.shape[1]:
+        arclength = mesh.node_arclengths[:-1] / mesh.perimeter
+        nodal = (np.cos(2.0 * np.pi * ((filter_n + 1) // 2) * arclength)
+                 + np.random.default_rng(0).uniform(-1.0, 1.0, mesh.n_nodes))
+        reference = _gram_root_apply(ops, nodal)
+        vectors, gap, fired = canonicalize_cut(values, vectors, filter_n,
+                                               reference)
+    const = _gram_root_apply(ops, np.ones(mesh.n_nodes))
+    const /= np.linalg.norm(const)
+    vectors[:, 0] = const
+    vectors[:, 1:] -= np.outer(const, const @ vectors[:, 1:])
+    vectors.flags.writeable = False
+    return FilterModes(vectors=vectors, cut_gap=gap, cut_canonicalized=fired)
+
+
+def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
+    """The ``filter_n`` lowest Laplacian modes, Gram-normalized, and the cut.
+
+    Solves L v = lam G v for the lowest ``filter_n + 1`` pairs with the
+    sparse tridiagonal pencil (:func:`~filtbem.spectral.pencil_modes`,
+    shifted by minus the first nonzero continuum eigenvalue (2 pi / P)^2),
+    maps them to orthonormal eigenvectors G^{1/2} v of G^{-1/2} L G^{-1/2},
+    and makes them canonical (:func:`canonical_modes`).  No N x N array
+    is formed unless ``filter_n + 1 >= N``.
+    """
+    mesh = ops.mesh
+    size = mesh.n_nodes
+    _check_filter_index(filter_n, size)
+    count = min(filter_n + 1, size)
+    values, vectors = pencil_modes(sparse_laplacian(mesh), sparse_gram(mesh),
+                                   count, -(2.0 * np.pi / mesh.perimeter) ** 2)
+    modes = canonical_modes(ops, values, _gram_root_apply(ops, vectors),
+                            filter_n)
+    kept = np.ascontiguousarray(modes.vectors[:, :filter_n])
+    kept.flags.writeable = False
+    return dataclasses.replace(modes, vectors=kept)
 
 
 def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
@@ -162,10 +252,10 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     """Normalized electric and magnetic right-hand sides.
 
     v_e = -eta^{-1} G^{-1/2} S G^{-1} e  and  v_h = -G^{-1/2} h, where e, h
-    are the Galerkin moments of the incident traces.  The real G^{-1/2}
-    multiplies the real and imaginary parts of both moments in one (N, 4)
-    product, so no complex copy of it is made; the normalized S then takes
-    one complex matvec.
+    are the Galerkin moments of the incident traces.  The sparse banded
+    G^{-1/2} multiplies the real and imaginary parts of both moments in one
+    (N, 4) product, O(N) work; the normalized S then takes one complex
+    matvec.
     """
     e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order)
     y = ops.gram_invsqrt @ np.column_stack(
@@ -203,7 +293,8 @@ class FilteredSystem:
 
     ``compact`` is the low-pass filtered compact operator before any
     compression; beta is 1/4, 1/2 or (1 + 2 alpha)/4 depending on the
-    formulation.
+    formulation.  ``cut_gap`` and ``cut_canonicalized`` report the filter
+    cut as :class:`FilterModes` does.
     """
 
     beta: float
@@ -212,6 +303,8 @@ class FilteredSystem:
     formulation: str
     filter_n: int
     alpha: float = 0.0
+    cut_gap: Optional[float] = None
+    cut_canonicalized: bool = False
 
     @property
     def matrix(self) -> np.ndarray:
@@ -233,7 +326,8 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
         Preconditioned first-kind, second-kind, or combined system (see
         :func:`second_kind_split`).
     filter_n : int
-        Low-pass filter index (number of retained Laplacian modes).
+        Low-pass filter index (number of retained Laplacian modes, see
+        :func:`filter_modes`; at N the filter is the identity).
     alpha : float
         Combined-field coupling, > 0 (combined formulation only).
     ops : Operators2D, optional
@@ -269,12 +363,19 @@ def _filtered_system(ops: Operators2D, src: Source2D, eta: float,
         rhs = v_h
     else:
         rhs = v_e + alpha * v_h
+    alpha = alpha if formulation == "cfie" else 0.0
+    if filter_n == ops.mesh.n_nodes:
+        return FilteredSystem(beta=beta, compact=compact_raw.copy(), rhs=rhs,
+                              formulation=formulation, filter_n=filter_n,
+                              alpha=alpha)
     # the projection keeps the constant (nullspace) mode: on a closed curve
     # it carries the net-loop current, whose coupling in the compact block
     # is order one, so dropping it would perturb the solution at order one
     # instead of at the band-limit tail
-    w = ops.modes[:, :filter_n]
+    modes = filter_modes(ops, filter_n)
+    w = modes.vectors
     compact = w @ (w.T @ compact_raw)
     return FilteredSystem(beta=beta, compact=compact, rhs=rhs,
                           formulation=formulation, filter_n=filter_n,
-                          alpha=alpha if formulation == "cfie" else 0.0)
+                          alpha=alpha, cut_gap=modes.cut_gap,
+                          cut_canonicalized=modes.cut_canonicalized)

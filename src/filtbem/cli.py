@@ -11,8 +11,11 @@ Subcommands
 Each run writes a CSV (17-significant-digit scientific notation, LF line
 endings) plus a JSON metadata sidecar echoing the fully resolved
 configuration, the seed, the package version and the numerical
-environment (numpy and scipy versions, BLAS thread-count variables).  A
-run is bit-reproducible for a fixed seed and BLAS thread count.
+environment (numpy and scipy versions, BLAS thread-count variables).  The
+``spectra``, ``refine`` and ``table`` sidecars also list, per solved size,
+the filter cut: its relative eigen-gap and whether it split a
+near-degenerate pair that was made canonical.  A run is bit-reproducible
+for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
 ``key = value`` config file (``#`` comments), overridden by command-line
@@ -35,15 +38,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assembly2d import quadrature_rule
+from .assembly2d import quadrature_rule, sparse_laplacian
 from .calderon2d import (FORMULATIONS, _filtered_system, assemble_operators,
-                         second_kind_split)
+                         canonical_modes, second_kind_split)
 from .compression import lowrank_factor
 from .excitation2d import MagneticLineSource, PlaneWaveTE
 from .mesh2d import Ellipse, PerturbedCircle, build_mesh
 from .qh3d import (build_incidence, filtered_projectors, icosphere,
                    octahedron, projectors, tetrahedron, torus_mesh)
 from .solver import dense_solve, memory_report, woodbury_factorize
+from .spectral import laplacian_modes
 
 __all__ = ["ExperimentConfig", "main", "run_spectra", "run_refinement",
            "run_table", "run_qh3d_check"]
@@ -248,7 +252,7 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     t0 = time.perf_counter()
     solution = inverse.apply(system.rhs)
     t_apply = time.perf_counter() - t0
-    rhs, beta = system.rhs, system.beta
+    rhs, beta, cut = system.rhs, system.beta, _filter_cut(system)
     del system    # free the filtered block before the dense reference
 
     # reference: dense solve of the unfiltered system of the same formulation
@@ -257,7 +261,14 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     rel_error = float(np.linalg.norm(solution - reference)
                       / np.linalg.norm(reference))
     return {"mesh": ops.mesh, "inverse": inverse, "rel_error": rel_error,
-            "t_factorize": t_factorize, "t_apply": t_apply}
+            "t_factorize": t_factorize, "t_apply": t_apply, "filter_cut": cut}
+
+
+def _filter_cut(system) -> dict:
+    """Meta record of a filter cut: the relative eigen-gap there (None when
+    every mode is kept) and whether it split a pair made canonical."""
+    return {"n_nodes": system.compact.shape[0], "gap": system.cut_gap,
+            "canonicalized": system.cut_canonicalized}
 
 
 def run_spectra(cfg: ExperimentConfig):
@@ -267,11 +278,17 @@ def run_spectra(cfg: ExperimentConfig):
     below ``filter_n``), row norms of the compact block / its filtered and
     compressed variants in that basis, the right-hand-side projection
     magnitude, and a flag marking modes present in the compression range.
-    The compact block is that of the configured formulation.
+    The compact block is that of the configured formulation.  The full
+    basis comes from a dense eigendecomposition of G^{-1/2} L G^{-1/2},
+    made canonical at the filter cut as the filter's own modes are.
     """
     ops, compact_raw, system, skeleton = _set_up(cfg, cfg.n)
     mesh = ops.mesh
-    modes = ops.modes
+    gm = ops.gram_invsqrt
+    lap_norm = (gm @ sparse_laplacian(mesh) @ gm).toarray()
+    values, modes = laplacian_modes(0.5 * (lap_norm + lap_norm.T))
+    del lap_norm
+    modes = canonical_modes(ops, values, modes, cfg.filter_n).vectors
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
     proj_filtered = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)
     left_proj = modes.T @ skeleton.left
@@ -291,7 +308,8 @@ def run_spectra(cfg: ExperimentConfig):
                "proj_rhs", "kept_flag"], rows)
     write_metadata(out / "spectra_meta.json", "spectra", cfg,
                    {"n_nodes": mesh.n_nodes, "skeleton_rank": skeleton.rank,
-                    "quadrature": quadrature_rule(cfg.quad_order)})
+                    "quadrature": quadrature_rule(cfg.quad_order),
+                    "filter_cut": [_filter_cut(system)]})
     return rows
 
 
@@ -309,9 +327,11 @@ def run_refinement(cfg: ExperimentConfig):
                          "(raise --max-n or extend --sizes)")
     rows = []
     failed = []
+    cuts = []
     for n_nodes in sizes:
         try:
             res = _solve_one(cfg, n_nodes)
+            cuts.append(res["filter_cut"])
             rows.append((n_nodes, 1.0 / res["mesh"].h, res["rel_error"],
                          res["inverse"].rank, 1e3 * res["t_factorize"],
                          1e3 * res["t_apply"], "ok"))
@@ -324,7 +344,8 @@ def run_refinement(cfg: ExperimentConfig):
               ["N", "inv_h", "rel_error_vs_dense", "skeleton_rank",
                "factorize_ms", "apply_ms", "status"], rows)
     write_metadata(out / "refine_meta.json", "refine", cfg,
-                   {"quadrature": quadrature_rule(cfg.quad_order)})
+                   {"quadrature": quadrature_rule(cfg.quad_order),
+                    "filter_cut": cuts})
     if failed:
         raise np.linalg.LinAlgError(f"refine sizes {failed} failed (see refine.csv)")
     return rows
@@ -339,6 +360,7 @@ def run_table(cfg: ExperimentConfig):
     """
     rows = []
     failed = []
+    cuts = []
     for n_nodes in cfg.sizes:
         if n_nodes > cfg.max_n:
             rows.append((n_nodes, float("nan"), 16 * n_nodes * n_nodes, 0, 0,
@@ -351,6 +373,7 @@ def run_table(cfg: ExperimentConfig):
                          f"failed:{exc}"))
             failed.append(n_nodes)
             continue
+        cuts.append(res["filter_cut"])
         report = memory_report(res["inverse"])
         rows.append((n_nodes, res["rel_error"], report.dense_bytes,
                      report.skeleton_bytes, report.rank, "ok"))
@@ -359,7 +382,8 @@ def run_table(cfg: ExperimentConfig):
               ["N", "rel_error", "dense_bytes", "skeleton_bytes", "rank",
                "status"], rows)
     write_metadata(out / "table_meta.json", "table", cfg,
-                   {"quadrature": quadrature_rule(cfg.quad_order)})
+                   {"quadrature": quadrature_rule(cfg.quad_order),
+                    "filter_cut": cuts})
     if failed:
         raise np.linalg.LinAlgError(f"table sizes {failed} failed (see table.csv)")
     return rows

@@ -2,21 +2,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
-from filtbem.assembly2d import (assemble_double_layer, assemble_gram,
-                                assemble_helmholtz_pair, assemble_laplacian)
+from filtbem.assembly2d import (_gauss_pair_blocks, _kernel_full,
+                                assemble_double_layer, assemble_gram,
+                                assemble_helmholtz_pair, assemble_laplacian,
+                                sparse_gram)
 from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
                                 build_compact_part, build_filtered_system,
+                                canonical_modes, filter_modes,
                                 normalized_double_layer, normalized_rhs,
                                 second_kind_split)
 from filtbem.excitation2d import MagneticLineSource, assemble_rhs
-from filtbem.mesh2d import Ellipse, build_mesh
+from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.solver import dense_solve
-from filtbem.spectral import laplacian_filter, sym_sqrt_and_invsqrt
+from filtbem.spectral import (chebyshev_invsqrt, laplacian_filter,
+                              laplacian_modes, sym_sqrt_and_invsqrt)
 
 K = 0.4
 ETA = 1.0
 SRC = MagneticLineSource((3.0, 0.0))
+# the two benchmark curves: the refine ellipse and the lobed table circle
+BENCH_CURVES = {"ellipse": Ellipse(1.42, 1.32),
+                "lobed": PerturbedCircle(2.0, 0.2, 8)}
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +35,30 @@ def circle_ops():
 
 
 def gram_root_and_laplacian(mesh):
-    """G^{1/2} and the symmetrized G^{-1/2} L G^{-1/2}."""
+    """G^{1/2} and the symmetrized G^{-1/2} L G^{-1/2}, from dense eigh."""
     root, gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))
     lap_norm = gm @ assemble_laplacian(mesh) @ gm
     return root, 0.5 * (lap_norm + lap_norm.T)
+
+
+def refined_invsqrt(gram):
+    """Dense G^{-1/2}: eigh's root after one Newton step X (3I - G X^2) / 2.
+
+    eigh alone leaves ||X G X - I|| at up to 3e-14 on the bench curves,
+    depending on the BLAS thread count; the step brings it below 1.1e-15,
+    so comparisons at 1e-14 test the banded root, not this oracle.
+    """
+    _, gm = sym_sqrt_and_invsqrt(gram)
+    gm = 0.5 * (3.0 * gm - gm @ gram @ gm @ gm)
+    return 0.5 * (gm + gm.T)
+
+
+def dense_modes(ops, filter_n):
+    """Every mode from dense eigh of G^{-1/2} L G^{-1/2}, made canonical at
+    the cut after ``filter_n`` columns as the filter's modes are."""
+    _, lap_norm = gram_root_and_laplacian(ops.mesh)
+    values, vectors = laplacian_modes(lap_norm)
+    return canonical_modes(ops, values, vectors, filter_n)
 
 
 class TestCalderonMatrix:
@@ -72,9 +101,11 @@ class TestCalderonMatrix:
 
 class TestOperatorBundle:
     def test_operators_stored_gram_normalized_and_read_only(self):
+        # against the independent dense root; the banded root and its
+        # sparse products agree with it to rounding, not bit for bit
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
         ops = assemble_operators(mesh, K)
-        gm = ops.gram_invsqrt
+        gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))[1]
         slayer, hyper = assemble_helmholtz_pair(mesh, K)
         dlayer = assemble_double_layer(mesh, K)
         assert ops.dlayer is None
@@ -82,24 +113,56 @@ class TestOperatorBundle:
         assert normalized_double_layer(ops) is dn is ops.dlayer
         for stored, raw in ((ops.slayer, slayer), (ops.hyper, hyper), (dn, dlayer)):
             assert not stored.flags.writeable
-            assert np.array_equal(stored, gm @ raw @ gm)
+            ref = gm @ raw @ gm
+            assert np.abs(stored - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
+    @pytest.mark.parametrize("n", [96, 502])
+    def test_banded_gram_root(self, curve, n):
+        mesh = build_mesh(BENCH_CURVES[curve], n)
+        gram = assemble_gram(mesh)
+        gm = chebyshev_invsqrt(sparse_gram(mesh))
+        dense = gm.toarray()
+        assert np.abs(dense @ gram @ dense - np.eye(n)).max() <= 1e-14
+        ref = refined_invsqrt(gram)
+        assert np.abs(ref @ gram @ ref - np.eye(n)).max() <= 2e-15
+        assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert gm.nnz <= 80 * n    # half-bandwidth = Chebyshev degree <= 39
+
+    def test_chebyshev_root_rejects_uncertified_input(self):
+        with pytest.raises(ValueError, match="Gershgorin"):
+            chebyshev_invsqrt(scipy.sparse.csr_array(np.array([[1.0, 2.0],
+                                                               [2.0, 1.0]])))
 
     def test_modes_are_read_only_orthonormal_and_ascending(self):
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
         ops = assemble_operators(mesh, K)
         root, lap_norm = gram_root_and_laplacian(mesh)
-        w = ops.modes
+        w = filter_modes(ops, 40).vectors
+        assert w.shape == (96, 40)
         assert not w.flags.writeable
-        assert np.abs(w.T @ w - np.eye(96)).max() <= 1e-12
+        assert np.abs(w.T @ w - np.eye(40)).max() <= 1e-12
         rayleigh = np.einsum("ij,ij->j", w, lap_norm @ w)
         assert np.all(np.diff(rayleigh) >= -1e-12 * rayleigh.max())
         u = root @ np.ones(96)       # the constant mode, Gram-normalized
         assert abs(u @ w[:, 0]) == pytest.approx(np.linalg.norm(u), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [256, 1004])
+    def test_constant_mode_in_closed_form(self, n):
+        # G^{1/2} 1 = G (G^{-1/2} 1); dense eigh of the normalized Laplacian
+        # resolves this mode only to about 1e-12 (7.6e-12 at N=1004)
+        mesh = build_mesh(BENCH_CURVES["ellipse"], n)
+        ops = assemble_operators(mesh, K)
+        gram = assemble_gram(mesh)
+        u = gram @ (refined_invsqrt(gram) @ np.ones(n))
+        w = filter_modes(ops, 21).vectors
+        assert np.linalg.norm(w[:, 0] - u / np.linalg.norm(u)) <= 1e-14
+        assert np.abs(w[:, 0] @ w[:, 1:]).max() <= 1e-15
+
     @pytest.mark.parametrize("need_double_layer", [False, True])
     def test_assembly_peak_memory(self, need_double_layer):
-        # the kernel pass runs before the Gram root and the Laplacian
-        # eigenbasis exist, so fewer N x N arrays are live at the peak
+        # the peak sits in the kernel pass (its touching-pair arrays at this
+        # small N); the Gram normalization adds one N x N array at a time
         mesh = build_mesh(Ellipse(1.0, 1.0), 256)
         n = mesh.n_nodes
         tracemalloc.start()
@@ -109,6 +172,39 @@ class TestOperatorBundle:
         finally:
             tracemalloc.stop()
         assert peak < 15 * 16 * n * n
+
+    def test_far_sweep_peak_memory(self):
+        # the graded Gauss-pair pass alone: its 4 shape accumulators plus
+        # the transpose copy and the row-block temporaries
+        mesh = build_mesh(Ellipse(1.0, 1.0), 256)
+        n = mesh.n_nodes
+        tracemalloc.start()
+        try:
+            _gauss_pair_blocks(mesh, K, 8,
+                               lambda dx, dy, d, src: _kernel_full(K, d, "helmholtz"),
+                               symmetric=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 16 * n * n
+
+    def test_set_up_runs_no_dense_eigensolver(self, monkeypatch):
+        # neither the operator bundle nor the filtered system needs a dense
+        # eigendecomposition, and neither holds a dense root or an N x N basis
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        mesh = build_mesh(BENCH_CURVES["lobed"], 128)
+        ops = assemble_operators(mesh, K, need_double_layer=True)
+        assert scipy.sparse.issparse(ops.gram_invsqrt)
+        assert ops.gram_invsqrt.nnz <= 80 * mesh.n_nodes
+        assert not hasattr(ops, "modes")
+        for formulation in ("efie", "cfie"):
+            system = build_filtered_system(mesh, K, ETA, SRC, formulation, 64,
+                                           ops=ops)
+            assert system.compact.shape == (128, 128)
 
     def test_rhs_matches_unnormalized_formula(self):
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
@@ -185,7 +281,7 @@ class TestCompactPart:
         mesh, ops = circle_ops
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         cmat = build_compact_part(zmat)
-        w = ops.modes[:, 1:21]      # filter index 21 without the constant mode
+        w = filter_modes(ops, 21).vectors[:, 1:]   # without the constant mode
         filtered = w @ (w.T @ cmat)
         sv = np.linalg.svd(filtered, compute_uv=False)
         rank_at_tol = int(np.sum(sv > 6e-6 * sv[0]))
@@ -217,8 +313,8 @@ class TestFilteredSystem:
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         x_dense = dense_solve(zmat, system.rhs)
         x_filt = np.linalg.solve(system.matrix, system.rhs)
-        w = ops.modes[:, 1:]        # every mode but the constant one
-        proj = w @ w.T
+        u = filter_modes(ops, 1).vectors[:, 0]
+        proj = np.eye(mesh.n_nodes) - np.outer(u, u)  # every mode but the constant
         num = np.linalg.norm(proj @ (x_filt - x_dense))
         assert num / np.linalg.norm(proj @ x_dense) <= 1e-8
 
@@ -292,6 +388,66 @@ class TestFilteredSystem:
             assert (np.abs(system.compact - expected).max()
                     <= 1e-12 * np.abs(compact_raw).max())
 
+    @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
+    @pytest.mark.parametrize("filter_n", [21, 200])
+    def test_filtered_block_matches_dense_eigh(self, curve, filter_n):
+        # the pencil's lowest modes give the block that every mode from dense
+        # eigh gives, once both are canonical at the cut; at 200 the cut
+        # splits a pair on both curves (relative gaps 3e-15 and 1.9e-10)
+        mesh = build_mesh(BENCH_CURVES[curve], 502)
+        ops = assemble_operators(mesh, K)
+        _, compact_raw = second_kind_split(ops, "efie")
+        system = build_filtered_system(mesh, K, ETA, SRC, "efie", filter_n,
+                                       ops=ops)
+        ref = dense_modes(ops, filter_n)
+        assert system.cut_canonicalized == ref.cut_canonicalized == (filter_n == 200)
+        w = ref.vectors[:, :filter_n]
+        expected = w @ (w.T @ compact_raw)
+        assert (np.abs(system.compact - expected).max()
+                <= 1e-12 * np.abs(expected).max())
+
+    def test_modes_at_full_index_need_a_dense_pencil_solve(self):
+        # ARPACK serves at most N - 1 pairs: filter_n = N - 1 asks for N
+        mesh = build_mesh(BENCH_CURVES["ellipse"], 48)
+        ops = assemble_operators(mesh, K)
+        for filter_n in (47, 48):
+            modes = filter_modes(ops, filter_n)
+            w = modes.vectors
+            ref = dense_modes(ops, filter_n).vectors[:, :filter_n]
+            assert np.abs(w @ w.T - ref @ ref.T).max() <= 1e-12
+        assert modes.cut_gap is None and not modes.cut_canonicalized
+
+    @pytest.mark.parametrize("filter_n", [57, 61])
+    def test_canonical_cut_of_a_localized_pair(self, filter_n):
+        # near the top of a coarse elongated ellipse's spectrum the split
+        # pairs (gaps 3e-11, 3e-14) localize on the flat sides, orthogonal
+        # to cos(2 pi m s / P); the pseudo-random part of the reference
+        # still fixes the kept column
+        mesh = build_mesh(Ellipse(3.0, 0.5), 64)
+        ops = assemble_operators(mesh, K)
+        modes = filter_modes(ops, filter_n)
+        assert modes.cut_canonicalized
+        w = modes.vectors
+        ref = dense_modes(ops, filter_n).vectors[:, :filter_n]
+        assert np.abs(w @ w.T - ref @ ref.T).max() <= 1e-10
+
+    def test_cut_gap_reported(self):
+        # refine config: ellipse, filter_n 21, where the gap is wide
+        mesh = build_mesh(BENCH_CURVES["ellipse"], 1004)
+        ops = assemble_operators(mesh, K)
+        system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
+        assert system.cut_gap == pytest.approx(0.17, abs=0.01)
+        assert not system.cut_canonicalized
+        # lobed curve at filter_n 200: the cut splits the pair m = 100
+        mesh = build_mesh(BENCH_CURVES["lobed"], 502)
+        modes = filter_modes(assemble_operators(mesh, K), 200)
+        assert modes.cut_gap < 1e-9
+        assert modes.cut_canonicalized
+        # every mode kept: no cut, no solve
+        mesh = build_mesh(Ellipse(1.0, 1.0), 64)
+        system = build_filtered_system(mesh, K, ETA, SRC, "efie", 64)
+        assert system.cut_gap is None and not system.cut_canonicalized
+
     def test_validation(self, circle_ops):
         mesh, ops = circle_ops
         with pytest.raises(ValueError):
@@ -310,7 +466,7 @@ class TestFilteredSystem:
         mesh, ops = circle_ops
         zmat = build_calderon_matrix(mesh, K, ops=ops)
         cmat = build_compact_part(zmat)
-        modes = ops.modes
+        modes = dense_modes(ops, 21).vectors
         raw_rows = np.linalg.norm(modes.T @ cmat @ modes, axis=1)
         assert raw_rows[-26:].max() > np.median(raw_rows[:200])
         system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)

@@ -110,7 +110,8 @@ class TestConfig:
         assert [(r[0], r[-1]) for r in rows] == [
             ("48", "ok"), ("96", "failed:synthetic singular system"),
             ("192", "ok")]
-        assert (tmp_path / "refine_meta.json").exists()
+        meta = json.loads((tmp_path / "refine_meta.json").read_text())
+        assert [cut["n_nodes"] for cut in meta["filter_cut"]] == [48, 192]
 
     def test_config_file_through_main(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -174,6 +175,10 @@ class TestSpectra:
         assert env["scipy"] == scipy.__version__
         assert meta["quadrature"] == {"near_order": 8, "far_order": 4,
                                       "far_radius": 20.0, "touching_order": 24}
+        # uniform circle, cut between the pairs m = 10 and m = 11
+        [cut] = meta["filter_cut"]
+        assert cut["n_nodes"] == 96 and not cut["canonicalized"]
+        assert cut["gap"] == pytest.approx(1 - 100 / 121, abs=0.01)  # 0.18 at N=96
 
     def test_seeded_rerun_bit_identical(self, tmp_path):
         outs = []
@@ -307,6 +312,12 @@ class TestTable:
         assert rows[0][-1] == "ok" and rows[1][-1] == "ok"
         assert rows[2][-1] == "skipped:max_n"
         assert rows[0][2] == 16 * 64 * 64  # dense bytes
+        # the 8-fold symmetric curve keeps the pair m = 15 degenerate, so
+        # the cut at 30 splits it and is made canonical
+        meta = json.loads((tmp_path / "table_meta.json").read_text())
+        assert [(cut["n_nodes"], cut["canonicalized"])
+                for cut in meta["filter_cut"]] == [(64, True), (128, True)]
+        assert all(cut["gap"] < 1e-8 for cut in meta["filter_cut"])
         # solution error tracks the tolerance up to second-kind
         # amplification (the tight <= epsilon bound holds at real sizes
         # and is asserted by the acceptance suite)

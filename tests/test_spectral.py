@@ -3,8 +3,9 @@ import pytest
 
 from filtbem.assembly2d import assemble_gram, assemble_laplacian
 from filtbem.mesh2d import Ellipse, build_mesh
-from filtbem.spectral import (circulant_filter_apply, laplacian_filter,
-                              laplacian_modes, sym_sqrt_and_invsqrt)
+from filtbem.spectral import (canonicalize_cut, circulant_filter_apply,
+                              laplacian_filter, laplacian_modes,
+                              sym_sqrt_and_invsqrt)
 
 
 def normalized_laplacian(mesh):
@@ -94,6 +95,33 @@ class TestLaplacianFilter:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             laplacian_modes(np.arange(9.0).reshape(3, 3))
+
+
+class TestCanonicalCut:
+    def setup_method(self):
+        rng = np.random.default_rng(4)
+        self.basis = np.linalg.qr(rng.standard_normal((12, 5)))[0]
+        self.reference = rng.standard_normal(12)
+
+    def test_split_pair_resolved_independently_of_its_basis(self):
+        values = np.array([0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0])
+        kept = []
+        for angle in (0.0, 0.3, 2.0):
+            c, s = np.cos(angle), np.sin(angle)
+            vecs = self.basis.copy()
+            vecs[:, 2:4] = self.basis[:, 2:4] @ np.array([[c, -s], [s, c]])
+            out, gap, fired = canonicalize_cut(values, vecs, 3, self.reference)
+            assert fired and gap == pytest.approx(5e-13, rel=1e-3)
+            assert np.abs(out.T @ out - np.eye(5)).max() <= 1e-14
+            kept.append(out[:, :3] @ out[:, :3].T)
+        assert np.abs(kept[1] - kept[0]).max() <= 1e-14
+        assert np.abs(kept[2] - kept[0]).max() <= 1e-14
+
+    def test_wide_gap_left_alone(self):
+        values = np.array([0.0, 1.0, 2.0, 2.5, 3.0])
+        out, gap, fired = canonicalize_cut(values, self.basis, 3, self.reference)
+        assert out is self.basis and not fired
+        assert gap == pytest.approx(0.2)
 
 
 class TestCirculantFilter:
