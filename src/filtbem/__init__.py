@@ -19,7 +19,7 @@ from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
                          canonical_modes, filter_modes,
                          normalized_double_layer, normalized_rhs,
                          second_kind_split)
-from .compression import LowRankFactor, lowrank_factor
+from .compression import LowRankFactor, ProjectedMatrix, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
                            assemble_rhs, incident_e_field, incident_fields)
 from .mesh2d import (CurveMesh, Ellipse, ParametricCurve, PerturbedCircle,
@@ -47,7 +47,7 @@ __all__ = [
     "build_calderon_matrix", "build_compact_part", "build_filtered_system",
     "canonical_modes", "filter_modes",
     "normalized_double_layer", "normalized_rhs", "second_kind_split",
-    "LowRankFactor", "lowrank_factor",
+    "LowRankFactor", "ProjectedMatrix", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",
     "incident_e_field", "incident_fields",
     "CurveMesh", "Ellipse", "ParametricCurve", "PerturbedCircle",

@@ -35,10 +35,11 @@ from .assembly2d import (
     sparse_gram,
     sparse_laplacian,
 )
+from .compression import ProjectedMatrix
 from .excitation2d import Source2D, assemble_rhs
 from .mesh2d import CurveMesh
 from .spectral import (_check_filter_index, canonicalize_cut,
-                       chebyshev_invsqrt, pencil_modes)
+                       chebyshev_invsqrt, cut_cluster, pencil_modes)
 
 __all__ = [
     "Operators2D",
@@ -129,8 +130,8 @@ class FilterModes:
     G^{-1/2} L G^{-1/2}, ascending, the constant mode first.  ``cut_gap``
     is the relative eigen-gap between the last kept mode and the next
     (None when every mode is kept); ``cut_canonicalized`` tells whether
-    the cut split a near-degenerate pair and was made canonical (see
-    :func:`~filtbem.spectral.canonicalize_cut`).
+    the cut split a cluster of near-degenerate modes and was made canonical
+    (see :func:`~filtbem.spectral.canonicalize_cut`).
     """
 
     vectors: np.ndarray
@@ -149,28 +150,37 @@ def canonical_modes(ops: Operators2D, values: np.ndarray,
     orthonormal eigenvectors of G^{-1/2} L G^{-1/2} with eigenvalues
     ``values``, for a filter that keeps the first ``filter_n``.
 
-    * A cut after ``filter_n`` columns that splits a pair is made canonical
-      with the Gram-normalized nodal reference cos(2 pi m s / P) + z, in
-      arclength s, m = ceil(filter_n / 2), z a fixed pseudo-random vector.
-      The pair's continuum modes are cos and sin of 2 pi m s / P, so the
-      kept column is close to the cos-like member; z keeps the projection
-      away from 0 where a pair is not near Fourier modes (high modes of a
+    * A cut after ``filter_n`` columns that splits a cluster of
+      near-degenerate modes (:func:`~filtbem.spectral.cut_cluster`) is made
+      canonical with the Gram-normalized nodal references
+      cos(2 pi m s / P) + z_j, in arclength s, m = ceil(filter_n / 2), z_j
+      fixed pseudo-random vectors, one per kept cluster column.  A split
+      pair's continuum modes are cos and sin of 2 pi m s / P, so the kept
+      column is close to the cos-like member; z_j keeps the projections
+      independent where modes are not near Fourier modes (high modes of a
       coarse mesh of an elongated curve localize on its flat sides).
     * Column 0 becomes the closed-form constant mode G^{1/2} 1, normalized;
       the other columns are orthogonalized against it once.
 
-    ``vectors`` must hold more than ``filter_n`` columns for a cut to exist.
+    ``vectors`` must hold more than ``filter_n`` columns for a cut to
+    exist, and, if the cut splits a cluster, all of its columns.
     """
     mesh = ops.mesh
     vectors = np.array(vectors, dtype=np.float64)
     gap, fired = None, False
     if filter_n < vectors.shape[1]:
-        arclength = mesh.node_arclengths[:-1] / mesh.perimeter
-        nodal = (np.cos(2.0 * np.pi * ((filter_n + 1) // 2) * arclength)
-                 + np.random.default_rng(0).uniform(-1.0, 1.0, mesh.n_nodes))
-        reference = _gram_root_apply(ops, nodal)
-        vectors, gap, fired = canonicalize_cut(values, vectors, filter_n,
-                                               reference)
+        gap, run = cut_cluster(values, filter_n, mesh.n_nodes)
+        if run is not None:
+            if run[1] is None:
+                raise ValueError("the cluster at the cut runs past the "
+                                 "given modes")
+            arclength = mesh.node_arclengths[:-1] / mesh.perimeter
+            wave = np.cos(2.0 * np.pi * ((filter_n + 1) // 2) * arclength)
+            nodal = wave[:, None] + np.random.default_rng(0).uniform(
+                -1.0, 1.0, (mesh.n_nodes, filter_n - run[0]))
+            vectors = canonicalize_cut(vectors, filter_n, run,
+                                       _gram_root_apply(ops, nodal))
+            fired = True
     const = _gram_root_apply(ops, np.ones(mesh.n_nodes))
     const /= np.linalg.norm(const)
     vectors[:, 0] = const
@@ -185,16 +195,24 @@ def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
     Solves L v = lam G v for the lowest ``filter_n + 1`` pairs with the
     sparse tridiagonal pencil (:func:`~filtbem.spectral.pencil_modes`,
     shifted by minus the first nonzero continuum eigenvalue (2 pi / P)^2),
-    maps them to orthonormal eigenvectors G^{1/2} v of G^{-1/2} L G^{-1/2},
-    and makes them canonical (:func:`canonical_modes`).  No N x N array
-    is formed unless ``filter_n + 1 >= N``.
+    or more when the cut splits a cluster that runs past them, maps them to
+    orthonormal eigenvectors G^{1/2} v of G^{-1/2} L G^{-1/2}, and makes
+    them canonical (:func:`canonical_modes`).  No N x N array is formed
+    unless all N pairs are needed.
     """
     mesh = ops.mesh
     size = mesh.n_nodes
     _check_filter_index(filter_n, size)
+    lap, gram = sparse_laplacian(mesh), sparse_gram(mesh)
+    shift = -(2.0 * np.pi / mesh.perimeter) ** 2
     count = min(filter_n + 1, size)
-    values, vectors = pencil_modes(sparse_laplacian(mesh), sparse_gram(mesh),
-                                   count, -(2.0 * np.pi / mesh.perimeter) ** 2)
+    values, vectors = pencil_modes(lap, gram, count, shift)
+    while count < size:
+        run = cut_cluster(values, filter_n, size)[1]
+        if run is None or run[1] is not None:
+            break
+        count = min(size, 2 * count - filter_n)   # twice as many past the cut
+        values, vectors = pencil_modes(lap, gram, count, shift)
     modes = canonical_modes(ops, values, _gram_root_apply(ops, vectors),
                             filter_n)
     kept = np.ascontiguousarray(modes.vectors[:, :filter_n])
@@ -265,6 +283,18 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     return v_e, v_h
 
 
+def _check_formulation(formulation: str, alpha: float) -> None:
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
+    if formulation == "cfie" and alpha <= 0:
+        raise ValueError("combined-field coupling alpha must be positive")
+
+
+def _beta(formulation: str, alpha: float) -> float:
+    return {"efie": 0.25, "mfie": 0.5,
+            "cfie": (1.0 + 2.0 * alpha) / 4.0}[formulation]
+
+
 def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
     """Split a formulation's unfiltered system into ``(beta, C)``, system beta I + C.
 
@@ -274,17 +304,41 @@ def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
 
     C is returned as a new array.
     """
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}")
-    if formulation == "cfie" and alpha <= 0:
-        raise ValueError("combined-field coupling alpha must be positive")
+    _check_formulation(formulation, alpha)
+    beta = _beta(formulation, alpha)
     if formulation == "mfie":
-        return 0.5, -normalized_double_layer(ops)
+        return beta, -normalized_double_layer(ops)
     compact = build_compact_part(build_calderon_matrix(ops.mesh, ops.k, ops=ops))
-    if formulation == "efie":
-        return 0.25, compact
-    compact -= alpha * normalized_double_layer(ops)
-    return (1.0 + 2.0 * alpha) / 4.0, compact
+    if formulation == "cfie":
+        compact -= alpha * normalized_double_layer(ops)
+    return beta, compact
+
+
+def _real_times(real: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """real @ mat for a real matrix and a complex one, as one real product
+    with mat viewed as interleaved real and imaginary parts."""
+    mat = np.ascontiguousarray(mat)
+    return (real @ mat.view(np.float64)).view(np.complex128)
+
+
+def _projected_split(ops: Operators2D, formulation: str, alpha: float,
+                     w: np.ndarray) -> np.ndarray:
+    """w.T @ C for the compact block C of :func:`second_kind_split`, formed
+    by projecting before multiplying: O(N^2 r) work for r columns of w and
+    no N x N array.
+
+    * efie: ((w.T Sn) Nn) / (ik) - w.T / 4;
+    * mfie: -(w.T Dn);
+    * cfie: the efie block minus alpha (w.T Dn).
+    """
+    if formulation == "mfie":
+        return -_real_times(w.T, normalized_double_layer(ops))
+    coeffs = _real_times(w.T, ops.slayer) @ ops.hyper
+    coeffs /= 1j * ops.k
+    coeffs -= 0.25 * w.T
+    if formulation == "cfie":
+        coeffs -= alpha * _real_times(w.T, normalized_double_layer(ops))
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -292,13 +346,19 @@ class FilteredSystem:
     """Structured system  (beta I + compact) x = rhs  with filtered compact block.
 
     ``compact`` is the low-pass filtered compact operator before any
-    compression; beta is 1/4, 1/2 or (1 + 2 alpha)/4 depending on the
-    formulation.  ``cut_gap`` and ``cut_canonicalized`` report the filter
-    cut as :class:`FilterModes` does.
+    compression, kept in filter coordinates as a
+    :class:`~filtbem.compression.ProjectedMatrix` ``w @ B``: ``w`` holds the
+    ``filter_n`` kept modes (:func:`filter_modes`) and ``B = w.T @ C`` is
+    the ``filter_n x N`` coefficient block of the unfiltered compact block
+    C.  When every mode is kept the basis is None and ``B`` is C itself.
+    ``np.asarray(compact)`` forms the N x N block; :func:`lowrank_factor`
+    compresses ``B`` without it.  beta is 1/4, 1/2 or (1 + 2 alpha)/4
+    depending on the formulation.  ``cut_gap`` and ``cut_canonicalized``
+    report the filter cut as :class:`FilterModes` does.
     """
 
     beta: float
-    compact: np.ndarray
+    compact: ProjectedMatrix
     rhs: np.ndarray
     formulation: str
     filter_n: int
@@ -306,19 +366,16 @@ class FilteredSystem:
     cut_gap: Optional[float] = None
     cut_canonicalized: bool = False
 
-    @property
-    def matrix(self) -> np.ndarray:
-        out = self.compact.copy()
-        idx = np.arange(out.shape[0])
-        out[idx, idx] += self.beta
-        return out
-
 
 def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
                           formulation: str, filter_n: int, alpha: float = 0.5,
                           ops: Optional[Operators2D] = None,
                           quad_order: Optional[int] = None) -> FilteredSystem:
     """Assemble one of the three filtered formulations.
+
+    Below ``filter_n = N`` the compact block is projected before it is
+    multiplied out, so no N x N array is formed here: the work after the
+    filter's modes is O(N^2 filter_n).
 
     Parameters
     ----------
@@ -341,21 +398,9 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     FilteredSystem
     """
     formulation = formulation.lower()
+    _check_formulation(formulation, alpha)
     ops = _operators_for(mesh, k, ops, quad_order)
-    _check_filter_index(filter_n, mesh.n_nodes)   # before the dense product
-    beta, compact_raw = second_kind_split(ops, formulation, alpha)
-    return _filtered_system(ops, src, eta, formulation, filter_n, alpha,
-                            beta, compact_raw)
-
-
-def _filtered_system(ops: Operators2D, src: Source2D, eta: float,
-                     formulation: str, filter_n: int, alpha: float,
-                     beta: float, compact_raw: np.ndarray) -> FilteredSystem:
-    """The filtered system of an unfiltered split ``(beta, compact_raw)``.
-
-    ``compact_raw`` is left unchanged, so a caller that formed the split
-    itself can reuse it, for instance for a dense reference.
-    """
+    _check_filter_index(filter_n, mesh.n_nodes)
     v_e, v_h = normalized_rhs(ops, src, eta)
     if formulation == "efie":
         rhs = v_e
@@ -364,18 +409,20 @@ def _filtered_system(ops: Operators2D, src: Source2D, eta: float,
     else:
         rhs = v_e + alpha * v_h
     alpha = alpha if formulation == "cfie" else 0.0
-    if filter_n == ops.mesh.n_nodes:
-        return FilteredSystem(beta=beta, compact=compact_raw.copy(), rhs=rhs,
-                              formulation=formulation, filter_n=filter_n,
-                              alpha=alpha)
+    if filter_n == mesh.n_nodes:
+        beta, compact = second_kind_split(ops, formulation, alpha)
+        return FilteredSystem(beta=beta, compact=ProjectedMatrix(None, compact),
+                              rhs=rhs, formulation=formulation,
+                              filter_n=filter_n, alpha=alpha)
     # the projection keeps the constant (nullspace) mode: on a closed curve
     # it carries the net-loop current, whose coupling in the compact block
     # is order one, so dropping it would perturb the solution at order one
     # instead of at the band-limit tail
     modes = filter_modes(ops, filter_n)
     w = modes.vectors
-    compact = w @ (w.T @ compact_raw)
-    return FilteredSystem(beta=beta, compact=compact, rhs=rhs,
+    coeffs = _projected_split(ops, formulation, alpha, w)
+    return FilteredSystem(beta=_beta(formulation, alpha),
+                          compact=ProjectedMatrix(w, coeffs), rhs=rhs,
                           formulation=formulation, filter_n=filter_n,
                           alpha=alpha, cut_gap=modes.cut_gap,
                           cut_canonicalized=modes.cut_canonicalized)

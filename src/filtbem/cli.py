@@ -39,8 +39,9 @@ import scipy
 
 from . import __version__
 from .assembly2d import quadrature_rule, sparse_laplacian
-from .calderon2d import (FORMULATIONS, _filtered_system, assemble_operators,
-                         canonical_modes, second_kind_split)
+from .calderon2d import (FORMULATIONS, assemble_operators,
+                         build_filtered_system, canonical_modes,
+                         second_kind_split)
 from .compression import lowrank_factor
 from .excitation2d import MagneticLineSource, PlaneWaveTE
 from .mesh2d import Ellipse, PerturbedCircle, build_mesh
@@ -225,37 +226,39 @@ def _outdir(cfg) -> Path:
 # Experiments
 # ---------------------------------------------------------------------------
 def _set_up(cfg: ExperimentConfig, n_nodes: int):
-    """``(ops, compact_raw, system, skeleton)`` at one size; the unfiltered
-    block is formed once, filtered here and reused by the caller."""
+    """``(ops, system, skeleton)`` at one size.  Below ``filter_n = N`` the
+    system holds only the filter-coordinate block, no N x N array."""
     mesh = build_mesh(cfg.curve(), n_nodes)
     if cfg.filter_n > mesh.n_nodes:
         raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
     slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
     ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
-    beta, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
-    system = _filtered_system(ops, cfg.source_model(), cfg.eta, cfg.formulation,
-                              cfg.filter_n, cfg.alpha, beta, compact_raw)
+    system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
+                                   cfg.formulation, cfg.filter_n, cfg.alpha,
+                                   ops=ops)
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
-    return ops, compact_raw, system, skeleton
+    return ops, system, skeleton
 
 
 def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     """Full filtered-compressed pipeline at one mesh size.
 
     Returns a dict with the mesh, the structured inverse, the error against
-    the dense reference and the factorize/apply timings.
+    the dense reference and the factorize/apply timings.  The dense
+    reference is formed only after the filtered system is released.
     """
-    ops, dense_mat, system, skeleton = _set_up(cfg, n_nodes)
+    ops, system, skeleton = _set_up(cfg, n_nodes)
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0
     t0 = time.perf_counter()
     solution = inverse.apply(system.rhs)
     t_apply = time.perf_counter() - t0
-    rhs, beta, cut = system.rhs, system.beta, _filter_cut(system)
-    del system    # free the filtered block before the dense reference
+    rhs, cut = system.rhs, _filter_cut(system)
+    del system
 
     # reference: dense solve of the unfiltered system of the same formulation
+    beta, dense_mat = second_kind_split(ops, cfg.formulation, cfg.alpha)
     dense_mat[np.diag_indices_from(dense_mat)] += beta
     reference = dense_solve(dense_mat, rhs)
     rel_error = float(np.linalg.norm(solution - reference)
@@ -282,15 +285,18 @@ def run_spectra(cfg: ExperimentConfig):
     basis comes from a dense eigendecomposition of G^{-1/2} L G^{-1/2},
     made canonical at the filter cut as the filter's own modes are.
     """
-    ops, compact_raw, system, skeleton = _set_up(cfg, cfg.n)
+    ops, system, skeleton = _set_up(cfg, cfg.n)
     mesh = ops.mesh
+    _, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
     gm = ops.gram_invsqrt
     lap_norm = (gm @ sparse_laplacian(mesh) @ gm).toarray()
     values, modes = laplacian_modes(0.5 * (lap_norm + lap_norm.T))
     del lap_norm
     modes = canonical_modes(ops, values, modes, cfg.filter_n).vectors
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
-    proj_filtered = np.linalg.norm(modes.T @ system.compact @ modes, axis=1)
+    basis, coeffs = system.compact.basis, system.compact.coeffs
+    rows_t = modes.T if basis is None else modes.T @ basis
+    proj_filtered = np.linalg.norm(rows_t @ (coeffs @ modes), axis=1)
     left_proj = modes.T @ skeleton.left
     proj_skeleton = np.linalg.norm(left_proj @ (skeleton.right.T @ modes), axis=1)
     proj_rhs = np.abs(modes.T @ system.rhs)

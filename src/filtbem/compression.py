@@ -1,21 +1,26 @@
 """Tolerance-driven low-rank skeleton factorization of dense matrices.
 
-Adaptive randomized range finding: Gaussian sketch blocks (with one power
-iteration) grow an orthonormal range basis until a power-iteration
-estimate of the residual spectral norm, inflated by a 1.2 safety factor,
-drops below the requested relative tolerance.  A small SVD then
-re-truncates the factor to near-minimal rank.  Fully deterministic for a
-fixed seed.
+Adaptive randomized range finding (Halko, Martinsson & Tropp, SIAM Rev. 53,
+2011): Gaussian sketch blocks (with one power iteration) grow an
+orthonormal range basis until a power-iteration estimate of the residual
+spectral norm, inflated by a 1.2 safety factor, drops below the requested
+relative tolerance.  A small SVD then re-truncates the factor to
+near-minimal rank.  Fully deterministic for a fixed seed.
+
+The input may be given as ``basis @ coeffs`` (:class:`ProjectedMatrix`)
+with orthonormal basis columns: the finder then runs on the short
+coefficient block, since the basis preserves every norm it measures.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["LowRankFactor", "lowrank_factor"]
+__all__ = ["LowRankFactor", "ProjectedMatrix", "lowrank_factor"]
 
 DEFAULT_BLOCK = 8
 DEFAULT_POWER_ITERS = 1
@@ -44,6 +49,29 @@ class LowRankFactor:
 
     def reconstruct(self) -> np.ndarray:
         return self.left @ self.right.T
+
+
+@dataclass(frozen=True)
+class ProjectedMatrix:
+    """The matrix ``basis @ coeffs``, kept as its two factors.
+
+    ``basis`` (n, r) has orthonormal columns; None stands for the identity,
+    so ``coeffs`` is then the matrix itself.  ``np.asarray`` forms the
+    product.
+    """
+
+    basis: Optional[np.ndarray]   # (n, r), orthonormal columns, or None
+    coeffs: np.ndarray            # (r, m)
+
+    @property
+    def shape(self) -> tuple:
+        rows = self.coeffs if self.basis is None else self.basis
+        return (rows.shape[0], self.coeffs.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.asarray(self.coeffs if self.basis is None
+                         else self.basis @ self.coeffs, dtype=dtype)
+        return out.copy() if copy and out is self.coeffs else out
 
 
 def _adjoint_times(mat, y):
@@ -116,12 +144,21 @@ def _orthonormalize_against(q, block):
     return qb
 
 
-def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFactor:
-    """Factor a dense matrix to relative spectral tolerance ``epsilon``.
+def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
+    """Factor a square matrix to relative spectral tolerance ``epsilon``.
 
     Parameters
     ----------
-    mat : (n, n) array (real or complex)
+    mat : (n, n) array (real or complex), or ProjectedMatrix
+        A :class:`ProjectedMatrix` ``basis @ coeffs`` is factored through
+        its (r, n) coefficient block: the range finder, its certifier and
+        the SVD re-truncation all run on ``coeffs``, and ``left`` is
+        ``basis @`` the coefficient factor.  The basis has orthonormal
+        columns, so every norm the certifier estimates, and hence
+        ``achieved_error`` and ``norm_estimate``, is that of the full
+        matrix.  Sketches keep length n, so a seed draws the same numbers
+        for either form; the rank cannot exceed min(r, n).  A plain array
+        is ``ProjectedMatrix(None, mat)``.
     epsilon : float
         Requested relative spectral-norm tolerance, 0 < epsilon < 1.
     seed : int
@@ -132,15 +169,19 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFac
     -------
     LowRankFactor
         With ``converged`` false (and the captured-range rank) only if the
-        tolerance is unreachable below rank n; that case also emits a
+        tolerance is unreachable below full rank; that case also emits a
         ``RuntimeWarning``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    mat = np.asarray(mat)
+    if not isinstance(mat, ProjectedMatrix):
+        mat = ProjectedMatrix(None, np.asarray(mat))
     n, m = mat.shape
     if n != m:
         raise ValueError("expected a square matrix")
+    basis, mat = mat.basis, mat.coeffs
+    rows = mat.shape[0]
+    full = min(rows, n)   # the largest rank the block can have
     rng = np.random.default_rng(seed)
 
     norm_est = _power_norm(lambda x: mat @ x, lambda y: _adjoint_times(mat, y),
@@ -152,9 +193,9 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFac
                              norm_estimate=0.0, seed=seed)
 
     target = epsilon * norm_est
-    q = np.zeros((n, 0), np.complex128)
+    q = np.zeros((rows, 0), np.complex128)
     while True:
-        width = min(DEFAULT_BLOCK, n - q.shape[1])
+        width = min(DEFAULT_BLOCK, full - q.shape[1])
         omega = (rng.standard_normal((n, width))
                  + 1j * rng.standard_normal((n, width))) / np.sqrt(2.0)
         y = mat @ omega
@@ -169,7 +210,7 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFac
             # powered sketches see sigma^2-weighted directions; retry once
             # with a plain sketch (linear weighting) before giving up
             q_new = _orthonormalize_against(q, mat @ omega)
-        exhausted = q_new.shape[1] == 0 or q.shape[1] + q_new.shape[1] >= n
+        exhausted = q_new.shape[1] == 0 or q.shape[1] + q_new.shape[1] >= full
         if q_new.shape[1]:
             q = np.hstack([q, q_new])
         resid = SAFETY * _range_residual_norm(mat, q, NORM_EST_ITERS, rng)
@@ -200,6 +241,8 @@ def lowrank_factor(mat: np.ndarray, epsilon: float, seed: int = 0) -> LowRankFac
         warnings.warn(f"low-rank factor not converged: error {achieved / norm_est:.3e} "
                       f"at rank {rank} exceeds epsilon {epsilon:.1e}",
                       RuntimeWarning, stacklevel=2)
+    if basis is not None:
+        left = basis @ left
     return LowRankFactor(left=np.ascontiguousarray(left),
                          right=np.ascontiguousarray(right),
                          rank=rank, epsilon=epsilon,

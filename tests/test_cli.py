@@ -299,6 +299,32 @@ def test_calderon_product_formed_once_per_size(tmp_path, monkeypatch,
     assert calls == sizes
 
 
+def test_dense_reference_formed_after_the_fast_path(monkeypatch):
+    # _solve_one applies the structured inverse before it forms any N x N
+    # block: the unfiltered split and its Calderon product come last
+    import filtbem.calderon2d as calderon_mod
+    import filtbem.cli as cli_mod
+    from filtbem.solver import WoodburyInverse
+
+    events = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(WoodburyInverse, "apply",
+                        spy("apply", WoodburyInverse.apply))
+    monkeypatch.setattr(cli_mod, "second_kind_split",
+                        spy("split", cli_mod.second_kind_split))
+    monkeypatch.setattr(calderon_mod, "build_calderon_matrix",
+                        spy("calderon", calderon_mod.build_calderon_matrix))
+    cfg = resolve_config("refine", {}, {"filter_n": 13, "epsilon": 1e-4})
+    assert _solve_one(cfg, 96)["rel_error"] <= 1e-3
+    assert events == ["apply", "split", "calderon"]
+
+
 class TestTable:
     def test_skip_above_cap_and_schema(self, tmp_path):
         cfg = resolve_config("table", {}, {

@@ -1,12 +1,40 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from filtbem.compression import (LowRankFactor, _orthonormalize_against,
-                                 lowrank_factor)
+from filtbem.calderon2d import assemble_operators, build_filtered_system
+from filtbem.compression import (LowRankFactor, ProjectedMatrix,
+                                 _orthonormalize_against, lowrank_factor)
+from filtbem.excitation2d import MagneticLineSource
+from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 
 
 def spectral_norm(mat):
     return np.linalg.norm(mat, 2)
+
+
+def digest(skel):
+    """sha256 prefix of the factors, the achieved error and the norm estimate."""
+    h = hashlib.sha256()
+    for arr in (skel.left, skel.right,
+                np.array([skel.achieved_error, skel.norm_estimate])):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module", params=["refine", "table"])
+def filtered_block(request):
+    """The filtered compact block of the refine or table config at N=502,
+    in filter coordinates, with the config's tolerance."""
+    curve, filter_n, eps = {"refine": (Ellipse(1.42, 1.32), 21, 6e-6),
+                            "table": (PerturbedCircle(2.0, 0.2, 8), 200, 1e-3)
+                            }[request.param]
+    mesh = build_mesh(curve, 502)
+    ops = assemble_operators(mesh, 0.4)
+    system = build_filtered_system(mesh, 0.4, 1.0, MagneticLineSource((3.0, 0.0)),
+                                   "efie", filter_n, ops=ops)
+    return request.param, system.compact, eps
 
 
 class TestLowRankFactor:
@@ -110,6 +138,21 @@ class TestLowRankFactor:
         assert full.shape[1] >= 52  # the two new directions are kept
         assert np.abs(gram - np.eye(full.shape[1])).max() <= 1e-12
 
+    def test_ndarray_input_factors_unchanged(self):
+        # digests of what the square-only implementation returned before
+        # ProjectedMatrix input existed, the same at one and two BLAS threads
+        rng = np.random.default_rng(9)
+        mat = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+        mat = mat @ np.diag(np.logspace(0, -6, 50))
+        skel = lowrank_factor(mat, 1e-4, seed=123)
+        assert skel.rank == 33 and digest(skel) == "08bb69527a69a732"
+        q = np.linalg.qr(np.random.default_rng(11).standard_normal((24, 24)))[0]
+        skel = lowrank_factor(q, 1e-6, seed=12)
+        assert skel.rank == 24 and digest(skel) == "3e0ab966492cf7a7"
+        # a plain array is the projected form with the identity basis
+        assert digest(lowrank_factor(ProjectedMatrix(None, q), 1e-6, seed=12)) \
+            == "3e0ab966492cf7a7"
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             lowrank_factor(np.eye(4), 0.0)
@@ -117,3 +160,64 @@ class TestLowRankFactor:
             lowrank_factor(np.eye(4), 1.5)
         with pytest.raises(ValueError):
             lowrank_factor(np.ones((3, 4)), 1e-3)
+
+
+class TestProjectedInput:
+    def test_array_and_shape(self):
+        rng = np.random.default_rng(1)
+        basis = np.linalg.qr(rng.standard_normal((30, 4)))[0]
+        coeffs = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
+        pm = ProjectedMatrix(basis, coeffs)
+        assert pm.shape == (30, 30)
+        assert np.array_equal(np.asarray(pm), basis @ coeffs)
+        ident = ProjectedMatrix(None, coeffs)
+        assert ident.shape == (4, 30)
+        assert np.asarray(ident) is coeffs
+        assert np.array(ident) is not coeffs    # a copy when one is asked for
+        with pytest.raises(ValueError, match="square"):
+            lowrank_factor(ident, 1e-3)
+
+    def test_rank_capped_by_the_coefficient_rows(self):
+        # a full-rank 5 x 60 block: the finder exhausts its range at rank 5
+        # and reproduces basis @ coeffs exactly
+        rng = np.random.default_rng(2)
+        basis = np.linalg.qr(rng.standard_normal((60, 5)))[0]
+        coeffs = rng.standard_normal((5, 60)) + 1j * rng.standard_normal((5, 60))
+        skel = lowrank_factor(ProjectedMatrix(basis, coeffs), 1e-10, seed=3)
+        assert skel.rank == 5 and skel.converged
+        assert skel.left.shape == (60, 5) and skel.right.shape == (60, 5)
+        dense = basis @ coeffs
+        # the same draws on the dense product: the same power iteration
+        assert skel.norm_estimate == pytest.approx(
+            lowrank_factor(dense, 1e-10, seed=3).norm_estimate, rel=1e-12)
+        assert spectral_norm(dense - skel.reconstruct()) <= 1e-12 * spectral_norm(dense)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factored_input_agrees_with_dense_input(self, filtered_block, seed):
+        # same seed, same draws: the same rank and verdict either way.  On
+        # the table block both factors agree to 1e-8.  On the refine block
+        # (rank 17 of at most 21) the factored finder exhausts the 21-row
+        # range and returns the truncated SVD to rounding, while the dense
+        # finder stops once its residual is below a quarter of the target:
+        # its factor differs from the SVD by 1e-7 to 4e-7 of the norm, within
+        # its certified error, and its error estimate by up to 1.5e-4
+        config, block, eps = filtered_block
+        dense = np.asarray(block)
+        projected = lowrank_factor(block, eps, seed=seed)
+        plain = lowrank_factor(dense, eps, seed=seed)
+        assert projected.rank == plain.rank
+        assert projected.converged and plain.converged
+        norm = spectral_norm(dense)
+        gap = spectral_norm(projected.reconstruct() - plain.reconstruct()) / norm
+        if config == "table":
+            assert projected.achieved_error == pytest.approx(plain.achieved_error,
+                                                             rel=1e-8)
+            assert gap <= 1e-8
+        else:
+            u, sing, vh = np.linalg.svd(dense)
+            rank = projected.rank
+            truncated = (u[:, :rank] * sing[:rank]) @ vh[:rank]
+            assert spectral_norm(projected.reconstruct() - truncated) <= 1e-12 * norm
+            assert projected.achieved_error == pytest.approx(plain.achieved_error,
+                                                             rel=1e-3)
+            assert gap <= plain.achieved_error

@@ -4,7 +4,7 @@ import pytest
 from filtbem.assembly2d import assemble_gram, assemble_laplacian
 from filtbem.mesh2d import Ellipse, build_mesh
 from filtbem.spectral import (canonicalize_cut, circulant_filter_apply,
-                              laplacian_filter, laplacian_modes,
+                              cut_cluster, laplacian_filter, laplacian_modes,
                               sym_sqrt_and_invsqrt)
 
 
@@ -105,22 +105,48 @@ class TestCanonicalCut:
 
     def test_split_pair_resolved_independently_of_its_basis(self):
         values = np.array([0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0])
+        gap, run = cut_cluster(values, 3, 5)
+        assert gap == pytest.approx(5e-13, rel=1e-3) and run == (2, 4)
         kept = []
         for angle in (0.0, 0.3, 2.0):
             c, s = np.cos(angle), np.sin(angle)
             vecs = self.basis.copy()
             vecs[:, 2:4] = self.basis[:, 2:4] @ np.array([[c, -s], [s, c]])
-            out, gap, fired = canonicalize_cut(values, vecs, 3, self.reference)
-            assert fired and gap == pytest.approx(5e-13, rel=1e-3)
+            out = canonicalize_cut(vecs, 3, run, self.reference)
             assert np.abs(out.T @ out - np.eye(5)).max() <= 1e-14
             kept.append(out[:, :3] @ out[:, :3].T)
         assert np.abs(kept[1] - kept[0]).max() <= 1e-14
         assert np.abs(kept[2] - kept[0]).max() <= 1e-14
 
+    def test_split_cluster_resolved_independently_of_its_basis(self):
+        # a cut through a triple keeps two of its columns; each kept column
+        # is canonical, not only their span
+        values = np.array([0.0, 1.0, 2.0, 2.0 + 1e-9, 2.0 + 2e-9])
+        _, run = cut_cluster(values, 4, 5)
+        assert run == (2, 5)
+        reference = np.random.default_rng(5).standard_normal((12, 2))
+        kept = []
+        for seed in (0, 1):
+            rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+            vecs = self.basis.copy()
+            vecs[:, 2:5] = self.basis[:, 2:5] @ rot
+            out = canonicalize_cut(vecs, 4, run, reference)
+            assert np.abs(out.T @ out - np.eye(5)).max() <= 1e-14
+            kept.append(out[:, :4])
+        assert np.abs(kept[1] - kept[0]).max() <= 1e-14
+        with pytest.raises(ValueError, match="reference"):
+            canonicalize_cut(self.basis, 4, (2, 5), reference[:, :1])
+
+    def test_cluster_open_at_the_last_of_too_few_values(self):
+        values = np.array([0.0, 1.0, 2.0, 2.0 + 1e-9])
+        assert cut_cluster(values, 3, 10) == (pytest.approx(5e-10, rel=1e-3),
+                                              (2, None))
+        assert cut_cluster(values, 3, 4)[1] == (2, 4)
+
     def test_wide_gap_left_alone(self):
         values = np.array([0.0, 1.0, 2.0, 2.5, 3.0])
-        out, gap, fired = canonicalize_cut(values, self.basis, 3, self.reference)
-        assert out is self.basis and not fired
+        gap, run = cut_cluster(values, 3, 5)
+        assert run is None
         assert gap == pytest.approx(0.2)
 
 
