@@ -15,10 +15,9 @@ from .assembly2d import (assemble_double_layer, assemble_gram,
                          sparse_gram, sparse_laplacian)
 from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
                          assemble_operators, build_calderon_matrix,
-                         build_compact_part, build_filtered_system,
-                         canonical_modes, filter_modes,
-                         normalized_double_layer, normalized_rhs,
-                         second_kind_split)
+                         build_filtered_system, canonical_modes,
+                         filter_modes, normalized_double_layer,
+                         normalized_rhs, second_kind_split)
 from .compression import LowRankFactor, ProjectedMatrix, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
                            assemble_rhs, incident_e_field, incident_fields)
@@ -44,8 +43,8 @@ __all__ = [
     "assemble_laplacian", "assemble_single_layer",
     "sparse_gram", "sparse_laplacian",
     "FilteredSystem", "FilterModes", "Operators2D", "assemble_operators",
-    "build_calderon_matrix", "build_compact_part", "build_filtered_system",
-    "canonical_modes", "filter_modes",
+    "build_calderon_matrix", "build_filtered_system", "canonical_modes",
+    "filter_modes",
     "normalized_double_layer", "normalized_rhs", "second_kind_split",
     "LowRankFactor", "ProjectedMatrix", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",

@@ -8,9 +8,11 @@ share one unknown:
 * second kind:  (I/2 - Dn) x = v_h   with the normalized double layer Dn,
 * combined:     their alpha-weighted sum.
 
-Writing each system as  beta I + C  and low-pass filtering the compact
-block C yields the structured form consumed by the compression and
-Woodbury solver modules.
+Each is  first Z + second (I/2 - Dn)  with right-hand side
+first v_e + second v_h, for the weights (1, 0), (0, 1) and (1, alpha).
+Writing it as  beta I + C  (:func:`second_kind_split`) and low-pass
+filtering the compact block C yields the structured form consumed by the
+compression and Woodbury solver modules.
 
 No dense eigendecomposition runs here.  G^{-1/2} is a sparse banded
 Chebyshev polynomial in the tridiagonal G (:func:`assemble_operators`);
@@ -49,7 +51,6 @@ __all__ = [
     "filter_modes",
     "canonical_modes",
     "build_calderon_matrix",
-    "build_compact_part",
     "normalized_double_layer",
     "normalized_rhs",
     "second_kind_split",
@@ -220,42 +221,27 @@ def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
     return dataclasses.replace(modes, vectors=kept)
 
 
-def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
-                   quad_order: Optional[int]) -> Operators2D:
-    """The given bundle, checked against mesh, k and quad_order, or a new one.
-
-    A ``quad_order`` of None means the bundle's order, or 8 for a new bundle.
-    """
+def _operators_for(mesh: CurveMesh, k: float,
+                   ops: Optional[Operators2D]) -> Operators2D:
+    """The given bundle, checked against mesh and k, or a new one."""
     if ops is None:
-        return assemble_operators(mesh, k, 8 if quad_order is None else quad_order)
+        return assemble_operators(mesh, k)
     if ops.mesh is not mesh or ops.k != k:
         raise ValueError("ops was assembled for another mesh or wavenumber")
-    if quad_order is not None and quad_order != ops.quad_order:
-        raise ValueError(f"quad_order {quad_order} differs from the order "
-                         f"{ops.quad_order} ops was assembled at")
     return ops
 
 
 def build_calderon_matrix(mesh: CurveMesh, k: float,
-                          ops: Optional[Operators2D] = None,
-                          quad_order: Optional[int] = None) -> np.ndarray:
+                          ops: Optional[Operators2D] = None) -> np.ndarray:
     """Normalized preconditioned first-kind matrix (eigenvalues near 1/4).
 
     Computes (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} over the given mesh;
     pass ``ops`` (assembled on this mesh at this k) to reuse operators.
-    ``quad_order`` defaults to that of ``ops`` (8 without ``ops``); an
-    order that differs from it raises ``ValueError``.
+    The quadrature order is that of ``ops`` (the default of
+    :func:`assemble_operators` without it).
     """
-    ops = _operators_for(mesh, k, ops, quad_order)
+    ops = _operators_for(mesh, k, ops)
     return (ops.slayer @ ops.hyper) / (1j * ops.k)
-
-
-def build_compact_part(calderon: np.ndarray) -> np.ndarray:
-    """Subtract the second-kind identity: C = Z - I/4."""
-    out = calderon.copy()
-    idx = np.arange(out.shape[0])
-    out[idx, idx] -= 0.25
-    return out
 
 
 def normalized_double_layer(ops: Operators2D) -> np.ndarray:
@@ -283,35 +269,16 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     return v_e, v_h
 
 
-def _check_formulation(formulation: str, alpha: float) -> None:
+def _weights(formulation: str, alpha: float):
+    """``(first, second)``: the formulation's system is
+    first Z + second (I/2 - Dn).  Raises ``ValueError`` for an unknown
+    formulation or a combined-field coupling alpha <= 0."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
     if formulation == "cfie" and alpha <= 0:
         raise ValueError("combined-field coupling alpha must be positive")
-
-
-def _beta(formulation: str, alpha: float) -> float:
-    return {"efie": 0.25, "mfie": 0.5,
-            "cfie": (1.0 + 2.0 * alpha) / 4.0}[formulation]
-
-
-def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
-    """Split a formulation's unfiltered system into ``(beta, C)``, system beta I + C.
-
-    * efie: beta = 1/4, C = Z - I/4 with Z from :func:`build_calderon_matrix`;
-    * mfie: beta = 1/2, C = -Dn with the normalized double layer Dn;
-    * cfie: beta = (1 + 2 alpha)/4, C = Z - I/4 - alpha Dn, alpha > 0.
-
-    C is returned as a new array.
-    """
-    _check_formulation(formulation, alpha)
-    beta = _beta(formulation, alpha)
-    if formulation == "mfie":
-        return beta, -normalized_double_layer(ops)
-    compact = build_compact_part(build_calderon_matrix(ops.mesh, ops.k, ops=ops))
-    if formulation == "cfie":
-        compact -= alpha * normalized_double_layer(ops)
-    return beta, compact
+    return {"efie": (1.0, 0.0), "mfie": (0.0, 1.0),
+            "cfie": (1.0, alpha)}[formulation]
 
 
 def _real_times(real: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -321,40 +288,62 @@ def _real_times(real: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (real @ mat.view(np.float64)).view(np.complex128)
 
 
-def _projected_split(ops: Operators2D, formulation: str, alpha: float,
-                     w: np.ndarray) -> np.ndarray:
-    """w.T @ C for the compact block C of :func:`second_kind_split`, formed
-    by projecting before multiplying: O(N^2 r) work for r columns of w and
-    no N x N array.
+def _compact_block(ops: Operators2D, first: float, second: float,
+                   w: Optional[np.ndarray]) -> np.ndarray:
+    """w.T @ C for the compact block C = first (Z - I/4) - second Dn, as a
+    new array, or C itself when ``w`` is None (Z then comes from
+    :func:`build_calderon_matrix`).  With a basis each operator is
+    projected before it is multiplied, ((w.T Sn) Nn) / (ik) and w.T Dn:
+    O(N^2 r) work for r columns of w and no N x N array.  A zero weight
+    skips its operator."""
+    block = 0.0
+    if first:
+        if w is None:
+            block = build_calderon_matrix(ops.mesh, ops.k, ops=ops)
+            block[np.diag_indices_from(block)] -= 0.25
+        else:
+            block = _real_times(w.T, ops.slayer) @ ops.hyper
+            block /= 1j * ops.k
+            block -= 0.25 * w.T
+        block *= first
+    if second:
+        dn = normalized_double_layer(ops)
+        term = second * (dn if w is None else _real_times(w.T, dn))
+        block = np.subtract(block, term, out=term)
+    return block
 
-    * efie: ((w.T Sn) Nn) / (ik) - w.T / 4;
-    * mfie: -(w.T Dn);
-    * cfie: the efie block minus alpha (w.T Dn).
+
+def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
+    """Split a formulation's unfiltered system into ``(beta, C)``, system beta I + C.
+
+    With the formulation's weights (first, second), (1, 0) for efie,
+    (0, 1) for mfie and (1, alpha) for cfie (alpha > 0), the system
+    first Z + second (I/2 - Dn) has beta = first/4 + second/2 and
+    C = first (Z - I/4) - second Dn, with Z from
+    :func:`build_calderon_matrix` and the normalized double layer Dn.
+
+    C is returned as a new array.
     """
-    if formulation == "mfie":
-        return -_real_times(w.T, normalized_double_layer(ops))
-    coeffs = _real_times(w.T, ops.slayer) @ ops.hyper
-    coeffs /= 1j * ops.k
-    coeffs -= 0.25 * w.T
-    if formulation == "cfie":
-        coeffs -= alpha * _real_times(w.T, normalized_double_layer(ops))
-    return coeffs
+    first, second = _weights(formulation, alpha)
+    return first / 4 + second / 2, _compact_block(ops, first, second, None)
 
 
 @dataclass(frozen=True)
 class FilteredSystem:
     """Structured system  (beta I + compact) x = rhs  with filtered compact block.
 
-    ``compact`` is the low-pass filtered compact operator before any
-    compression, kept in filter coordinates as a
-    :class:`~filtbem.compression.ProjectedMatrix` ``w @ B``: ``w`` holds the
-    ``filter_n`` kept modes (:func:`filter_modes`) and ``B = w.T @ C`` is
-    the ``filter_n x N`` coefficient block of the unfiltered compact block
-    C.  When every mode is kept the basis is None and ``B`` is C itself.
-    ``np.asarray(compact)`` forms the N x N block; :func:`lowrank_factor`
-    compresses ``B`` without it.  beta is 1/4, 1/2 or (1 + 2 alpha)/4
-    depending on the formulation.  ``cut_gap`` and ``cut_canonicalized``
-    report the filter cut as :class:`FilterModes` does.
+    beta, the compact block C and rhs = first v_e + second v_h follow the
+    formulation's weights (first, second) (see :func:`second_kind_split`).
+    ``compact`` is C low-pass filtered, before any compression, in filter
+    coordinates as a :class:`~filtbem.compression.ProjectedMatrix`
+    ``w @ B``: ``w`` holds the ``filter_n`` kept modes
+    (:func:`filter_modes`) and ``B = w.T @ C`` is the ``filter_n x N``
+    coefficient block; when every mode is kept the basis is None and ``B``
+    is C itself.  ``np.asarray(compact)`` forms the N x N block;
+    :func:`lowrank_factor` compresses ``B`` without it.  ``alpha`` is the
+    combined-field coupling, 0 unless both weights are nonzero.
+    ``cut_gap`` and ``cut_canonicalized`` report the filter cut as
+    :class:`FilterModes` does.
     """
 
     beta: float
@@ -369,8 +358,7 @@ class FilteredSystem:
 
 def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
                           formulation: str, filter_n: int, alpha: float = 0.5,
-                          ops: Optional[Operators2D] = None,
-                          quad_order: Optional[int] = None) -> FilteredSystem:
+                          ops: Optional[Operators2D] = None) -> FilteredSystem:
     """Assemble one of the three filtered formulations.
 
     Below ``filter_n = N`` the compact block is projected before it is
@@ -388,41 +376,30 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     alpha : float
         Combined-field coupling, > 0 (combined formulation only).
     ops : Operators2D, optional
-        Reuse operators previously assembled on this mesh at this k.
-    quad_order : int, optional
-        Defaults to that of ``ops`` (8 without ``ops``); an order that
-        differs from it raises ``ValueError``.
+        Reuse operators previously assembled on this mesh at this k; they
+        fix the quadrature order.
 
     Returns
     -------
     FilteredSystem
     """
     formulation = formulation.lower()
-    _check_formulation(formulation, alpha)
-    ops = _operators_for(mesh, k, ops, quad_order)
+    first, second = _weights(formulation, alpha)
+    ops = _operators_for(mesh, k, ops)
     _check_filter_index(filter_n, mesh.n_nodes)
     v_e, v_h = normalized_rhs(ops, src, eta)
-    if formulation == "efie":
-        rhs = v_e
-    elif formulation == "mfie":
-        rhs = v_h
-    else:
-        rhs = v_e + alpha * v_h
-    alpha = alpha if formulation == "cfie" else 0.0
-    if filter_n == mesh.n_nodes:
-        beta, compact = second_kind_split(ops, formulation, alpha)
-        return FilteredSystem(beta=beta, compact=ProjectedMatrix(None, compact),
-                              rhs=rhs, formulation=formulation,
-                              filter_n=filter_n, alpha=alpha)
+    rhs = sum(weight * vec for weight, vec in ((first, v_e), (second, v_h))
+              if weight)
     # the projection keeps the constant (nullspace) mode: on a closed curve
     # it carries the net-loop current, whose coupling in the compact block
     # is order one, so dropping it would perturb the solution at order one
     # instead of at the band-limit tail
-    modes = filter_modes(ops, filter_n)
-    w = modes.vectors
-    coeffs = _projected_split(ops, formulation, alpha, w)
-    return FilteredSystem(beta=_beta(formulation, alpha),
-                          compact=ProjectedMatrix(w, coeffs), rhs=rhs,
-                          formulation=formulation, filter_n=filter_n,
-                          alpha=alpha, cut_gap=modes.cut_gap,
-                          cut_canonicalized=modes.cut_canonicalized)
+    w, gap, fired = None, None, False      # every mode kept: no basis
+    if filter_n < mesh.n_nodes:
+        modes = filter_modes(ops, filter_n)
+        w, gap, fired = modes.vectors, modes.cut_gap, modes.cut_canonicalized
+    return FilteredSystem(
+        beta=first / 4 + second / 2,
+        compact=ProjectedMatrix(w, _compact_block(ops, first, second, w)),
+        rhs=rhs, formulation=formulation, filter_n=filter_n,
+        alpha=second if first else 0.0, cut_gap=gap, cut_canonicalized=fired)

@@ -4,8 +4,10 @@ The central object is the low-pass projector of a symmetric PSD Laplacian
 (the orthonormalized variational Laplacian of a curve, or a graph
 Laplacian of a triangle mesh): the orthogonal projector onto its n lowest
 eigenmodes minus the nullspace (constants on a closed curve or a
-connected graph).  A circulant FFT fast path applies the same projector in
-O(N log N) on uniformly discretized closed curves.
+connected graph).  On uniformly discretized closed curves,
+:func:`circulant_filter_apply` reproduces :func:`laplacian_filter` by the
+FFT in O(N log N); the curve pipeline, whose filter keeps the constant
+mode, does not use it.
 
 The curve pipeline needs no dense eigendecomposition: the inverse square
 root of a sparse, well-conditioned SPD matrix is a banded Chebyshev
@@ -98,13 +100,16 @@ def _chebyshev_degree(lo: float, hi: float, tol: float) -> int:
     bounded there by M(r), its value at the ellipse's left end.  The
     interpolant of degree n then errs by at most 4 M(r) r^{-n} / (r - 1)
     (Trefethen, *Approximation Theory and Approximation Practice*, SIAM
-    2013, Thm 8.2); the degree is the least n over a grid of r.
+    2013, Thm 8.2); the degree is the least n over a grid of r.  Near
+    kappa = 1 the computed rho loses digits and may overshoot; grid points
+    whose ellipse reaches x <= 0 are skipped.
     """
     kappa = hi / lo
     rho = (np.sqrt(kappa) + 1.0) / (np.sqrt(kappa) - 1.0)
     r = np.linspace(1.0, rho, 1002)[1:-1]
-    bound = (0.5 * (lo + hi) - 0.25 * (hi - lo) * (r + 1.0 / r)) ** -0.5
-    degree = np.log(4.0 * bound / ((r - 1.0) * tol * hi ** -0.5)) / np.log(r)
+    left = 0.5 * (lo + hi) - 0.25 * (hi - lo) * (r + 1.0 / r)
+    r, left = r[left > 0.0], left[left > 0.0]
+    degree = np.log(4.0 * left ** -0.5 / ((r - 1.0) * tol * hi ** -0.5)) / np.log(r)
     return int(np.ceil(degree.min()))
 
 
@@ -120,7 +125,9 @@ def chebyshev_invsqrt(spd) -> scipy.sparse.csr_array:
     to the degree: about 31 at condition 3.2 and 37 at 4.3.  The output
     is symmetrized.
 
-    Raises ``ValueError`` when the discs do not lie in x > 0.
+    An interval narrower than ``INVSQRT_TOL * lo`` gives the constant
+    (mid-point)^{-1/2} I, exact for an input c I.  Raises ``ValueError``
+    when the discs do not lie in x > 0.
     """
     spd = scipy.sparse.csr_array(spd)
     diag = spd.diagonal()
@@ -128,13 +135,15 @@ def chebyshev_invsqrt(spd) -> scipy.sparse.csr_array:
     lo, hi = float((diag - radius).min()), float((diag + radius).max())
     if lo <= 0.0:
         raise ValueError("Gershgorin discs do not certify positive definiteness")
+    eye = scipy.sparse.identity(spd.shape[0], format="csr")
+    if hi - lo <= INVSQRT_TOL * lo:
+        return scipy.sparse.csr_array((0.5 * (lo + hi)) ** -0.5 * eye)
     degree = _chebyshev_degree(lo, hi, INVSQRT_TOL)
     j = np.arange(degree + 1)
     theta = np.pi * (j + 0.5) / (degree + 1)
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)
     coef = (2.0 / (degree + 1)) * (np.cos(np.outer(j, theta)) @ nodes ** -0.5)
     coef[0] *= 0.5
-    eye = scipy.sparse.identity(spd.shape[0], format="csr")
     shifted = (2.0 / (hi - lo)) * spd - ((hi + lo) / (hi - lo)) * eye
     b1, b2 = coef[degree] * eye, 0.0 * eye
     for c in coef[degree - 1:0:-1]:

@@ -10,8 +10,8 @@ from filtbem.assembly2d import (_gauss_pair_blocks, _kernel_full,
                                 assemble_helmholtz_pair, assemble_laplacian,
                                 sparse_gram)
 from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
-                                build_compact_part, build_filtered_system,
-                                canonical_modes, filter_modes,
+                                build_filtered_system, canonical_modes,
+                                filter_modes,
                                 normalized_double_layer, normalized_rhs,
                                 second_kind_split)
 from filtbem.compression import lowrank_factor
@@ -78,25 +78,24 @@ class TestCalderonMatrix:
 
     def test_quadrature_consistency(self):
         mesh = build_mesh(Ellipse(1.0, 1.0), 64)
-        z8 = build_calderon_matrix(mesh, K, quad_order=8)
-        z16 = build_calderon_matrix(mesh, K, quad_order=16)
+        z8 = build_calderon_matrix(mesh, K,
+                                   ops=assemble_operators(mesh, K, quad_order=8))
+        z16 = build_calderon_matrix(mesh, K,
+                                    ops=assemble_operators(mesh, K, quad_order=16))
         assert np.abs(z16 - z8).max() / np.abs(z8).max() <= 1e-8
         assert np.array_equal(build_calderon_matrix(mesh, K), z8)
 
     def test_quad_order_follows_the_bundle(self):
-        # an explicit order must match the one ops was assembled at
+        # the order ops was assembled at is the only one: products built on
+        # ops use it
         mesh = build_mesh(Ellipse(1.0, 1.0), 64)
         ops = assemble_operators(mesh, K, quad_order=12)
         zmat = build_calderon_matrix(mesh, K, ops=ops)
-        assert np.array_equal(build_calderon_matrix(mesh, K, ops=ops,
-                                                    quad_order=12), zmat)
+        assert not np.array_equal(zmat, build_calderon_matrix(mesh, K))
+        system = build_filtered_system(mesh, K, ETA, SRC, "efie", 64, ops=ops)
+        assert np.array_equal(system.compact.coeffs, zmat - 0.25 * np.eye(64))
         system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
         assert system.compact.shape == zmat.shape
-        with pytest.raises(ValueError, match="quad_order"):
-            build_calderon_matrix(mesh, K, ops=ops, quad_order=8)
-        with pytest.raises(ValueError, match="quad_order"):
-            build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops,
-                                  quad_order=8)
 
     def test_rotation_invariance_on_circle(self, circle_ops):
         # uniform circle assembly is shift-equivariant: entries equal after
@@ -136,6 +135,20 @@ class TestOperatorBundle:
         assert np.abs(ref @ gram @ ref - np.eye(n)).max() <= 2e-15
         assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
         assert gm.nnz <= 80 * n    # half-bandwidth = Chebyshev degree <= 39
+
+    @pytest.mark.parametrize("scale", [4.0, 7e5, 1e-300])
+    def test_chebyshev_root_of_a_multiple_of_identity(self, scale):
+        # a one-point Gershgorin interval has no Chebyshev interpolant
+        root = chebyshev_invsqrt(scale * scipy.sparse.identity(5))
+        assert np.array_equal(root.toarray(), scale ** -0.5 * np.eye(5))
+
+    @pytest.mark.parametrize("width", [1e-15, 5e-15, 3e-14])
+    def test_chebyshev_root_of_a_nearly_constant_spectrum(self, width):
+        # this narrow an interval puts the computed Bernstein-ellipse radius
+        # rho past the singularity of x^{-1/2} at 0
+        spd = scipy.sparse.diags([np.linspace(1.0, 1.0 + width, 5)], [0])
+        root = chebyshev_invsqrt(spd).toarray()
+        assert np.abs(root @ spd.toarray() @ root - np.eye(5)).max() <= 4e-16
 
     def test_chebyshev_root_rejects_uncertified_input(self):
         with pytest.raises(ValueError, match="Gershgorin"):
@@ -228,8 +241,7 @@ class TestOperatorBundle:
         mesh = build_mesh(BENCH_CURVES["lobed"], 256)
         n = mesh.n_nodes
         ops = assemble_operators(mesh, K, need_double_layer=True)
-        for name in ("build_calderon_matrix", "build_compact_part",
-                     "second_kind_split"):
+        for name in ("build_calderon_matrix", "second_kind_split"):
             monkeypatch.setattr(calderon_mod, name, refuse)
         tracemalloc.start()
         try:
@@ -287,7 +299,7 @@ class TestOperatorBundle:
         dn = normalized_double_layer(ops)
         beta, compact = second_kind_split(ops, "efie")
         assert beta == 0.25
-        assert np.array_equal(compact, build_compact_part(zmat))
+        assert np.array_equal(compact, zmat - 0.25 * eye)
         beta, compact = second_kind_split(ops, "mfie")
         assert beta == 0.5
         assert np.array_equal(compact, -dn)
@@ -302,22 +314,17 @@ class TestOperatorBundle:
 
 
 class TestCompactPart:
-    def test_identity_shift(self):
-        zmat = 0.25 * np.eye(5, dtype=complex)
-        assert np.abs(build_compact_part(zmat)).max() == 0.0
-
     def test_diagonal_difference_is_exact_quarter(self, circle_ops):
         mesh, ops = circle_ops
         zmat = build_calderon_matrix(mesh, K, ops=ops)
-        cmat = build_compact_part(zmat)
+        _, cmat = second_kind_split(ops, "efie")
         assert np.allclose(np.diag(zmat) - np.diag(cmat), 0.25)
 
     def test_filtered_compact_is_low_rank(self, circle_ops):
         # singular values of the filtered block drop below 6e-6 * max well
         # before rank 40
         mesh, ops = circle_ops
-        zmat = build_calderon_matrix(mesh, K, ops=ops)
-        cmat = build_compact_part(zmat)
+        _, cmat = second_kind_split(ops, "efie")
         w = filter_modes(ops, 21).vectors[:, 1:]   # without the constant mode
         filtered = w @ (w.T @ cmat)
         sv = np.linalg.svd(filtered, compute_uv=False)
@@ -403,6 +410,34 @@ class TestFilteredSystem:
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) <= 1e-4
         vals = np.linalg.eigvals(zmat)
         assert np.mean(np.abs(vals - 0.25) <= 0.1) >= 0.8
+
+    @pytest.mark.parametrize("filter_n", [1, 21, 256])   # 256 = N: no basis
+    def test_one_rule_across_both_routes(self, circle_ops, filter_n):
+        # every formulation is first Z + second (I/2 - Dn) with weights
+        # (1, 0), (0, 1) and (1, alpha): the filtered block is w.T times the
+        # unfiltered one, beta = first/4 + second/2 and the rhs is
+        # first v_e + second v_h
+        mesh, ops = circle_ops
+        systems = {}
+        for formulation, (first, second) in (("efie", (1.0, 0.0)),
+                                             ("mfie", (0.0, 1.0)),
+                                             ("cfie", (1.0, 0.3))):
+            beta, compact_raw = second_kind_split(ops, formulation, alpha=0.3)
+            system = build_filtered_system(mesh, K, ETA, SRC, formulation,
+                                           filter_n, alpha=0.3, ops=ops)
+            basis = system.compact.basis
+            assert (basis is None) == (filter_n == mesh.n_nodes)
+            expected = compact_raw if basis is None else basis.T @ compact_raw
+            assert (np.abs(system.compact.coeffs - expected).max()
+                    <= 1e-12 * np.abs(expected).max())
+            assert system.beta == beta == first / 4 + second / 2
+            assert system.alpha == (second if first else 0.0)
+            systems[formulation] = system
+        v_e, v_h = normalized_rhs(ops, SRC, ETA)
+        assert np.array_equal(systems["efie"].rhs, v_e)
+        assert np.array_equal(systems["mfie"].rhs, v_h)
+        assert np.array_equal(systems["cfie"].rhs,
+                              systems["efie"].rhs + 0.3 * systems["mfie"].rhs)
 
     @pytest.mark.parametrize("formulation", ["efie", "cfie"])
     def test_projection_matches_filter_plus_constant_mode(self, circle_ops,
@@ -519,8 +554,7 @@ class TestFilteredSystem:
         # raw compact block grows toward high modes; filtered one is dead
         # above the cutoff
         mesh, ops = circle_ops
-        zmat = build_calderon_matrix(mesh, K, ops=ops)
-        cmat = build_compact_part(zmat)
+        _, cmat = second_kind_split(ops, "efie")
         modes = dense_modes(ops, 21).vectors
         raw_rows = np.linalg.norm(modes.T @ cmat @ modes, axis=1)
         assert raw_rows[-26:].max() > np.median(raw_rows[:200])
