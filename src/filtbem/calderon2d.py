@@ -190,32 +190,37 @@ def canonical_modes(ops: Operators2D, values: np.ndarray,
     return FilterModes(vectors=vectors, cut_gap=gap, cut_canonicalized=fired)
 
 
+def _lowest_modes(ops: Operators2D, count: int):
+    """``(values, vectors)``: the ``count`` lowest eigenpairs of
+    G^{-1/2} L G^{-1/2}, ascending, as G^{1/2} v for L v = lam G v solved on
+    the sparse pencil (:func:`~filtbem.spectral.pencil_modes`, shifted by
+    minus the first nonzero continuum eigenvalue (2 pi / P)^2).  No N x N
+    array is formed unless ``count`` is N."""
+    mesh = ops.mesh
+    shift = -(2.0 * np.pi / mesh.perimeter) ** 2
+    values, vectors = pencil_modes(sparse_laplacian(mesh), sparse_gram(mesh),
+                                   count, shift)
+    return values, _gram_root_apply(ops, vectors)
+
+
 def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
     """The ``filter_n`` lowest Laplacian modes, Gram-normalized, and the cut.
 
-    Solves L v = lam G v for the lowest ``filter_n + 1`` pairs with the
-    sparse tridiagonal pencil (:func:`~filtbem.spectral.pencil_modes`,
-    shifted by minus the first nonzero continuum eigenvalue (2 pi / P)^2),
-    or more when the cut splits a cluster that runs past them, maps them to
-    orthonormal eigenvectors G^{1/2} v of G^{-1/2} L G^{-1/2}, and makes
-    them canonical (:func:`canonical_modes`).  No N x N array is formed
-    unless all N pairs are needed.
+    Takes the lowest ``filter_n + 1`` modes (:func:`_lowest_modes`),
+    or more when the cut splits a cluster that runs past them, and makes
+    them canonical (:func:`canonical_modes`).
     """
-    mesh = ops.mesh
-    size = mesh.n_nodes
+    size = ops.mesh.n_nodes
     _check_filter_index(filter_n, size)
-    lap, gram = sparse_laplacian(mesh), sparse_gram(mesh)
-    shift = -(2.0 * np.pi / mesh.perimeter) ** 2
     count = min(filter_n + 1, size)
-    values, vectors = pencil_modes(lap, gram, count, shift)
+    values, vectors = _lowest_modes(ops, count)
     while count < size:
         run = cut_cluster(values, filter_n, size)[1]
         if run is None or run[1] is not None:
             break
         count = min(size, 2 * count - filter_n)   # twice as many past the cut
-        values, vectors = pencil_modes(lap, gram, count, shift)
-    modes = canonical_modes(ops, values, _gram_root_apply(ops, vectors),
-                            filter_n)
+        values, vectors = _lowest_modes(ops, count)
+    modes = canonical_modes(ops, values, vectors, filter_n)
     kept = np.ascontiguousarray(modes.vectors[:, :filter_n])
     kept.flags.writeable = False
     return dataclasses.replace(modes, vectors=kept)

@@ -14,13 +14,17 @@ configuration, the seed, the package version and the numerical
 environment (numpy and scipy versions, BLAS thread-count variables).  The
 ``spectra``, ``refine`` and ``table`` sidecars also list, per solved size,
 the filter cut: its relative eigen-gap and whether it split a
-near-degenerate pair that was made canonical.  A run is bit-reproducible
-for a fixed seed and BLAS thread count.
+near-degenerate pair that was made canonical; the ``refine`` and ``table``
+sidecars add the skeleton's rank, convergence, achieved error and norm
+estimate and the Woodbury core's condition number.  A run is
+bit-reproducible for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
 ``key = value`` config file (``#`` comments), overridden by command-line
-flags.  Exit codes: 0 success, 2 configuration/validation error,
-3 numerical failure.
+flags: every key of :class:`ExperimentConfig` is a flag
+``--key-with-dashes`` of every subcommand, parsed as a file value is.
+Exit codes: 0 success, 2 configuration/validation error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -31,15 +35,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .assembly2d import quadrature_rule, sparse_laplacian
-from .calderon2d import (FORMULATIONS, assemble_operators,
+from .assembly2d import quadrature_rule
+from .calderon2d import (FORMULATIONS, _lowest_modes, assemble_operators,
                          build_filtered_system, canonical_modes,
                          second_kind_split)
 from .compression import lowrank_factor
@@ -48,7 +52,6 @@ from .mesh2d import Ellipse, PerturbedCircle, build_mesh
 from .qh3d import (build_incidence, filtered_projectors, icosphere,
                    octahedron, projectors, tetrahedron, torus_mesh)
 from .solver import dense_solve, memory_report, woodbury_factorize
-from .spectral import laplacian_modes
 
 __all__ = ["ExperimentConfig", "main", "run_spectra", "run_refinement",
            "run_table", "run_qh3d_check"]
@@ -105,43 +108,30 @@ class ExperimentConfig:
             d = np.array([self.source_dir_x, self.source_dir_y])
             norm = np.linalg.norm(d)
             if norm == 0:
-                raise ValueError("plane-wave direction must be nonzero")
+                raise ValueError("source_dir_x, source_dir_y: plane-wave "
+                                 "direction must be nonzero")
             return PlaneWaveTE(tuple(d / norm))
         raise ValueError(f"unknown source kind {self.source!r}")
 
 
-_DEFAULTS = {
-    "spectra": {},
-    # rank saturation sets in around N = 1004 at this quadrature accuracy,
-    # so the sweep defaults start one refinement below it
-    "refine": {"epsilon": 6e-6, "filter_n": 21,
-               "sizes": (502, 1004, 2008, 4016)},
-    "table": {"geometry": "perturbed_circle",
-              "sizes": (1004, 2008, 4016, 8032)},
-    "qh3d-check": {},
-}
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_BASE = ExperimentConfig()
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    """A config-file or flag value, typed as the key's default."""
+    if not hasattr(_BASE, key):
         raise ValueError(f"unknown configuration key {key!r}")
-    default = getattr(ExperimentConfig(), key)
-    if isinstance(default, bool):
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean {key} = {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, tuple):
-        return tuple(int(tok) for tok in str(raw).replace(",", " ").split())
-    return str(raw)
+    default, text = getattr(_BASE, key), str(raw).strip()
+    try:
+        if isinstance(default, bool):
+            return _BOOLEANS[text.lower()]
+        if isinstance(default, tuple):
+            return tuple(int(tok) for tok in text.replace(",", " ").split())
+        return type(default)(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse {key} = {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -160,7 +150,9 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(command: str, file_values: dict, cli_values: dict) -> ExperimentConfig:
-    cfg = dataclasses.replace(ExperimentConfig(), **_DEFAULTS.get(command, {}))
+    """Defaults of ``command``, then file values, then flag values, checked
+    (the curve and source built once) before any assembly."""
+    cfg = dataclasses.replace(_BASE, **_COMMANDS[command][2])
     for values in (file_values, cli_values):
         for key, val in values.items():
             if not hasattr(cfg, key):
@@ -176,6 +168,10 @@ def resolve_config(command: str, file_values: dict, cli_values: dict) -> Experim
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
     if cfg.alpha <= 0:
         raise ValueError("alpha must be positive")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+    cfg.curve()
+    cfg.source_model()
     return cfg
 
 
@@ -244,8 +240,9 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     """Full filtered-compressed pipeline at one mesh size.
 
     Returns a dict with the mesh, the structured inverse, the error against
-    the dense reference and the factorize/apply timings.  The dense
-    reference is formed only after the filtered system is released.
+    the dense reference, the factorize/apply timings and the meta records
+    of the filter cut and the skeleton.  The dense reference is formed only
+    after the filtered system is released.
     """
     ops, system, skeleton = _set_up(cfg, n_nodes)
     t0 = time.perf_counter()
@@ -263,8 +260,14 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
     reference = dense_solve(dense_mat, rhs)
     rel_error = float(np.linalg.norm(solution - reference)
                       / np.linalg.norm(reference))
+    diagnostics = {"n_nodes": n_nodes, "rank": skeleton.rank,
+                   "converged": skeleton.converged,
+                   "achieved_error": skeleton.achieved_error,
+                   "norm_estimate": skeleton.norm_estimate,
+                   "core_cond": inverse.core_cond}
     return {"mesh": ops.mesh, "inverse": inverse, "rel_error": rel_error,
-            "t_factorize": t_factorize, "t_apply": t_apply, "filter_cut": cut}
+            "t_factorize": t_factorize, "t_apply": t_apply, "filter_cut": cut,
+            "skeleton": diagnostics}
 
 
 def _filter_cut(system) -> dict:
@@ -282,16 +285,14 @@ def run_spectra(cfg: ExperimentConfig):
     compressed variants in that basis, the right-hand-side projection
     magnitude, and a flag marking modes present in the compression range.
     The compact block is that of the configured formulation.  The full
-    basis comes from a dense eigendecomposition of G^{-1/2} L G^{-1/2},
-    made canonical at the filter cut as the filter's own modes are.
+    basis is all N modes of the (L, G) pencil the filter's own modes come
+    from (:func:`~filtbem.calderon2d.filter_modes`), made canonical at the
+    filter cut as they are.
     """
     ops, system, skeleton = _set_up(cfg, cfg.n)
     mesh = ops.mesh
     _, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
-    gm = ops.gram_invsqrt
-    lap_norm = (gm @ sparse_laplacian(mesh) @ gm).toarray()
-    values, modes = laplacian_modes(0.5 * (lap_norm + lap_norm.T))
-    del lap_norm
+    values, modes = _lowest_modes(ops, mesh.n_nodes)
     modes = canonical_modes(ops, values, modes, cfg.filter_n).vectors
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
     basis, coeffs = system.compact.basis, system.compact.coeffs
@@ -319,11 +320,44 @@ def run_spectra(cfg: ExperimentConfig):
     return rows
 
 
+def _sweep(cfg: ExperimentConfig, command: str, sizes, header, row):
+    """Solve at each of ``sizes``, write ``<command>.csv`` and its meta,
+    then raise a failed size as a ``LinAlgError``.  ``row(n_nodes, res,
+    status)`` makes a CSV row from the :func:`_solve_one` result, or from
+    None for a size above ``max_n`` (``skipped:max_n``) or a failed one."""
+    smallest = min((n for n in sizes if n <= cfg.max_n), default=cfg.filter_n)
+    if cfg.filter_n > smallest:   # checked before the first size is solved
+        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {smallest}")
+    rows, failed, cuts, skeletons = [], [], [], []
+    for n_nodes in sizes:
+        if n_nodes > cfg.max_n:
+            rows.append(row(n_nodes, None, "skipped:max_n"))
+            continue
+        try:
+            res = _solve_one(cfg, n_nodes)
+        except np.linalg.LinAlgError as exc:
+            rows.append(row(n_nodes, None, f"failed:{exc}"))
+            failed.append(n_nodes)
+            continue
+        cuts.append(res["filter_cut"])
+        skeletons.append(res["skeleton"])
+        rows.append(row(n_nodes, res, "ok"))
+    out = _outdir(cfg)
+    write_csv(out / f"{command}.csv", header, rows)
+    write_metadata(out / f"{command}_meta.json", command, cfg,
+                   {"quadrature": quadrature_rule(cfg.quad_order),
+                    "filter_cut": cuts, "skeleton": skeletons})
+    if failed:
+        raise np.linalg.LinAlgError(
+            f"{command} sizes {failed} failed (see {command}.csv)")
+    return rows
+
+
 def run_refinement(cfg: ExperimentConfig):
     """Accuracy and skeleton rank across a refinement sweep.
 
     CSV columns: N, inv_h, rel_error_vs_dense, skeleton_rank,
-    factorize_ms, apply_ms, status.
+    factorize_ms, apply_ms, status.  Sizes above ``max_n`` are left out.
     A size whose solve fails gets a ``failed:`` row; the CSV is still
     written, and then the failure is raised as a ``LinAlgError``.
     """
@@ -331,30 +365,18 @@ def run_refinement(cfg: ExperimentConfig):
     if len(sizes) < 3:
         raise ValueError("refinement sweep needs at least 3 mesh sizes "
                          "(raise --max-n or extend --sizes)")
-    rows = []
-    failed = []
-    cuts = []
-    for n_nodes in sizes:
-        try:
-            res = _solve_one(cfg, n_nodes)
-            cuts.append(res["filter_cut"])
-            rows.append((n_nodes, 1.0 / res["mesh"].h, res["rel_error"],
-                         res["inverse"].rank, 1e3 * res["t_factorize"],
-                         1e3 * res["t_apply"], "ok"))
-        except np.linalg.LinAlgError as exc:
-            rows.append((n_nodes, float("nan"), float("nan"), 0,
-                         float("nan"), float("nan"), f"failed:{exc}"))
-            failed.append(n_nodes)
-    out = _outdir(cfg)
-    write_csv(out / "refine.csv",
-              ["N", "inv_h", "rel_error_vs_dense", "skeleton_rank",
-               "factorize_ms", "apply_ms", "status"], rows)
-    write_metadata(out / "refine_meta.json", "refine", cfg,
-                   {"quadrature": quadrature_rule(cfg.quad_order),
-                    "filter_cut": cuts})
-    if failed:
-        raise np.linalg.LinAlgError(f"refine sizes {failed} failed (see refine.csv)")
-    return rows
+
+    def row(n_nodes, res, status):
+        if res is None:
+            return (n_nodes, float("nan"), float("nan"), 0, float("nan"),
+                    float("nan"), status)
+        return (n_nodes, 1.0 / res["mesh"].h, res["rel_error"],
+                res["inverse"].rank, 1e3 * res["t_factorize"],
+                1e3 * res["t_apply"], status)
+
+    return _sweep(cfg, "refine", sizes,
+                  ["N", "inv_h", "rel_error_vs_dense", "skeleton_rank",
+                   "factorize_ms", "apply_ms", "status"], row)
 
 
 def run_table(cfg: ExperimentConfig):
@@ -364,35 +386,16 @@ def run_table(cfg: ExperimentConfig):
     A size whose solve fails gets a ``failed:`` row; the CSV is still
     written, and then the failure is raised as a ``LinAlgError``.
     """
-    rows = []
-    failed = []
-    cuts = []
-    for n_nodes in cfg.sizes:
-        if n_nodes > cfg.max_n:
-            rows.append((n_nodes, float("nan"), 16 * n_nodes * n_nodes, 0, 0,
-                         "skipped:max_n"))
-            continue
-        try:
-            res = _solve_one(cfg, n_nodes)
-        except np.linalg.LinAlgError as exc:
-            rows.append((n_nodes, float("nan"), 16 * n_nodes * n_nodes, 0, 0,
-                         f"failed:{exc}"))
-            failed.append(n_nodes)
-            continue
-        cuts.append(res["filter_cut"])
+    def row(n_nodes, res, status):
+        if res is None:
+            return (n_nodes, float("nan"), 16 * n_nodes * n_nodes, 0, 0, status)
         report = memory_report(res["inverse"])
-        rows.append((n_nodes, res["rel_error"], report.dense_bytes,
-                     report.skeleton_bytes, report.rank, "ok"))
-    out = _outdir(cfg)
-    write_csv(out / "table.csv",
-              ["N", "rel_error", "dense_bytes", "skeleton_bytes", "rank",
-               "status"], rows)
-    write_metadata(out / "table_meta.json", "table", cfg,
-                   {"quadrature": quadrature_rule(cfg.quad_order),
-                    "filter_cut": cuts})
-    if failed:
-        raise np.linalg.LinAlgError(f"table sizes {failed} failed (see table.csv)")
-    return rows
+        return (n_nodes, res["rel_error"], report.dense_bytes,
+                report.skeleton_bytes, report.rank, status)
+
+    return _sweep(cfg, "table", cfg.sizes,
+                  ["N", "rel_error", "dense_bytes", "skeleton_bytes", "rank",
+                   "status"], row)
 
 
 def run_qh3d_check(cfg: ExperimentConfig):
@@ -445,61 +448,44 @@ def run_qh3d_check(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+_COMMANDS = {   # name: (runner, help, defaults over ExperimentConfig)
+    "spectra": (run_spectra, "per-mode projections on one mesh", {}),
+    # rank saturation sets in around N = 1004 at this quadrature accuracy,
+    # so the sweep defaults start one refinement below it
+    "refine": (run_refinement, "accuracy/rank sweep over mesh sizes",
+               {"epsilon": 6e-6, "filter_n": 21,
+                "sizes": (502, 1004, 2008, 4016)}),
+    "table": (run_table, "memory vs accuracy study",
+              {"geometry": "perturbed_circle",
+               "sizes": (1004, 2008, 4016, 8032)}),
+    "qh3d-check": (run_qh3d_check, "triangle-mesh projector invariants", {}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Every configuration key as ``--key-with-dashes`` on every subcommand.
+
+    A flag keeps its raw text (None when absent) for :func:`_coerce`; a
+    boolean flag given bare means true.  The help shows the subcommand's
+    own defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="filtbem",
         description="Filtered boundary-operator experiments (CSV output)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("spectra", "per-mode projections on one mesh"),
-        ("refine", "accuracy/rank sweep over mesh sizes"),
-        ("table", "memory vs accuracy study"),
-        ("qh3d-check", "triangle-mesh projector invariants"),
-    ]:
+    for name, (_, helptext, defaults) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--config", type=str, default=None,
+        cmd.add_argument("--config", default=None,
                          help="key = value configuration file")
-        cmd.add_argument("--out", type=str, default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="RNG seed")
-        cmd.add_argument("--max-n", dest="max_n", type=int, default=None,
-                         help="largest mesh size actually run")
-        cmd.add_argument("--formulation", type=str, default=None,
-                         choices=FORMULATIONS)
-        cmd.add_argument("--alpha", type=float, default=None,
-                         help="combined-field coupling")
-        cmd.add_argument("--filter-n", dest="filter_n", type=int, default=None,
-                         help="low-pass filter index")
-        cmd.add_argument("--epsilon", type=float, default=None,
-                         help="compression tolerance")
-        cmd.add_argument("--k", type=float, default=None, help="wavenumber (rad/m)")
-        cmd.add_argument("--eta", type=float, default=None, help="impedance (ohm)")
-        cmd.add_argument("--n", type=int, default=None, help="mesh size (spectra)")
-        cmd.add_argument("--sizes", type=str, default=None,
-                         help="comma-separated mesh sizes")
-        cmd.add_argument("--geometry", type=str, default=None,
-                         choices=["ellipse", "circle", "perturbed_circle"])
-        cmd.add_argument("--a", type=float, default=None)
-        cmd.add_argument("--b", type=float, default=None)
-        cmd.add_argument("--r0", type=float, default=None)
-        cmd.add_argument("--amp", type=float, default=None)
-        cmd.add_argument("--lobes", type=int, default=None)
-        cmd.add_argument("--source", type=str, default=None,
-                         choices=["line", "plane"])
-        cmd.add_argument("--source-x", dest="source_x", type=float, default=None)
-        cmd.add_argument("--source-y", dest="source_y", type=float, default=None)
-        cmd.add_argument("--quad-order", dest="quad_order", type=int, default=None)
-        cmd.add_argument("--yukawa", dest="yukawa", action="store_const",
-                         const=True, default=None,
-                         help="imaginary-wavenumber preconditioning kernel")
+        for key, default in dataclasses.asdict(
+                dataclasses.replace(_BASE, **defaults)).items():
+            shown = (",".join(map(str, default)) if isinstance(default, tuple)
+                     else default)
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=None, help=f"default: {shown}",
+                             **({"nargs": "?", "const": "true"}
+                                if isinstance(default, bool) else {}))
     return parser
-
-
-_RUNNERS = {
-    "spectra": run_spectra,
-    "refine": run_refinement,
-    "table": run_table,
-    "qh3d-check": run_qh3d_check,
-}
 
 
 def main(argv=None) -> int:
@@ -513,7 +499,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _RUNNERS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so it must be matched first
         print(f"numerical failure: {exc}", file=sys.stderr)

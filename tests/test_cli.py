@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -113,6 +114,28 @@ class TestConfig:
         meta = json.loads((tmp_path / "refine_meta.json").read_text())
         assert [cut["n_nodes"] for cut in meta["filter_cut"]] == [48, 192]
 
+    @pytest.mark.parametrize("argv, config, key", [
+        (["--seed", "-1"], "", "seed"),
+        ([], "source = plane\nsource_dir_x = 0\n", "source_dir_x"),
+        ([], "source = laser\n", "source"),
+        (["--geometry", "square"], "", "geometry"),
+        (["--sizes", "192,96,48", "--filter-n", "60"], "", "filter_n"),
+    ])
+    def test_config_checked_before_any_assembly(self, tmp_path, monkeypatch,
+                                                 capsys, argv, config, key):
+        import filtbem.cli as cli_mod
+        calls = []
+        monkeypatch.setattr(cli_mod, "assemble_operators",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config)
+        code = main(["refine", "--sizes", "48,96,192", "--filter-n", "13",
+                     "--config", str(cfg_file), "--out", str(tmp_path)]
+                    + argv)
+        assert code == 2
+        assert calls == []
+        assert key in capsys.readouterr().err
+
     def test_config_file_through_main(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("geometry = circle\na = 1.0\nn = 64\n"
@@ -125,6 +148,50 @@ class TestConfig:
         assert meta["config"]["n"] == 96        # flag overrides file
         assert meta["config"]["filter_n"] == 13  # file overrides default
         assert meta["config"]["geometry"] == "circle"
+
+
+def _flag_values(tmp_path):
+    """A valid value, not the default, for every configuration key."""
+    return {
+        "geometry": "perturbed_circle", "a": 1.5, "b": 1.1, "r0": 2.5,
+        "amp": 0.1, "lobes": 6, "k": 0.7, "eta": 2.0, "source": "plane",
+        "source_x": 4.0, "source_y": 1.0, "source_dir_x": 0.5,
+        "source_dir_y": 1.5, "formulation": "cfie", "alpha": 0.3,
+        "filter_n": 40, "epsilon": 1e-5, "n": 96, "sizes": (64, 128, 256),
+        "max_n": 512, "quad_order": 10, "seed": 7, "yukawa": True,
+        "out": str(tmp_path / "elsewhere"),
+    }
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_config_key_is_a_flag(tmp_path, monkeypatch, key):
+    import filtbem.cli as cli_mod
+    resolved = []
+
+    def stop(cfg, n_nodes):
+        resolved.append(cfg)
+        raise np.linalg.LinAlgError("stop before assembly")
+
+    monkeypatch.setattr(cli_mod, "_set_up", stop)
+    value = _flag_values(tmp_path)[key]
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    assert value != getattr(ExperimentConfig(), key)
+    assert main(["spectra", "--" + key.replace("_", "-"), text]) == 3
+    assert getattr(resolved[0], key) == value
+
+
+@pytest.mark.parametrize("command", ["spectra", "refine", "table", "qh3d-check"])
+def test_help_shows_the_commands_own_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = resolve_config(command, {}, {})
+    for key in ("filter_n", "epsilon", "geometry", "sizes"):
+        value = getattr(defaults, key)
+        shown = ",".join(map(str, value)) if key == "sizes" else value
+        flag = "--" + key.replace("_", "-")
+        assert f"{flag} {key.upper()} default: {shown}" in text
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +275,36 @@ def test_spectra_raw_block_is_the_configured_formulation(tmp_path, formulation):
             <= 1e-12 * proj_raw.max())
 
 
+def test_spectra_basis_starts_with_the_filters_own_modes(tmp_path, monkeypatch):
+    # the 8-fold symmetric curve keeps the pair m = 15 degenerate, so the
+    # cut at 30 splits it and is made canonical
+    import filtbem.cli as cli_mod
+    from filtbem.calderon2d import filter_modes
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        return wrapped
+
+    monkeypatch.setattr(cli_mod, "_set_up", spy("set_up", cli_mod._set_up))
+    monkeypatch.setattr(cli_mod, "canonical_modes",
+                        spy("modes", cli_mod.canonical_modes))
+    cfg = resolve_config("spectra", {}, {
+        "geometry": "perturbed_circle", "n": 128, "filter_n": 30,
+        "out": str(tmp_path)})
+    run_spectra(cfg)
+    ops, system, _ = seen["set_up"]
+    kept = seen["modes"].vectors[:, :30]
+    own = filter_modes(ops, 30).vectors
+    assert np.abs(kept @ kept.T - own @ own.T).max() <= 1e-12
+    assert seen["modes"].cut_canonicalized and system.cut_canonicalized
+    meta = json.loads((tmp_path / "spectra_meta.json").read_text())
+    assert meta["filter_cut"] == [{"n_nodes": 128, "gap": system.cut_gap,
+                                   "canonicalized": True}]
+
+
 class TestRefine:
     def test_csv_and_trends(self, tmp_path):
         cfg = resolve_config("refine", {}, {
@@ -223,6 +320,27 @@ class TestRefine:
         inv_h = [r[1] for r in rows]
         assert inv_h[1] / inv_h[0] == pytest.approx(2.0, rel=0.01)
         assert inv_h[2] / inv_h[1] == pytest.approx(2.0, rel=0.01)
+
+    def test_meta_records_each_skeleton(self, tmp_path, monkeypatch):
+        import filtbem.cli as cli_mod
+        factor = cli_mod.lowrank_factor
+        monkeypatch.setattr(
+            cli_mod, "lowrank_factor", lambda *args, **kwargs: dataclasses.replace(
+                factor(*args, **kwargs), converged=False))
+        code = main(["refine", "--geometry", "circle", "--a", "1.0",
+                     "--sizes", "48,96,192", "--filter-n", "13",
+                     "--epsilon", "1e-4", "--out", str(tmp_path)])
+        assert code == 0
+        header, _ = read_csv(tmp_path / "refine.csv")
+        assert header[-1] == "status"
+        meta = json.loads((tmp_path / "refine_meta.json").read_text())
+        records = meta["skeleton"]
+        assert [rec["n_nodes"] for rec in records] == [48, 96, 192]
+        for rec in records:
+            assert rec["converged"] is False
+            assert 1 <= rec["rank"] <= 13
+            assert 0 < rec["achieved_error"] <= 1e-4 < rec["norm_estimate"]
+            assert 1 <= rec["core_cond"] < 1e8
 
     def test_needs_three_sizes(self, tmp_path):
         cfg = resolve_config("refine", {}, {
