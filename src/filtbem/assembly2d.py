@@ -6,20 +6,34 @@ variational Laplacian over a :class:`~filtbem.mesh2d.CurveMesh`.
 
 Quadrature strategy
 -------------------
-Segment pairs that do not touch are integrated with tensor Gauss-Legendre,
-in one routine that the single and double layers call with their kernels
-(the hypersingular operator reuses the single-layer blocks).  The rule is
-graded by admissibility (Sauter & Schwab, *Boundary Element Methods*,
-Springer 2011, ch. 5), see ``quadrature_rule``:
+One routine integrates every kernel, a block of hat rows at a time (see
+``_row_block_pass``).  For hat rows [s, e) it forms the tensor-Gauss
+shape-function blocks of the test segments s-1 .. e-1 that feed them,
+against every source segment, and folds them straight into those rows of
+each output matrix; no N x N shape accumulator exists.  The hypersingular
+operator reuses the single-layer blocks of the same rows through its
+per-pair transform.  A symmetric kernel (S, N) visits half of the pairs;
+the pass then adds the transpose in place, tile by tile, so S and N come
+out exactly symmetric.  No two row blocks write the same hat row, so the
+blocks, and then the transpose tiles, run on a thread pool with one worker
+per CPU of the process's affinity mask, fewer on meshes too small to give
+each worker eight row blocks (scipy's Bessel functions release the GIL).
+The pool lives only as long as the pass, and the result does not depend
+on its size.  The symmetry and finiteness checks read the
+matrices in strips, adding no N x N temporary.
+
+Pairs that do not touch take tensor Gauss-Legendre, graded by
+admissibility (Sauter & Schwab, *Boundary Element Methods*, Springer 2011,
+ch. 5), see ``quadrature_rule``:
 
 * far pairs, whose midpoints are at least FAR_RADIUS = 20 times the longer
-  segment apart, take order max(2, ceil(q/2)) on the full (n, n) grid;
-  their integrand is nearly polynomial;
+  segment apart, take order max(2, ceil(q/2)) on the full grid of the
+  row block; their integrand is nearly polynomial;
 * the other non-touching pairs are near.  They are found from midpoint
   distances, not from index distance, so a curve that folds back on
   itself keeps order q where it comes close.
-  They are integrated at order q on gathered index arrays of 38 N to
-  46 N ordered pairs on the two benchmark curves.
+  They are integrated at order q on gathered index arrays, 38 to 46
+  ordered pairs per segment on the two benchmark curves.
 
 Against order q everywhere, S, N and D move by <= 3e-14 relative (max
 norm) at q = 8 while k times the longest segment stays <= 0.2.  The far
@@ -42,6 +56,10 @@ that the normalized composition with the single layer is second kind; see
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -65,7 +83,10 @@ __all__ = [
 LOG_COEF = -1.0 / (2.0 * np.pi)  # strength of the ln|r-r'| part of the kernel
 SYMMETRY_TOL = 1e-12
 FAR_RADIUS = 20.0  # admissibility radius of the far rule, in segment lengths
-FAR_BLOCK = 1 << 14  # entries per row block of the far sweep and the near search
+ROW_BLOCK = 1 << 14  # entries per row block of the kernel pass ...
+MIN_ROWS = 16        # ... which holds at least this many hat rows
+BLOCKS_PER_WORKER = 8  # fewest row blocks per worker thread of the pass
+TILE = 128           # rows per tile of the in-place transpose and the checks
 
 # Exact moments over the unit square: integral of n_a(x) n_b(y) ln|x-y|
 # for linear shape functions n_0 = 1-x, n_1 = x (same-segment log part).
@@ -94,13 +115,29 @@ _ADJ_GAMMA_T2 = {
 
 
 def assert_symmetric(mat: np.ndarray, rel_tol: float = SYMMETRY_TOL, name: str = "matrix"):
-    """Raise if ``mat`` deviates from its transpose beyond ``rel_tol`` (max norm)."""
-    scale = np.abs(mat).max()
+    """Raise if ``mat`` deviates from its transpose beyond ``rel_tol`` (max norm).
+
+    Reads ``mat`` in strips of TILE rows, so it makes no N x N temporary.
+    """
+    scale = asym = 0.0
+    for start in range(0, mat.shape[0], TILE):
+        rows = slice(start, start + TILE)
+        scale = max(scale, np.abs(mat[rows]).max())
+        asym = max(asym, np.abs(mat[rows] - mat[:, rows].T).max())
     if scale == 0.0:
         return
-    asym = np.abs(mat - mat.T).max() / scale
+    asym /= scale
     if asym > rel_tol:
         raise AssertionError(f"{name} asymmetry {asym:.3e} exceeds {rel_tol:.1e}")
+
+
+def _check_assembled(mat: np.ndarray, name: str, symmetric: bool):
+    """Symmetry (when expected) and finiteness of an assembled matrix, by strips."""
+    if symmetric:
+        assert_symmetric(mat, name=name)
+    for start in range(0, mat.shape[0], TILE):
+        if not np.all(np.isfinite(mat[start:start + TILE])):
+            raise FloatingPointError(f"{name} contains non-finite entries")
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,36 +182,8 @@ def _kernel_smooth_limit(k: float, kind: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Shared machinery: per-pair shape-function blocks
+# Shared machinery: the row-block kernel pass
 # ---------------------------------------------------------------------------
-def _rolled_add(dst: np.ndarray, src: np.ndarray, a: int, b: int):
-    """dst[i, j] += src[i-a, j-b] with cyclic wrap, without temporaries."""
-    n = dst.shape[0]
-    ra, rb = a % n, b % n
-    dst[ra:, rb:] += src[: n - ra, : n - rb]
-    dst[:ra, rb:] += src[n - ra:, : n - rb]
-    dst[ra:, :rb] += src[: n - ra, n - rb:]
-    dst[:ra, :rb] += src[n - ra:, n - rb:]
-
-
-def _blocks_to_matrix(blocks, name: str, symmetric: bool = True) -> np.ndarray:
-    """Sum shape-function blocks onto hat functions and check the result.
-
-    ``blocks[a][b][p, q]`` pairs local shape a on segment p with local
-    shape b on segment q, i.e. the hats of nodes p + a and q + b (cyclic).
-    """
-    n = blocks[0][0].shape[0]
-    out = np.zeros((n, n), np.complex128)
-    for a in range(2):
-        for b in range(2):
-            _rolled_add(out, blocks[a][b], a, b)
-    if symmetric:
-        assert_symmetric(out, name=name)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"{name} contains non-finite entries")
-    return out
-
-
 def quadrature_rule(quad_order: int = 8) -> dict:
     """Gauss orders and admissibility radius used at ``quad_order``.
 
@@ -189,33 +198,23 @@ def quadrature_rule(quad_order: int = 8) -> dict:
             "touching_order": max(3 * quad_order, 24)}
 
 
-def _near_pairs(mesh, symmetric):
-    """Index arrays (p, q) of the non-touching near segment pairs, sorted.
+def _near_pairs(mesh, segs):
+    """Near, non-touching pairs of the test segments ``segs``: local rows
+    r and source segments q, sorted.
 
     A pair is near when its midpoints are closer than FAR_RADIUS times the
     longer of the two segments.  The test is geometric, so a curve that
-    folds back on itself gets its close but index-distant pairs.  Only
-    p < q is returned for a symmetric kernel, both orders otherwise.
-    Distances are formed one block of rows at a time.
+    folds back on itself gets its close but index-distant pairs.
     """
     n = mesh.n_nodes
     ell = mesh.segment_lengths
     mid_x, mid_y = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
     reach_sq = (FAR_RADIUS * ell) ** 2
-    step = max(1, FAR_BLOCK // n)
-    found_p, found_q = [], []
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        dist_sq = (mid_x[rows, None] - mid_x) ** 2 + (mid_y[rows, None] - mid_y) ** 2
-        p, q = np.nonzero(dist_sq < np.maximum(reach_sq[rows, None], reach_sq))
-        found_p.append(p + start)
-        found_q.append(q)
-    p, q = np.concatenate(found_p), np.concatenate(found_q)
-    gap = (q - p) % n
+    dist_sq = (mid_x[segs, None] - mid_x) ** 2 + (mid_y[segs, None] - mid_y) ** 2
+    rows, q = np.nonzero(dist_sq < np.maximum(reach_sq[segs, None], reach_sq))
+    gap = (q - segs[rows]) % n
     keep = (gap > 1) & (gap < n - 1)
-    if symmetric:
-        keep &= q > p
-    return p[keep], q[keep]
+    return rows[keep], q[keep]
 
 
 def _gauss_points(mesh, order):
@@ -236,20 +235,22 @@ def _kernel_at(kernel, test, source, src, floor):
     return kernel(dx, dy, d, src)
 
 
-def _near_pair_blocks(mesh, order, kernel, p, q, floor):
+def _near_pair_blocks(mesh, gauss, kernel, p, q, floor):
     """Tensor-Gauss blocks [a][b] of the gathered pairs (p[i], q[i]), each (M,).
 
-    All g x g Gauss pairs are taken, one test point against every source
-    point per step, on (g, M) arrays.
+    ``gauss`` is a :func:`_gauss_points` rule.  All g x g Gauss pairs are
+    taken, one test point against every source point per step, on (g, M)
+    arrays.  The sums over source points avoid BLAS, which would contend
+    with itself when the pass's threads call it at once.
     """
-    pts, w, shapes = _gauss_points(mesh, order)
+    pts, w, shapes = gauss
     src_pts = pts[:, q]
-    src_coef = w * shapes                   # [b][h]
+    src_coef = (w * shapes).astype(np.complex128)   # [b][h]
     blocks = [[np.zeros(len(p), np.complex128) for _ in range(2)] for _ in range(2)]
     for gi in range(len(w)):
         kern = _kernel_at(kernel, pts[gi, p], src_pts, q, floor)
         for b in range(2):
-            row = src_coef[b] @ kern
+            row = np.einsum("h,hm->m", src_coef[b], kern)
             for a in range(2):
                 blocks[a][b] += (w[gi] * shapes[a, gi]) * row
     jac = mesh.segment_lengths[p] * mesh.segment_lengths[q]
@@ -259,62 +260,147 @@ def _near_pair_blocks(mesh, order, kernel, p, q, floor):
     return blocks
 
 
-def _gauss_pair_blocks(mesh, k, quad_order, kernel, symmetric):
-    """Tensor-Gauss blocks ``accum[a][b]`` of every segment pair, graded.
+@dataclass(frozen=True)
+class _PairRule:
+    """One kernel's graded quadrature over every segment pair of a mesh.
 
-    Far pairs take ``quadrature_rule(quad_order)``'s far order on the full
-    (n, n) grid, swept in blocks of test rows so every temporary stays
-    small.  The near pairs (:func:`_near_pairs`) take ``quad_order`` on
-    gathered index arrays, computed before the (n, n) accumulators exist,
-    and overwrite their far values.  ``kernel(dx, dy, d, src)`` maps test-
-    minus-source offsets and distances to kernel values; ``src`` indexes
-    the source segments along the last axis of the offsets (``slice(None)``
-    on the full grid, the gathered source indices on the near pairs).  A
-    symmetric kernel visits only Gauss pairs gi <= hi of the full grid
-    (gi = hi at half weight) and adds the transposed sums at the end, and
-    evaluates near pairs p < q only, mirroring them as
-    accum[a][b][q, p] = accum[b][a][p, q].
-    Touching-pair entries are filled with garbage and must be overwritten
-    by the caller.
+    ``kernel(dx, dy, d, src)`` maps test-minus-source offsets and distances
+    to kernel values; ``src`` indexes the source segments along the last
+    axis of the offsets (``slice(None)`` on the far grid, the gathered
+    source indices on near pairs).  ``far`` and ``near`` are
+    :func:`_gauss_points` rules.  ``touching`` holds the blocks[a][b], each
+    (n,), of the pairs (p, p), (p, p + 1) and (p, p - 1), indexed by p, in
+    the half-weighted form :func:`_shape_blocks` describes for a symmetric
+    kernel.
     """
+
+    mesh: CurveMesh
+    kernel: Callable
+    symmetric: bool
+    far: tuple
+    near: tuple
+    touching: tuple
+
+
+def _graded_rules(mesh, k, quad_order):
+    """Far and near Gauss rules and the touching order, arguments checked."""
     rule = quadrature_rule(quad_order)
     if k <= 0:
         raise ValueError("wavenumber must be positive")
+    return (_gauss_points(mesh, rule["far_order"]),
+            _gauss_points(mesh, rule["near_order"]), rule["touching_order"])
+
+
+def _shape_blocks(rule: _PairRule, segs: np.ndarray):
+    """Shape-function blocks ``blk[a][b][r, q]`` of the test segments
+    ``segs[r]`` against every source segment q, each (len(segs), n).
+
+    Far pairs take the far rule on the full grid, near pairs
+    (:func:`_near_pairs`) the near rule on gathered index arrays, and
+    touching pairs ``rule.touching``.  For a symmetric kernel the blocks
+    are halves, so that the whole block of pair (p, q) is
+    blk[a][b][p, q] + blk[b][a][q, p]: the far grid takes Gauss pairs
+    gi <= hi (gi = hi at half weight), near pairs p < q carry their block
+    and p > q zero, and touching pairs carry the half-weighted same-segment
+    block and the adjacent block at (p, p + 1) only.
+    """
+    mesh = rule.mesh
     n = mesh.n_nodes
     ell = mesh.segment_lengths
     floor = 1e-12 * mesh.h
-    p, q = _near_pairs(mesh, symmetric)
-    near = _near_pair_blocks(mesh, rule["near_order"], kernel, p, q, floor)
-
-    pts, w, shapes = _gauss_points(mesh, rule["far_order"])
+    pts, w, shapes = rule.far
     g = len(w)
-    accum = [[np.zeros((n, n), np.complex128) for _ in range(2)] for _ in range(2)]
-    step = max(1, FAR_BLOCK // n)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        for gi in range(g):
-            for hi in range(gi if symmetric else 0, g):
-                kern = _kernel_at(kernel, pts[gi, rows, None, :], pts[hi, None, :, :],
-                                  slice(None), floor)
-                ww = w[gi] * w[hi] * (0.5 if symmetric and hi == gi else 1.0)
-                for a in range(2):
-                    for b in range(2):
-                        accum[a][b][rows] += (ww * shapes[a, gi] * shapes[b, hi]) * kern
-    if symmetric:   # block [a][b] = half sum [a][b] + (half sum [b][a])^T
-        accum[0][0] += accum[0][0].T
-        accum[1][1] += accum[1][1].T
-        upper = accum[0][1].copy()
-        accum[0][1] += accum[1][0].T
-        accum[1][0] += upper.T
-        del upper
-    jac = np.outer(ell, ell)
+    blocks = [[np.zeros((len(segs), n), np.complex128) for _ in range(2)]
+              for _ in range(2)]
+    for gi in range(g):
+        for hi in range(gi if rule.symmetric else 0, g):
+            kern = _kernel_at(rule.kernel, pts[gi, segs, None, :], pts[hi, None, :, :],
+                              slice(None), floor)
+            ww = w[gi] * w[hi] * (0.5 if rule.symmetric and hi == gi else 1.0)
+            for a in range(2):
+                for b in range(2):
+                    blocks[a][b] += (ww * shapes[a, gi] * shapes[b, hi]) * kern
+    rows, q = _near_pairs(mesh, segs)
+    mirrored = q < segs[rows] if rule.symmetric else np.zeros(len(q), bool)
+    near_rows, near_q = rows[~mirrored], q[~mirrored]
+    near = _near_pair_blocks(mesh, rule.near, rule.kernel, segs[near_rows], near_q, floor)
+    local = np.arange(len(segs))
+    jac = np.outer(ell[segs], ell)
     for a in range(2):
         for b in range(2):
-            accum[a][b] *= jac
-            accum[a][b][p, q] = near[a][b]
-            if symmetric:
-                accum[a][b][q, p] = near[b][a]
-    return accum
+            blk = blocks[a][b]
+            blk *= jac
+            blk[near_rows, near_q] = near[a][b]
+            blk[rows[mirrored], q[mirrored]] = 0.0
+            for shift, touch in zip((0, 1, -1), rule.touching):
+                blk[local, (segs + shift) % n] = touch[a][b][segs]
+    return blocks
+
+
+def _fold(blocks, dst: np.ndarray):
+    """Sum the blocks of test segments s-1 .. e-1 onto hat rows [s, e), ``dst``.
+
+    Local shape a on segment p is the hat of node p + a, and shape b on
+    segment q that of node q + b (cyclic).
+    """
+    np.add(blocks[0][0][1:], blocks[1][0][:-1], out=dst)
+    shifted = blocks[0][1][1:] + blocks[1][1][:-1]
+    dst[:, 1:] += shifted[:, :-1]
+    dst[:, 0] += shifted[:, -1]
+
+
+def _add_transpose(mat: np.ndarray, start: int):
+    """Set the tiles (I, J) and (J, I), J >= I, of row tile
+    I = [start, start + TILE) to those of mat + mat.T."""
+    rows = slice(start, start + TILE)
+    for col in range(start, mat.shape[0], TILE):
+        cols = slice(col, col + TILE)
+        tile = mat[rows, cols] + mat[cols, rows].T
+        mat[rows, cols] = tile
+        mat[cols, rows] = tile.T
+
+
+def _pool_size() -> int:
+    """Worker threads of the kernel pass: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _row_block_pass(rule: _PairRule, outputs):
+    """The hat matrices of ``rule``, one per ``(name, transform)`` of ``outputs``.
+
+    Works one block of hat rows at a time (see the module docstring), on
+    one worker thread per CPU of :func:`_pool_size`, but with at least
+    BLOCKS_PER_WORKER blocks per worker: that keeps the workers evenly
+    loaded, and their temporaries, about ten blocks' worth each, below
+    1.5 N x N arrays in all whatever the CPU count.
+    ``transform(blocks, segs)``, if not None, maps the blocks of the test
+    segments ``segs`` in place before they are folded into its matrix; the
+    outputs are formed in order from the same blocks.  Each matrix is
+    checked (:func:`_check_assembled`) under its name.
+    """
+    n = rule.mesh.n_nodes
+    mats = [np.empty((n, n), np.complex128) for _ in outputs]
+    step = max(MIN_ROWS, ROW_BLOCK // n)
+    starts = range(0, n, step)
+    workers = min(_pool_size(), max(1, len(starts) // BLOCKS_PER_WORKER))
+
+    def row_block(start):
+        stop = min(start + step, n)
+        segs = np.arange(start - 1, stop) % n
+        blocks = _shape_blocks(rule, segs)
+        for mat, (_, transform) in zip(mats, outputs):
+            if transform is not None:
+                transform(blocks, segs)
+            _fold(blocks, mat[start:stop])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(row_block, starts))
+        if rule.symmetric:
+            for mat in mats:
+                list(pool.map(functools.partial(_add_transpose, mat), range(0, n, TILE)))
+    for mat, (name, _) in zip(mats, outputs):
+        _check_assembled(mat, name, rule.symmetric)
+    return mats
 
 
 def _duffy_geometry(lt, ls, cc, touch_order):
@@ -395,23 +481,42 @@ def _adjacent_pair_blocks(mesh, k, touch_order, kind):
     return blocks
 
 
-def _single_layer_blocks(mesh, k, quad_order, kind="helmholtz"):
-    """Shape-function blocks A[a][b][p, q] = iint psi_a psi_b g over pair (p, q)."""
-    accum = _gauss_pair_blocks(mesh, k, quad_order,
-                               lambda dx, dy, d, src: _kernel_full(k, d, kind),
-                               symmetric=True)
-    n = mesh.n_nodes
-    touch_order = quadrature_rule(quad_order)["touching_order"]
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
+def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
+    """Pair rule of the single-layer kernel, A[a][b][p, q] = iint psi_a psi_b g."""
+    far, near, touch_order = _graded_rules(mesh, k, quad_order)
     self_blocks = _self_pair_blocks(mesh, k, touch_order, kind)
-    adj_blocks = _adjacent_pair_blocks(mesh, k, touch_order, kind)
-    for a in range(2):
-        for b in range(2):
-            accum[a][b][idx, idx] = self_blocks[a][b]
-            accum[a][b][idx, nxt] = adj_blocks[a][b]
-            accum[a][b][nxt, idx] = adj_blocks[b][a]
-    return accum
+    zero = np.zeros(mesh.n_nodes)
+    touching = ([[0.5 * self_blocks[a][b] for b in range(2)] for a in range(2)],
+                _adjacent_pair_blocks(mesh, k, touch_order, kind),
+                [[zero, zero], [zero, zero]])
+    return _PairRule(mesh, lambda dx, dy, d, src: _kernel_full(k, d, kind),
+                     True, far, near, touching)
+
+
+def _hypersingular_transform(mesh, k):
+    """In-place map of single-layer blocks onto hypersingular blocks.
+
+    The arclength derivative of local shape a on segment p is
+    (2a - 1) / l_p, so the derivative part of block [a][b] is
+    +-(sum of the four blocks) / (l_p l_q), positive where a == b.  The
+    map is linear and commutes with the pair transposition, so it applies
+    to the half-weighted blocks of :func:`_shape_blocks` as they are.
+    """
+    ell = mesh.segment_lengths
+
+    def transform(blocks, segs):
+        winv = blocks[0][0] + blocks[0][1] + blocks[1][0] + blocks[1][1]
+        winv *= np.outer(1.0 / ell[segs], 1.0 / ell)
+        nx, ny = mesh.normals.T
+        normal_dot = nx[segs, None] * nx + ny[segs, None] * ny
+        for a in range(2):
+            for b in range(2):
+                blk = blocks[a][b]
+                blk *= normal_dot
+                blk *= -k * k
+                (np.add if a == b else np.subtract)(blk, winv, out=blk)
+                blk *= 1j * k
+    return transform
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +589,9 @@ def assemble_single_layer(mesh: CurveMesh, k: float, quad_order: int = 8,
     -------
     np.ndarray, complex128, (n, n), symmetric.
     """
-    blocks = _single_layer_blocks(mesh, k, quad_order, kind)
-    return _blocks_to_matrix(blocks, "single-layer matrix")
+    [slayer] = _row_block_pass(_single_layer_rule(mesh, k, quad_order, kind),
+                               [("single-layer matrix", None)])
+    return slayer
 
 
 def assemble_hypersingular(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:
@@ -496,29 +602,9 @@ def assemble_hypersingular(mesh: CurveMesh, k: float, quad_order: int = 8) -> np
     composition (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} cluster at +1/4
     (the second-kind identity used throughout this package).
     """
-    blocks = _single_layer_blocks(mesh, k, quad_order)
-    return _hypersingular_from_blocks(mesh, k, blocks)
-
-
-def _hypersingular_from_blocks(mesh, k, blocks):
-    """Hypersingular matrix from single-layer blocks, which it overwrites.
-
-    The arclength derivative of local shape a on segment p is
-    (2a - 1) / l_p, so the derivative part of block [a][b] is
-    +-(sum of the four blocks) / (l_p l_q), positive where a == b.
-    """
-    ell = mesh.segment_lengths
-    winv = blocks[0][0] + blocks[0][1] + blocks[1][0] + blocks[1][1]
-    winv *= np.outer(1.0 / ell, 1.0 / ell)
-    normal_dot = mesh.normals @ mesh.normals.T
-    for a in range(2):
-        for b in range(2):
-            blk = blocks[a][b]
-            blk *= normal_dot
-            blk *= -k * k
-            (np.add if a == b else np.subtract)(blk, winv, out=blk)
-            blk *= 1j * k
-    return _blocks_to_matrix(blocks, "hypersingular matrix")
+    [hyper] = _row_block_pass(_single_layer_rule(mesh, k, quad_order),
+                              [("hypersingular matrix", _hypersingular_transform(mesh, k))])
+    return hyper
 
 
 def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
@@ -528,9 +614,11 @@ def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
     -------
     (slayer, hyper) : tuple of np.ndarray
     """
-    blocks = _single_layer_blocks(mesh, k, quad_order)
-    slayer = _blocks_to_matrix(blocks, "single-layer matrix")
-    return slayer, _hypersingular_from_blocks(mesh, k, blocks)
+    slayer, hyper = _row_block_pass(
+        _single_layer_rule(mesh, k, quad_order),
+        [("single-layer matrix", None),
+         ("hypersingular matrix", _hypersingular_transform(mesh, k))])
+    return slayer, hyper
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +665,9 @@ def _dlayer_adjacent_generic(k, lt, ls, cc, wc, touch_order):
     return blocks
 
 
-def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:
-    """Galerkin double-layer matrix (normal derivative at the source point).
-
-    The kernel is bounded on smooth curves; on the polygonal chain it
-    vanishes identically on same-segment pairs (flat-segment limit), so
-    self-pair blocks are zero and adjacent pairs carry the near-singular
-    static part, integrated by the Duffy split.
-    """
+def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
+    """Pair rule of the double-layer kernel (all pairs, not symmetric)."""
+    far, near, touch_order = _graded_rules(mesh, k, quad_order)
     nx = mesh.normals[:, 0]
     ny = mesh.normals[:, 1]
 
@@ -592,11 +675,6 @@ def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.
         wdot = dx * nx[src] + dy * ny[src]
         return (0.25j * k) * hankel_h1_1(k * d) * (wdot / d)
 
-    accum = _gauss_pair_blocks(mesh, k, quad_order, kernel, symmetric=False)
-    n = mesh.n_nodes
-    touch_order = quadrature_rule(quad_order)["touching_order"]
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
     ell = mesh.segment_lengths
     tang = mesh.tangents
     nrm = mesh.normals
@@ -611,10 +689,21 @@ def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.
     bwd = _dlayer_adjacent_generic(
         k, ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1),
         touch_order)
+    zero = np.zeros(mesh.n_nodes)
+    touching = ([[zero, zero], [zero, zero]],
+                [[fwd[1 - a][b] for b in range(2)] for a in range(2)],
+                [[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)])
+    return _PairRule(mesh, kernel, False, far, near, touching)
 
-    for a in range(2):
-        for b in range(2):
-            accum[a][b][idx, idx] = 0.0
-            accum[a][b][idx, nxt] = fwd[1 - a][b]
-            accum[a][b][nxt, idx] = bwd[a][1 - b]
-    return _blocks_to_matrix(accum, "double-layer matrix", symmetric=False)
+
+def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:
+    """Galerkin double-layer matrix (normal derivative at the source point).
+
+    The kernel is bounded on smooth curves; on the polygonal chain it
+    vanishes identically on same-segment pairs (flat-segment limit), so
+    self-pair blocks are zero and adjacent pairs carry the near-singular
+    static part, integrated by the Duffy split.
+    """
+    [dlayer] = _row_block_pass(_double_layer_rule(mesh, k, quad_order),
+                               [("double-layer matrix", None)])
+    return dlayer

@@ -16,8 +16,9 @@ environment (numpy and scipy versions, BLAS thread-count variables).  The
 the filter cut: its relative eigen-gap and whether it split a
 near-degenerate pair that was made canonical; the ``refine`` and ``table``
 sidecars add the skeleton's rank, convergence, achieved error and norm
-estimate and the Woodbury core's condition number.  A run is
-bit-reproducible for a fixed seed and BLAS thread count.
+estimate and the Woodbury core's condition number, and under ``set_up``
+the set-up's wall time and the process's peak RSS right after it.  A run
+is bit-reproducible for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
 ``key = value`` config file (``#`` comments), overridden by command-line
@@ -33,6 +34,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -241,10 +243,14 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
 
     Returns a dict with the mesh, the structured inverse, the error against
     the dense reference, the factorize/apply timings and the meta records
-    of the filter cut and the skeleton.  The dense reference is formed only
-    after the filtered system is released.
+    of the filter cut, the skeleton and the set-up (its wall time and the
+    process's peak RSS right after it).  The dense reference is formed
+    only after the filtered system is released.
     """
+    t0 = time.perf_counter()
     ops, system, skeleton = _set_up(cfg, n_nodes)
+    set_up = {"n_nodes": n_nodes, "seconds": time.perf_counter() - t0,
+              "peak_rss_mb": _peak_rss_mb()}
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0
@@ -267,7 +273,12 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
                    "core_cond": inverse.core_cond}
     return {"mesh": ops.mesh, "inverse": inverse, "rel_error": rel_error,
             "t_factorize": t_factorize, "t_apply": t_apply, "filter_cut": cut,
-            "skeleton": diagnostics}
+            "skeleton": diagnostics, "set_up": set_up}
+
+
+def _peak_rss_mb() -> float:
+    """Process high-water resident set size in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 def _filter_cut(system) -> dict:
@@ -324,11 +335,16 @@ def _sweep(cfg: ExperimentConfig, command: str, sizes, header, row):
     """Solve at each of ``sizes``, write ``<command>.csv`` and its meta,
     then raise a failed size as a ``LinAlgError``.  ``row(n_nodes, res,
     status)`` makes a CSV row from the :func:`_solve_one` result, or from
-    None for a size above ``max_n`` (``skipped:max_n``) or a failed one."""
-    smallest = min((n for n in sizes if n <= cfg.max_n), default=cfg.filter_n)
-    if cfg.filter_n > smallest:   # checked before the first size is solved
-        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {smallest}")
-    rows, failed, cuts, skeletons = [], [], [], []
+    None for a size above ``max_n`` (``skipped:max_n``) or a failed one.
+    A sweep with no size at or below ``max_n`` is a configuration error."""
+    # checked before the first size is solved
+    solvable = [n for n in sizes if n <= cfg.max_n]
+    if not solvable:
+        raise ValueError(f"sizes {list(sizes)}: none is at or below "
+                         f"max_n {cfg.max_n}, nothing to solve")
+    if cfg.filter_n > min(solvable):
+        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {min(solvable)}")
+    rows, failed, cuts, skeletons, set_ups = [], [], [], [], []
     for n_nodes in sizes:
         if n_nodes > cfg.max_n:
             rows.append(row(n_nodes, None, "skipped:max_n"))
@@ -341,12 +357,14 @@ def _sweep(cfg: ExperimentConfig, command: str, sizes, header, row):
             continue
         cuts.append(res["filter_cut"])
         skeletons.append(res["skeleton"])
+        set_ups.append(res["set_up"])
         rows.append(row(n_nodes, res, "ok"))
     out = _outdir(cfg)
     write_csv(out / f"{command}.csv", header, rows)
     write_metadata(out / f"{command}_meta.json", command, cfg,
                    {"quadrature": quadrature_rule(cfg.quad_order),
-                    "filter_cut": cuts, "skeleton": skeletons})
+                    "filter_cut": cuts, "skeleton": skeletons,
+                    "set_up": set_ups})
     if failed:
         raise np.linalg.LinAlgError(
             f"{command} sizes {failed} failed (see {command}.csv)")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,8 +10,16 @@ from filtbem import assembly2d
 from filtbem.assembly2d import (assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_hypersingular,
                                 assemble_laplacian, assemble_single_layer,
-                                quadrature_rule, _single_layer_blocks)
+                                quadrature_rule, _shape_blocks, _single_layer_rule)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
+
+
+def _single_layer_blocks(mesh, k, quad_order):
+    """Whole shape-function blocks [a][b][p, q] of the single layer, from the
+    half-weighted blocks the row-block routine forms for every test segment."""
+    half = _shape_blocks(_single_layer_rule(mesh, k, quad_order),
+                         np.arange(mesh.n_nodes))
+    return [[half[a][b] + half[b][a].T for b in range(2)] for a in range(2)]
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +266,53 @@ class TestFiniteness:
         d = assemble_double_layer(mesh, k, 6)
         for mat in (s, nh, d):
             assert np.all(np.isfinite(mat))
+
+
+class TestRowBlockPass:
+    @pytest.fixture(scope="class")
+    def lobed768(self):
+        # 37 row blocks of 21 hat rows: enough for four workers
+        return build_mesh(PerturbedCircle(2.0, 0.2, 8), 768)
+
+    def test_pool_size_changes_no_bit(self, lobed768, monkeypatch):
+        # 4 workers run on 2 cores with a short switch interval, so that a
+        # write lost between threads would show as a changed bit
+        real = assembly2d.ThreadPoolExecutor
+        workers = []
+        monkeypatch.setattr(assembly2d, "ThreadPoolExecutor",
+                            lambda max_workers: workers.append(max_workers)
+                            or real(max_workers=max_workers))
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for size in (1, 2, 4):
+                monkeypatch.setattr(assembly2d, "_pool_size", lambda: size)
+                runs.append((*assemble_helmholtz_pair(lobed768, 0.4),
+                             assemble_double_layer(lobed768, 0.4),
+                             assemble_single_layer(lobed768, 0.4, kind="yukawa")))
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers == [1] * 3 + [2] * 3 + [4] * 3
+        for mats in zip(*runs):
+            assert all(np.array_equal(mats[0], other) for other in mats[1:])
+
+    def test_symmetric_kernels_exactly_symmetric(self, lobed768):
+        s, nh = assemble_helmholtz_pair(lobed768, 0.4)
+        yukawa = assemble_single_layer(lobed768, 0.4, kind="yukawa")
+        for mat in (s, nh, yukawa):
+            assert np.array_equal(mat, mat.T)
+
+    def test_checks_catch_a_bad_matrix(self):
+        mat = np.arange(300 * 300, dtype=np.complex128).reshape(300, 300)
+        mat += mat.T
+        assembly2d.assert_symmetric(mat)
+        mat[290, 3] += 1.0
+        with pytest.raises(AssertionError):
+            assembly2d.assert_symmetric(mat)
+        mat[290, 3] = np.nan
+        with pytest.raises(FloatingPointError):
+            assembly2d._check_assembled(mat, "matrix", symmetric=False)
 
 
 def _segment_far_mask(mesh):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from filtbem.assembly2d import (_gauss_pair_blocks, _kernel_full,
+from filtbem.assembly2d import (_row_block_pass, _single_layer_rule,
                                 assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_laplacian,
                                 sparse_gram)
@@ -194,20 +195,37 @@ class TestOperatorBundle:
             tracemalloc.stop()
         assert peak < 15 * 16 * n * n
 
-    def test_far_sweep_peak_memory(self):
-        # the graded Gauss-pair pass alone: its 4 shape accumulators plus
-        # the transpose copy and the row-block temporaries
-        mesh = build_mesh(Ellipse(1.0, 1.0), 256)
+    @pytest.mark.parametrize("need_double_layer, arrays", [(False, 3.5), (True, 4.5)])
+    def test_assembly_peak_memory_at_1004(self, need_double_layer, arrays):
+        # the kernel pass folds into the hat matrices with no N x N
+        # accumulator, so the peak is the Gram normalization: one raw and one
+        # normalized matrix next to the operators already made
+        mesh = build_mesh(BENCH_CURVES["ellipse"], 1004)
         n = mesh.n_nodes
+        threads = threading.active_count()
         tracemalloc.start()
         try:
-            _gauss_pair_blocks(mesh, K, 8,
-                               lambda dx, dy, d, src: _kernel_full(K, d, "helmholtz"),
-                               symmetric=True)
+            assemble_operators(mesh, K, need_double_layer=need_double_layer)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 7 * 16 * n * n
+        assert peak <= arrays * 16 * n * n
+        assert threading.active_count() == threads   # no pool thread outlives it
+
+    def test_far_sweep_peak_memory(self):
+        # the row-block kernel pass alone (its touching-pair blocks made
+        # beforehand): the output matrix plus the shape blocks and kernel
+        # temporaries of the row blocks in flight
+        mesh = build_mesh(Ellipse(1.0, 1.0), 256)
+        n = mesh.n_nodes
+        rule = _single_layer_rule(mesh, K, 8)
+        tracemalloc.start()
+        try:
+            _row_block_pass(rule, [("single-layer matrix", None)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 16 * n * n
 
     def test_set_up_runs_no_dense_eigensolver(self, monkeypatch):
         # neither the operator bundle nor the filtered system needs a dense

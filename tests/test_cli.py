@@ -136,6 +136,22 @@ class TestConfig:
         assert calls == []
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--sizes", ","],
+        ["--sizes", "2008,4016", "--max-n", "1004"],
+    ])
+    def test_table_with_nothing_to_solve_is_rejected(self, tmp_path, monkeypatch,
+                                                     capsys, argv):
+        import filtbem.cli as cli_mod
+        calls = []
+        monkeypatch.setattr(cli_mod, "assemble_operators",
+                            lambda *args, **kwargs: calls.append(args))
+        code = main(["table", "--out", str(tmp_path)] + argv)
+        assert code == 2
+        assert calls == []
+        assert not (tmp_path / "table.csv").exists()
+        assert "sizes" in capsys.readouterr().err
+
     def test_config_file_through_main(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("geometry = circle\na = 1.0\nn = 64\n"
@@ -441,6 +457,24 @@ def test_dense_reference_formed_after_the_fast_path(monkeypatch):
     cfg = resolve_config("refine", {}, {"filter_n": 13, "epsilon": 1e-4})
     assert _solve_one(cfg, 96)["rel_error"] <= 1e-3
     assert events == ["apply", "split", "calderon"]
+
+
+@pytest.mark.parametrize("command, argv, solved", [
+    ("refine", ["--sizes", "48,64,96"], [48, 64, 96]),
+    ("table", ["--sizes", "48,96,512", "--max-n", "100"], [48, 96]),
+])
+def test_meta_records_each_set_up(tmp_path, command, argv, solved):
+    code = main([command, "--geometry", "circle", "--a", "1.0",
+                 "--filter-n", "13", "--epsilon", "1e-4",
+                 "--out", str(tmp_path)] + argv)
+    assert code == 0
+    _, rows = read_csv(tmp_path / f"{command}.csv")
+    ok = [int(r[0]) for r in rows if r[-1] == "ok"]
+    assert ok == solved
+    meta = json.loads((tmp_path / f"{command}_meta.json").read_text())
+    assert [rec["n_nodes"] for rec in meta["set_up"]] == ok
+    for rec in meta["set_up"]:
+        assert rec["seconds"] > 0 and rec["peak_rss_mb"] > 0
 
 
 class TestTable:
