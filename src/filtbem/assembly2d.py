@@ -38,14 +38,17 @@ ch. 5), see ``quadrature_rule``:
 Against order q everywhere, S, N and D move by <= 3e-14 relative (max
 norm) at q = 8 while k times the longest segment stays <= 0.2.  The far
 error grows about as (k h)^8 (1e-12 at k h = 0.38), still far below the
-O((k h)^2) discretization error of linear elements.  The kernel log
-singularity on touching pairs is split off analytically:
+O((k h)^2) discretization error of linear elements.  On touching pairs
+the kernel's singular part is integrated analytically and the bounded
+remainder by the near pairs' routine at the touching order, with no
+distance floor (``_touching_blocks``):
 
-* same segment: the log part of the double integral has a closed form for
-  linear shape functions; the remainder is smooth up to d^2 log d terms.
+* same segment: the single layer's log part has a closed form for linear
+  shape functions; the double layer vanishes (flat segments).
 * adjacent segments: the square is split along the diagonal through the
   shared node (Duffy), where log|r-r'| = log(radial) + log(angular factor);
-  the radial log moments are exact and the angular factor is smooth.
+  the radial moments of the log part and of the double layer's static
+  part wdot / (2 pi d^2) are exact and the angular factor is smooth.
 
 The hypersingular operator uses the integration-by-parts representation
 (arclength derivatives and normal-weighted single layers), scaled by ik so
@@ -169,8 +172,12 @@ def _kernel_full(k: float, d: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _kernel_smooth(k: float, d: np.ndarray, kind: str) -> np.ndarray:
-    """Single-layer kernel plus ln(d)/(2 pi): bounded as d -> 0."""
-    out = _kernel_full(k, d, kind) - LOG_COEF * np.log(d)
+    """Single-layer kernel plus ln(d)/(2 pi): bounded as d -> 0, and equal
+    to its limit (:func:`_kernel_smooth_limit`) where d = 0."""
+    d = np.asarray(d, dtype=np.float64)
+    out = np.full(d.shape, _kernel_smooth_limit(k, kind), np.complex128)
+    pos = d > 0.0
+    out[pos] = _kernel_full(k, d[pos], kind) - LOG_COEF * np.log(d[pos])
     return out
 
 
@@ -271,7 +278,7 @@ class _PairRule:
     :func:`_gauss_points` rules.  ``touching`` holds the blocks[a][b], each
     (n,), of the pairs (p, p), (p, p + 1) and (p, p - 1), indexed by p, in
     the half-weighted form :func:`_shape_blocks` describes for a symmetric
-    kernel.
+    kernel, built for the whole mesh by :func:`_touching_blocks`.
     """
 
     mesh: CurveMesh
@@ -404,91 +411,72 @@ def _row_block_pass(rule: _PairRule, outputs):
 
 
 def _duffy_geometry(lt, ls, cc, touch_order):
-    """Gauss rule and squared distances for every adjacent segment pair.
+    """Gauss rule and angular factors for every adjacent segment pair.
 
     Both local coordinates run away from the shared node v: test point
     r = v + u lt e_T, source r' = v + s ls e_S, ``cc = e_T . e_S``, so
     |r - r'|^2 = (u lt)^2 + (s ls)^2 - 2 u s lt ls cc.  Returns the rule
-    (tg, tw), the angular factors ``rho1_sq`` (u = 1, s = t) and
-    ``rho2_sq`` (s = 1, u = t) of the two Duffy triangles, each (n, g),
-    and ``d_sq`` on the tensor grid, (n, g, g).
+    (tg, tw) and the angular factors ``rho1_sq`` (u = 1, s = t) and
+    ``rho2_sq`` (s = 1, u = t) of the two Duffy triangles, each (n, g).
     """
     tg, tw = _gauss01(touch_order)
     cross = 2.0 * (lt * ls)[:, None] * tg * cc[:, None]
     rho1_sq = lt[:, None] ** 2 + (ls[:, None] * tg) ** 2 - cross
     rho2_sq = ls[:, None] ** 2 + (lt[:, None] * tg) ** 2 - cross
-    d_sq = (lt[:, None, None] * tg[None, :, None]) ** 2 \
-        + (ls[:, None, None] * tg[None, None, :]) ** 2 \
-        - 2.0 * (lt * ls * cc)[:, None, None] * tg[None, :, None] * tg[None, None, :]
-    return tg, tw, rho1_sq, rho2_sq, d_sq
+    return tg, tw, rho1_sq, rho2_sq
 
 
-def _self_pair_blocks(mesh, k, touch_order, kind):
-    """Exact-log + smooth-remainder blocks for every same-segment pair.
-
-    Returns blocks[a][b] of shape (n,).
+def _touching_blocks(mesh, touch_order, remainder, singular):
+    """Blocks[a][b], each (n,), of the pairs (p, p + shift), shifts 0, +1
+    and -1: the analytic ``singular`` blocks of each shift plus the
+    tensor-Gauss integral of the bounded ``remainder`` kernel at
+    ``touch_order`` (:func:`_near_pair_blocks`, no distance floor).  A shift
+    whose ``singular`` entry is None has no pair and stays zero.
     """
-    ell = mesh.segment_lengths
-    x, w = _gauss01(touch_order)
-    diff = np.abs(x[:, None] - x[None, :])
-    d = ell[:, None, None] * diff[None, :, :]
-    sm = np.empty(d.shape, np.complex128)
-    mask = d > 0.0
-    sm[mask] = _kernel_smooth(k, d[mask], kind)
-    sm[~mask] = _kernel_smooth_limit(k, kind)
-
-    shapes = np.stack([1.0 - x, x])
-    blocks = [[None, None], [None, None]]
-    log_scale = LOG_COEF * ell * ell
-    for a in range(2):
-        for b in range(2):
-            coef = np.outer(w * shapes[a], w * shapes[b])
-            smooth = ell * ell * np.einsum("pgh,gh->p", sm, coef)
-            blocks[a][b] = log_scale * (0.25 * np.log(ell) + _SELF_LOG_MOMENTS[a, b]) + smooth
-    return blocks
+    n = mesh.n_nodes
+    gauss = _gauss_points(mesh, touch_order)
+    p = np.arange(n)
+    zero = np.zeros(n)
+    touching = []
+    for shift, part in zip((0, 1, -1), singular):
+        if part is None:
+            touching.append([[zero, zero], [zero, zero]])
+            continue
+        rem = _near_pair_blocks(mesh, gauss, remainder, p, (p + shift) % n, 0.0)
+        touching.append([[part[a][b] + rem[a][b] for b in range(2)] for a in range(2)])
+    return tuple(touching)
 
 
-def _adjacent_pair_blocks(mesh, k, touch_order, kind):
-    """Blocks for every adjacent ordered pair (p, p+1).
+def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
+    """Pair rule of the single-layer kernel, A[a][b][p, q] = iint psi_a psi_b g.
 
-    Coordinates are measured from the shared node: on segment p the local
-    variable runs backward (so shape a=1, the shared node, is 1-x) and on
-    segment p+1 forward.  Returns blocks[a][b] of shape (n,).
+    The log part -ln|r - r'| / (2 pi) of the touching blocks is analytic.
+    On the adjacent pairs (p, p + 1) the local variable runs from the
+    shared node: backward on segment p (so shape a = 1, the shared node,
+    is 1 - x) and forward on segment p + 1.
     """
+    far, near, touch_order = _graded_rules(mesh, k, quad_order)
     lp = mesh.segment_lengths
     lq = np.roll(lp, -1)
     cc = -np.sum(mesh.tangents * np.roll(mesh.tangents, -1, axis=0), axis=1)
-    tg, tw, rho1_sq, rho2_sq, d_sq = _duffy_geometry(lp, lq, cc, touch_order)
+    tg, tw, rho1_sq, rho2_sq = _duffy_geometry(lp, lq, cc, touch_order)
     t0_1 = 0.5 * (np.log(rho1_sq) @ tw)
     t1_1 = 0.5 * (np.log(rho1_sq) @ (tw * tg))
     t0_2 = 0.5 * (np.log(rho2_sq) @ tw)
     t1_2 = 0.5 * (np.log(rho2_sq) @ (tw * tg))
-    # smooth remainder over the full square
-    sm = _kernel_smooth(k, np.sqrt(d_sq), kind)
-
-    shp_p = np.stack([tg, 1.0 - tg])       # psi_a on segment p vs from-node coord
-    shp_q = np.stack([1.0 - tg, tg])       # psi_b on segment q
-    blocks = [[None, None], [None, None]]
-    scale = lp * lq
+    same = [[LOG_COEF * lp * lp * (0.25 * np.log(lp) + _SELF_LOG_MOMENTS[a, b])
+             for b in range(2)] for a in range(2)]
+    adjacent = [[None, None], [None, None]]
     for a in range(2):
         for b in range(2):
             logpart = _ADJ_LOG_M1[a, b] + _ADJ_LOG_M2[a, b] \
                 + _ADJ_GAMMA_T1["g0"][a, b] * t0_1 + _ADJ_GAMMA_T1["g1"][a, b] * t1_1 \
                 + _ADJ_GAMMA_T2["g0"][a, b] * t0_2 + _ADJ_GAMMA_T2["g1"][a, b] * t1_2
-            coef = np.outer(tw * shp_p[a], tw * shp_q[b])
-            smooth = np.einsum("pgh,gh->p", sm, coef)
-            blocks[a][b] = scale * (LOG_COEF * logpart + smooth)
-    return blocks
-
-
-def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
-    """Pair rule of the single-layer kernel, A[a][b][p, q] = iint psi_a psi_b g."""
-    far, near, touch_order = _graded_rules(mesh, k, quad_order)
-    self_blocks = _self_pair_blocks(mesh, k, touch_order, kind)
-    zero = np.zeros(mesh.n_nodes)
-    touching = ([[0.5 * self_blocks[a][b] for b in range(2)] for a in range(2)],
-                _adjacent_pair_blocks(mesh, k, touch_order, kind),
-                [[zero, zero], [zero, zero]])
+            adjacent[a][b] = lp * lq * (LOG_COEF * logpart)
+    same, adjacent, none = _touching_blocks(
+        mesh, touch_order, lambda dx, dy, d, src: _kernel_smooth(k, d, kind),
+        (same, adjacent, None))
+    touching = ([[0.5 * same[a][b] for b in range(2)] for a in range(2)], adjacent, none)
     return _PairRule(mesh, lambda dx, dy, d, src: _kernel_full(k, d, kind),
                      True, far, near, touching)
 
@@ -624,19 +612,20 @@ def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
 # ---------------------------------------------------------------------------
 # Double layer
 # ---------------------------------------------------------------------------
-def _dlayer_adjacent_generic(k, lt, ls, cc, wc, touch_order):
-    """Double-layer blocks for ordered adjacent pairs sharing a node.
+def _dlayer_static_blocks(lt, ls, cc, wc, touch_order):
+    """Static part wdot / (2 pi d^2) of the double-layer blocks for ordered
+    adjacent pairs sharing a node.
 
     Geometry as in :func:`_duffy_geometry`, with ``wc = e_T . n_S``
     (source normal).  Then (r - r').n_S = u lt wc, so after the Duffy
-    split the static inverse-square part of the kernel is a polynomial
-    over an angular factor, integrated exactly in the radial direction.
+    split the static part is a polynomial over an angular factor,
+    integrated exactly in the radial direction.
 
     Shape functions are in shared-node convention: index 0 is the hat of
     the shared node (1 - coordinate), index 1 the far one.  Returns
     blocks[a_hat][b_hat], each of shape (n,).
     """
-    tg, tw, rho1_sq, rho2_sq, d_sq = _duffy_geometry(lt, ls, cc, touch_order)
+    tg, tw, rho1_sq, rho2_sq = _duffy_geometry(lt, ls, cc, touch_order)
 
     # int psi_a(x) psi_b(x t) dx on the first triangle and
     # int psi_a(y t) psi_b(y) dy on the second, as polynomials in t
@@ -644,25 +633,9 @@ def _dlayer_adjacent_generic(k, lt, ls, cc, wc, touch_order):
           (1, 0): 0.5 - tg / 3.0, (1, 1): tg / 3.0}
     p2 = {(0, 0): 0.5 - tg / 6.0, (0, 1): 0.5 - tg / 3.0,
           (1, 0): tg / 6.0, (1, 1): tg / 3.0}
-
     static_scale = (lt * lt * ls * wc) / (2.0 * np.pi)
-
-    # remainder (full kernel minus static part) over the full square
-    d = np.sqrt(d_sq)
-    wdot = (lt * wc)[:, None, None] * tg[None, :, None]
-    rem = wdot * ((0.25j * k) * hankel_h1_1(k * d) / d - 1.0 / (2.0 * np.pi * d_sq))
-
-    hat = np.stack([1.0 - tg, tg])
-    blocks = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            stat = static_scale * (
-                (p1[a, b] / rho1_sq) @ tw + ((tg * p2[a, b]) / rho2_sq) @ tw
-            )
-            coef = np.outer(tw * hat[a], tw * hat[b])
-            smooth = (lt * ls) * np.einsum("pgh,gh->p", rem, coef)
-            blocks[a][b] = stat + smooth
-    return blocks
+    return [[static_scale * ((p1[a, b] / rho1_sq) @ tw + ((tg * p2[a, b]) / rho2_sq) @ tw)
+             for b in range(2)] for a in range(2)]
 
 
 def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
@@ -675,6 +648,9 @@ def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
         wdot = dx * nx[src] + dy * ny[src]
         return (0.25j * k) * hankel_h1_1(k * d) * (wdot / d)
 
+    def remainder(dx, dy, d, src):
+        return kernel(dx, dy, d, src) - (dx * nx[src] + dy * ny[src]) / (2.0 * np.pi * d * d)
+
     ell = mesh.segment_lengths
     tang = mesh.tangents
     nrm = mesh.normals
@@ -682,17 +658,15 @@ def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
     cc = -np.sum(tang * np.roll(tang, -1, axis=0), axis=1)  # away-from-node dirs
 
     # ordered pair (p, p+1): test = p (shared node local 1), source = p+1
-    fwd = _dlayer_adjacent_generic(
-        k, ell, ell_next, cc, -np.sum(tang * np.roll(nrm, -1, axis=0), axis=1),
-        touch_order)
+    fwd = _dlayer_static_blocks(
+        ell, ell_next, cc, -np.sum(tang * np.roll(nrm, -1, axis=0), axis=1), touch_order)
     # ordered pair (p+1, p): test = p+1 (shared local 0), source = p
-    bwd = _dlayer_adjacent_generic(
-        k, ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1),
-        touch_order)
-    zero = np.zeros(mesh.n_nodes)
-    touching = ([[zero, zero], [zero, zero]],
-                [[fwd[1 - a][b] for b in range(2)] for a in range(2)],
-                [[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)])
+    bwd = _dlayer_static_blocks(
+        ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1), touch_order)
+    touching = _touching_blocks(
+        mesh, touch_order, remainder,
+        (None, [[fwd[1 - a][b] for b in range(2)] for a in range(2)],
+         [[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)]))
     return _PairRule(mesh, kernel, False, far, near, touching)
 
 

@@ -25,6 +25,16 @@ def _check_argument(x):
     return x
 
 
+def _j_plus_iy(j, y, x):
+    """J(x) + i Y(x), J and Y written into the halves of one complex128
+    array (a scalar for scalar x)."""
+    x = _check_argument(x)
+    out = np.empty(x.shape, np.complex128)
+    j(x, out=out.real)
+    y(x, out=out.imag)
+    return out[()]
+
+
 def hankel_h1_0(x):
     """First-kind Hankel function H0^(1)(x) = J0(x) + i Y0(x), x > 0.
 
@@ -37,11 +47,9 @@ def hankel_h1_0(x):
     -------
     complex or np.ndarray, complex128
     """
-    x = _check_argument(x)
-    return j0(x) + 1j * y0(x)
+    return _j_plus_iy(j0, y0, x)
 
 
 def hankel_h1_1(x):
     """First-kind Hankel function H1^(1)(x) = J1(x) + i Y1(x), x > 0."""
-    x = _check_argument(x)
-    return j1(x) + 1j * y1(x)
+    return _j_plus_iy(j1, y1, x)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,40 @@ class TestSingleLayer:
                 ref = lp * lp * ((parts[0] + parts[2]) + 1j * (parts[1] + parts[3]))
                 # oracle itself is ~1e-7 accurate at the log endpoint
                 assert blocks[a][b][p, p] == pytest.approx(ref, rel=3e-6)
+
+    def test_adjacent_pair_blocks_against_adaptive_oracle(self):
+        # nested adaptive quadrature in coordinates from the shared node v:
+        # r = v - u l_p t_p on segment p, r' = v + s l_q t_q on segment
+        # p + 1, so the log singularity sits at the corner u = s = 0
+        mesh = build_mesh(Ellipse(1.0, 1.0), 12)
+        k = 0.7
+        blocks = _single_layer_blocks(mesh, k, 8)
+        p = 2
+        lp, lq = mesh.segment_lengths[p:p + 2]
+        arm_p = lp * mesh.tangents[p]
+        arm_q = lq * mesh.tangents[p + 1]
+        shape_p = (lambda u: u, lambda u: 1.0 - u)   # hats of nodes p, p + 1
+        shape_q = (lambda s: 1.0 - s, lambda s: s)   # hats of nodes p + 1, p + 2
+
+        def kernel(u, s):
+            return 0.25j * hankel1(0, k * np.linalg.norm(u * arm_p + s * arm_q))
+
+        for a in range(2):
+            for b in range(2):
+                def inner(u):
+                    val, _ = quad(lambda s: shape_q[b](s) * kernel(u, s), 0.0, 1.0,
+                                  limit=200, complex_func=True)
+                    return shape_p[a](u) * val
+
+                val, _ = quad(inner, 0.0, 1.0, limit=200, complex_func=True)
+                assert blocks[a][b][p, p + 1] == pytest.approx(lp * lq * val, rel=3e-6)
+
+    @pytest.mark.parametrize("kind", ["helmholtz", "yukawa"])
+    def test_smooth_kernel_takes_its_limit_at_zero_distance(self, kind):
+        # the diagonal Gauss pairs of a same segment meet d = 0 exactly
+        limit = assembly2d._kernel_smooth_limit(0.4, kind)
+        assert assembly2d._kernel_smooth(0.4, 0.0, kind) == limit
+        assert abs(assembly2d._kernel_smooth(0.4, 1e-6, kind) - limit) <= 1e-11
 
     def test_yukawa_kernel_real_and_spd_like(self):
         mesh = build_mesh(Ellipse(1.0, 1.0), 48)
@@ -302,6 +337,21 @@ class TestRowBlockPass:
         yukawa = assemble_single_layer(lobed768, 0.4, kind="yukawa")
         for mat in (s, nh, yukawa):
             assert np.array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize("make_rule", [assembly2d._single_layer_rule,
+                                           assembly2d._double_layer_rule])
+    def test_rule_build_peak_memory(self, make_rule):
+        # touching pairs take the near-pair routine on (g, N) arrays: no
+        # array with a Gauss grid per pair
+        mesh = build_mesh(Ellipse(1.42, 1.32), 1004)
+        n = mesh.n_nodes
+        tracemalloc.start()
+        try:
+            make_rule(mesh, 0.4, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 16 * n * n
 
     def test_checks_catch_a_bad_matrix(self):
         mat = np.arange(300 * 300, dtype=np.complex128).reshape(300, 300)

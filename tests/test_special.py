@@ -63,6 +63,12 @@ class TestHankelH10:
             with pytest.raises(ValueError):
                 hankel_h1_0(bad)
 
+    def test_bitwise_equal_to_j_plus_i_y(self):
+        # J and Y go straight into one complex output: same bits as J + iY
+        x = np.logspace(-8, 3, 4001)
+        assert np.array_equal(hankel_h1_0(x), scipy.special.j0(x) + 1j * scipy.special.y0(x))
+        assert np.array_equal(hankel_h1_1(x), scipy.special.j1(x) + 1j * scipy.special.y1(x))
+
     def test_scalar_and_array_shapes(self):
         assert np.isscalar(hankel_h1_0(0.7)) or hankel_h1_0(0.7).ndim == 0
         out = hankel_h1_0(np.array([0.5, 7.0, 40.0]))
