@@ -1,8 +1,8 @@
 """Normalized second-kind systems on closed curves and their filtered forms.
 
-All systems act on Gram-normalized coefficients (G^{1/2} times the nodal
-values), so identity blocks are meaningful and the three formulations
-share one unknown:
+Every system acts on Gram-normalized coefficients (G^{1/2} times the nodal
+values), so identity blocks are meaningful, and all three formulations
+share one unknown, -h_tot, the total field's nodal values so normalized:
 
 * preconditioned first kind:  Z x = v_e   with Z clustering at 1/4,
 * second kind:  (I/2 - Dn) x = v_h   with the normalized double layer Dn,
@@ -14,10 +14,14 @@ Writing it as  beta I + C  (:func:`second_kind_split`) and low-pass
 filtering the compact block C yields the structured form consumed by the
 compression and Woodbury solver modules.
 
-No dense eigendecomposition runs here.  G^{-1/2} is a sparse banded
-Chebyshev polynomial in the tridiagonal G (:func:`assemble_operators`);
-the filter's modes are the lowest ones of the sparse pencil (L, G),
-computed when a filter index is first known (:func:`filter_modes`).
+No Gram-normalized operator is stored.  The bundle keeps S G^{-1}, N and D
+raw, with the sparse banded Chebyshev G^{-1/2} of the tridiagonal G
+(:func:`assemble_operators`).  The filtered block is read from them
+through thin products with u = G^{-1/2} w for the filter's modes w; the
+dense Z, Dn and C are formed on demand by the same products with the
+identity as basis.  No dense eigendecomposition runs here: the filter's
+modes are the lowest ones of the sparse pencil (L, G), computed when a
+filter index is first known (:func:`filter_modes`).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .assembly2d import (
     assemble_double_layer,
@@ -59,68 +64,93 @@ __all__ = [
 ]
 
 FORMULATIONS = ("efie", "mfie", "cfie")
-_ROW_BLOCK = 64   # rows per block of the in-place right Gram factor
+_ROW_BLOCK = 64   # rows per block of an in-place right factor
 
 
 @dataclass
 class Operators2D:
     """Operator bundle over one mesh and wavenumber.
 
-    ``slayer``, ``hyper`` and ``dlayer`` hold the read-only Gram-normalized
-    G^{-1/2} X G^{-1/2} of S, N and D; the raw matrices are not kept.
-    ``gram_invsqrt`` is the sparse banded G^{-1/2}.  No Laplacian basis is
-    kept: :func:`filter_modes` computes the modes a filter index needs.
+    ``slayer_ginv`` holds P = S G^{-1}, ``hyper`` the hypersingular N and
+    ``dlayer`` the double layer D (assembled on first use), all raw,
+    read-only and N x N; ``gram_invsqrt`` is the sparse banded G^{-1/2}.
+    No Gram-normalized operator is kept: the filtered system reads these
+    through thin products and the dense routes form theirs on demand.  No
+    Laplacian basis is kept either: :func:`filter_modes` computes the modes
+    a filter index needs.
     """
 
     mesh: CurveMesh
     k: float
     gram_invsqrt: scipy.sparse.csr_array
-    slayer: np.ndarray
+    slayer_ginv: np.ndarray
     hyper: np.ndarray
     dlayer: Optional[np.ndarray] = None   # assembled on first use
     quad_order: int = 8
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored operators and the sparse root."""
+        gm = self.gram_invsqrt
+        return (sum(mat.nbytes for mat in (self.slayer_ginv, self.hyper,
+                                           self.dlayer) if mat is not None)
+                + gm.data.nbytes + gm.indices.nbytes + gm.indptr.nbytes)
 
-def _gram_normalized(gm, raw: np.ndarray) -> np.ndarray:
-    """Read-only G^{-1/2} X G^{-1/2} for the sparse symmetric root ``gm``.
 
-    The real root acts on X viewed as interleaved real and imaginary
-    parts, so no complex product runs.  The right factor is applied in
-    place to blocks of rows of gm @ X (gm is symmetric), so the result is
-    the only N x N array made.
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+def _times_right(apply, mat: np.ndarray) -> np.ndarray:
+    """mat A in place, for a complex ``mat`` and a real symmetric A given as
+    ``apply(x) = A x`` on real (N, m) arrays.
+
+    A acts on blocks of rows of mat, transposed and viewed as interleaved
+    real and imaginary parts, so no complex product runs and no temporary
+    larger than one block is made.
     """
-    out = (gm @ np.ascontiguousarray(raw, np.complex128).view(np.float64)
-           ).view(np.complex128)
-    for start in range(0, out.shape[0], _ROW_BLOCK):
-        rows = np.ascontiguousarray(out[start:start + _ROW_BLOCK].T)
-        out[start:start + _ROW_BLOCK] = (
-            gm @ rows.view(np.float64)).view(np.complex128).T
-    out.flags.writeable = False
-    return out
+    for start in range(0, mat.shape[0], _ROW_BLOCK):
+        rows = np.ascontiguousarray(mat[start:start + _ROW_BLOCK].T)
+        mat[start:start + _ROW_BLOCK] = np.ascontiguousarray(
+            apply(rows.view(np.float64))).view(np.complex128).T
+    return mat
 
 
 def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
                        need_double_layer: bool = False,
                        slayer_kind: str = "helmholtz") -> Operators2D:
-    """Assemble and Gram-normalize every operator a filtered system may need.
+    """Assemble every operator a filtered system may need.
 
-    The single-layer/hypersingular pair shares one kernel pass; the double
-    layer is assembled here only when requested, otherwise on first use by
-    :func:`normalized_double_layer`.  G^{-1/2} is the banded
-    :func:`~filtbem.spectral.chebyshev_invsqrt` of the sparse Gram matrix.
+    The single-layer/hypersingular pair shares one kernel pass, and S
+    becomes S G^{-1} in place, one block of rows at a time, through one
+    sparse LU factorization of the tridiagonal G.  The double layer is
+    assembled here only when requested, otherwise on first use.  G^{-1/2}
+    is the banded :func:`~filtbem.spectral.chebyshev_invsqrt` of G.
     """
     if slayer_kind == "helmholtz":
         slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
     else:
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
         hyper = assemble_hypersingular(mesh, k, quad_order)
-    gm = chebyshev_invsqrt(sparse_gram(mesh))
-    slayer = _gram_normalized(gm, slayer)   # rebinding frees each raw matrix
-    hyper = _gram_normalized(gm, hyper)
-    dlayer = (_gram_normalized(gm, assemble_double_layer(mesh, k, quad_order))
-              if need_double_layer else None)
-    return Operators2D(mesh=mesh, k=k, gram_invsqrt=gm, slayer=slayer,
-                       hyper=hyper, dlayer=dlayer, quad_order=quad_order)
+    gram = sparse_gram(mesh)
+    # G is symmetric, so a row block of S G^{-1} is (G^{-1} block^T)^T
+    slayer_ginv = _times_right(scipy.sparse.linalg.splu(gram.tocsc()).solve,
+                               slayer)
+    ops = Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
+                      slayer_ginv=_read_only(slayer_ginv),
+                      hyper=_read_only(hyper), quad_order=quad_order)
+    if need_double_layer:
+        _double_layer(ops)
+    return ops
+
+
+def _double_layer(ops: Operators2D) -> np.ndarray:
+    """The raw double layer D, assembled into the bundle on first use."""
+    if ops.dlayer is None:
+        ops.dlayer = _read_only(
+            assemble_double_layer(ops.mesh, ops.k, ops.quad_order))
+    return ops.dlayer
 
 
 @dataclass(frozen=True)
@@ -236,40 +266,66 @@ def _operators_for(mesh: CurveMesh, k: float,
     return ops
 
 
+def _left_rows(ops: Operators2D, w: Optional[np.ndarray],
+               mat: np.ndarray) -> np.ndarray:
+    """u.T mat for u = G^{-1/2} w, as a new array, or G^{-1/2} mat when
+    ``w`` is None (w = I).  The real left factor acts on mat viewed as
+    interleaved real and imaginary parts, so no complex product runs."""
+    left = ops.gram_invsqrt if w is None else (ops.gram_invsqrt @ w).T
+    return (left @ mat.view(np.float64)).view(np.complex128)
+
+
+def _calderon_rows(ops: Operators2D, w: Optional[np.ndarray]) -> np.ndarray:
+    """w.T Z for Z = G^{-1/2} (S G^{-1}) N G^{-1/2} / (ik), evaluated as
+    ((u.T P) N) G^{-1/2} / (ik) with u = G^{-1/2} w and P = S G^{-1}; Z
+    itself when ``w`` is None.  O(N^2 r) work for r columns of w."""
+    rows = _left_rows(ops, w, ops.slayer_ginv) @ ops.hyper
+    rows /= 1j * ops.k
+    return _times_right(ops.gram_invsqrt.__matmul__, rows)
+
+
+def _double_layer_rows(ops: Operators2D,
+                       w: Optional[np.ndarray]) -> np.ndarray:
+    """w.T Dn for Dn = G^{-1/2} D G^{-1/2}, evaluated as (u.T D) G^{-1/2}
+    with u = G^{-1/2} w; Dn itself when ``w`` is None."""
+    return _times_right(ops.gram_invsqrt.__matmul__,
+                        _left_rows(ops, w, _double_layer(ops)))
+
+
 def build_calderon_matrix(mesh: CurveMesh, k: float,
                           ops: Optional[Operators2D] = None) -> np.ndarray:
     """Normalized preconditioned first-kind matrix (eigenvalues near 1/4).
 
-    Computes (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} over the given mesh;
-    pass ``ops`` (assembled on this mesh at this k) to reuse operators.
-    The quadrature order is that of ``ops`` (the default of
-    :func:`assemble_operators` without it).
+    Computes (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} over the given mesh as
+    a new array, by the products the filtered system uses with the
+    identity as basis; pass ``ops`` (assembled on this mesh at this k) to
+    reuse operators.  The quadrature order is that of ``ops`` (the default
+    of :func:`assemble_operators` without it).
     """
-    ops = _operators_for(mesh, k, ops)
-    return (ops.slayer @ ops.hyper) / (1j * ops.k)
+    return _calderon_rows(_operators_for(mesh, k, ops), None)
 
 
 def normalized_double_layer(ops: Operators2D) -> np.ndarray:
-    """Gram-normalized double layer G^{-1/2} D G^{-1/2} (read-only)."""
-    if ops.dlayer is None:
-        ops.dlayer = _gram_normalized(
-            ops.gram_invsqrt, assemble_double_layer(ops.mesh, ops.k, ops.quad_order))
-    return ops.dlayer
+    """Gram-normalized double layer G^{-1/2} D G^{-1/2}, as a new array."""
+    return _double_layer_rows(ops, None)
 
 
 def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     """Normalized electric and magnetic right-hand sides.
 
-    v_e = -eta^{-1} G^{-1/2} S G^{-1} e  and  v_h = -G^{-1/2} h, where e, h
-    are the Galerkin moments of the incident traces.  The sparse banded
-    G^{-1/2} multiplies the real and imaginary parts of both moments in one
-    (N, 4) product, O(N) work; the normalized S then takes one complex
-    matvec.
+    v_e = (ik / eta) G^{-1/2} S G^{-1} e  and  v_h = -G^{-1/2} h, where e,
+    h are the Galerkin moments of the incident traces.  The factor -ik
+    against the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every
+    formulation the same unknown: -h_tot, the total field's nodal values,
+    in Gram-normalized coefficients.  The stored S G^{-1} takes one
+    complex matvec; the sparse banded G^{-1/2} then multiplies the real
+    and imaginary parts of both vectors in one (N, 4) product, O(N) work.
     """
     e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order)
+    p_vec = ops.slayer_ginv @ e_vec
     y = ops.gram_invsqrt @ np.column_stack(
-        [e_vec.real, e_vec.imag, h_vec.real, h_vec.imag])
-    v_e = -(1.0 / eta) * (ops.slayer @ (y[:, 0] + 1j * y[:, 1]))
+        [p_vec.real, p_vec.imag, h_vec.real, h_vec.imag])
+    v_e = (1j * ops.k / eta) * (y[:, 0] + 1j * y[:, 1])
     v_h = -(y[:, 2] + 1j * y[:, 3])
     return v_e, v_h
 
@@ -286,34 +342,27 @@ def _weights(formulation: str, alpha: float):
             "cfie": (1.0, alpha)}[formulation]
 
 
-def _real_times(real: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """real @ mat for a real matrix and a complex one, as one real product
-    with mat viewed as interleaved real and imaginary parts."""
-    mat = np.ascontiguousarray(mat)
-    return (real @ mat.view(np.float64)).view(np.complex128)
-
-
 def _compact_block(ops: Operators2D, first: float, second: float,
                    w: Optional[np.ndarray]) -> np.ndarray:
     """w.T @ C for the compact block C = first (Z - I/4) - second Dn, as a
     new array, or C itself when ``w`` is None (Z then comes from
-    :func:`build_calderon_matrix`).  With a basis each operator is
-    projected before it is multiplied, ((w.T Sn) Nn) / (ik) and w.T Dn:
-    O(N^2 r) work for r columns of w and no N x N array.  A zero weight
-    skips its operator."""
+    :func:`build_calderon_matrix`, Dn from :func:`normalized_double_layer`).
+    Both routes run the same products, the dense one with w = I; with a
+    basis they cost O(N^2 r) for r columns of w and form no N x N array.
+    A zero weight skips its operator."""
     block = 0.0
     if first:
         if w is None:
             block = build_calderon_matrix(ops.mesh, ops.k, ops=ops)
             block[np.diag_indices_from(block)] -= 0.25
         else:
-            block = _real_times(w.T, ops.slayer) @ ops.hyper
-            block /= 1j * ops.k
+            block = _calderon_rows(ops, w)
             block -= 0.25 * w.T
         block *= first
     if second:
-        dn = normalized_double_layer(ops)
-        term = second * (dn if w is None else _real_times(w.T, dn))
+        term = (normalized_double_layer(ops) if w is None
+                else _double_layer_rows(ops, w))
+        term *= second
         block = np.subtract(block, term, out=term)
     return block
 

@@ -17,7 +17,8 @@ the filter cut: its relative eigen-gap and whether it split a
 near-degenerate pair that was made canonical; the ``refine`` and ``table``
 sidecars add the skeleton's rank, convergence, achieved error and norm
 estimate and the Woodbury core's condition number, and under ``set_up``
-the set-up's wall time and the process's peak RSS right after it.  A run
+the set-up's wall time, the process's peak RSS right after it and the
+bytes the operator bundle holds (``operators_mb``).  A run
 is bit-reproducible for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
@@ -243,14 +244,15 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
 
     Returns a dict with the mesh, the structured inverse, the error against
     the dense reference, the factorize/apply timings and the meta records
-    of the filter cut, the skeleton and the set-up (its wall time and the
-    process's peak RSS right after it).  The dense reference is formed
-    only after the filtered system is released.
+    of the filter cut, the skeleton and the set-up (its wall time, the
+    process's peak RSS right after it and the operator bundle's size).
+    The dense reference is formed only after the filtered system is
+    released.
     """
     t0 = time.perf_counter()
     ops, system, skeleton = _set_up(cfg, n_nodes)
     set_up = {"n_nodes": n_nodes, "seconds": time.perf_counter() - t0,
-              "peak_rss_mb": _peak_rss_mb()}
+              "peak_rss_mb": _peak_rss_mb(), "operators_mb": ops.nbytes / 1e6}
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
+import scipy.special
 
 from filtbem.assembly2d import (_row_block_pass, _single_layer_rule,
                                 assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_laplacian,
                                 sparse_gram)
-from filtbem.calderon2d import (assemble_operators, build_calderon_matrix,
-                                build_filtered_system, canonical_modes,
-                                filter_modes,
+from filtbem.calderon2d import (FORMULATIONS, assemble_operators,
+                                build_calderon_matrix, build_filtered_system,
+                                canonical_modes, filter_modes,
                                 normalized_double_layer, normalized_rhs,
                                 second_kind_split)
 from filtbem.compression import lowrank_factor
-from filtbem.excitation2d import MagneticLineSource, assemble_rhs
+from filtbem.excitation2d import MagneticLineSource, PlaneWaveTE, assemble_rhs
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
-from filtbem.solver import dense_solve
+from filtbem.solver import dense_solve, woodbury_factorize
 from filtbem.spectral import (chebyshev_invsqrt, laplacian_filter,
                               laplacian_modes, sym_sqrt_and_invsqrt)
 
@@ -108,21 +110,33 @@ class TestCalderonMatrix:
 
 
 class TestOperatorBundle:
-    def test_operators_stored_gram_normalized_and_read_only(self):
-        # against the independent dense root; the banded root and its
-        # sparse products agree with it to rounding, not bit for bit
+    def test_operators_stored_raw_and_read_only(self):
+        # the bundle keeps P = S G^{-1}, N and D, not their Gram-normalized
+        # forms; those are made on demand, against the independent dense
+        # root to rounding (the banded root agrees with it, not bit for bit)
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
         ops = assemble_operators(mesh, K)
-        gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))[1]
+        gram = assemble_gram(mesh)
+        gm = sym_sqrt_and_invsqrt(gram)[1]
         slayer, hyper = assemble_helmholtz_pair(mesh, K)
         dlayer = assemble_double_layer(mesh, K)
         assert ops.dlayer is None
         dn = normalized_double_layer(ops)
-        assert normalized_double_layer(ops) is dn is ops.dlayer
-        for stored, raw in ((ops.slayer, slayer), (ops.hyper, hyper), (dn, dlayer)):
+        assert normalized_double_layer(ops) is not dn   # nothing cached
+        ref_p = np.linalg.solve(gram, slayer.T).T       # G is symmetric
+        assert (np.abs(ops.slayer_ginv - ref_p).max()
+                <= 1e-14 * np.abs(ref_p).max())
+        assert np.array_equal(ops.hyper, hyper)
+        assert np.array_equal(ops.dlayer, dlayer)
+        for stored in (ops.slayer_ginv, ops.hyper, ops.dlayer):
             assert not stored.flags.writeable
-            ref = gm @ raw @ gm
-            assert np.abs(stored - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert ops.nbytes == (3 * 16 * 96 ** 2 + ops.gram_invsqrt.data.nbytes
+                              + ops.gram_invsqrt.indices.nbytes
+                              + ops.gram_invsqrt.indptr.nbytes)
+        zref = gm @ slayer @ np.linalg.inv(gram) @ hyper @ gm / (1j * K)
+        for made, ref in ((build_calderon_matrix(mesh, K, ops=ops), zref),
+                          (dn, gm @ dlayer @ gm)):
+            assert np.abs(made - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
     @pytest.mark.parametrize("n", [96, 502])
@@ -196,11 +210,11 @@ class TestOperatorBundle:
             tracemalloc.stop()
         assert peak < 8 * 16 * n * n
 
-    @pytest.mark.parametrize("need_double_layer, arrays", [(False, 3.5), (True, 4.5)])
+    @pytest.mark.parametrize("need_double_layer, arrays", [(False, 2.6), (True, 3.6)])
     def test_assembly_peak_memory_at_1004(self, need_double_layer, arrays):
         # the kernel pass folds into the hat matrices with no N x N
-        # accumulator, so the peak is the Gram normalization: one raw and one
-        # normalized matrix next to the operators already made
+        # accumulator, and S G^{-1} is formed in place, so the peak is the
+        # kernel pass: its output matrices plus the row blocks in flight
         mesh = build_mesh(BENCH_CURVES["ellipse"], 1004)
         n = mesh.n_nodes
         threads = threading.active_count()
@@ -275,16 +289,43 @@ class TestOperatorBundle:
         assert peak < 16 * n * n
 
     def test_rhs_matches_unnormalized_formula(self):
+        # v_e carries the factor -ik that gives it the unknown of v_h
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
         ops = assemble_operators(mesh, K)
         gm = ops.gram_invsqrt
         slayer, _ = assemble_helmholtz_pair(mesh, K)
         e_vec, h_vec = assemble_rhs(mesh, SRC, K, ETA)
         v_e, v_h = normalized_rhs(ops, SRC, ETA)
-        ref = -(1.0 / ETA) * (gm @ (slayer @ (gm @ (gm @ e_vec))))
+        ref = (1j * K / ETA) * (gm @ (slayer @ np.linalg.solve(
+            assemble_gram(mesh), e_vec)))
         assert np.abs(v_e - ref).max() <= 1e-13 * np.abs(ref).max()
         ref_h = -(gm @ h_vec)
         assert np.abs(v_h - ref_h).max() <= 1e-14 * np.abs(ref_h).max()
+
+    def test_rhs_takes_one_root_product_and_no_gram_solve(self, monkeypatch):
+        # per right-hand side: one complex matvec with S G^{-1} and one
+        # (N, 4) product with G^{-1/2}; any further sparse product or G
+        # solve is paid by every source of a sweep
+        import filtbem.calderon2d as calderon_mod
+
+        class CountingMatrix(scipy.sparse.csr_array):
+            def __matmul__(self, other):
+                self.products.append(np.shape(other))
+                return super().__matmul__(other)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("G factorized or solved per right-hand side")
+
+        mesh = build_mesh(Ellipse(1.42, 1.32), 96)
+        ops = assemble_operators(mesh, K)
+        counting = CountingMatrix(ops.gram_invsqrt)
+        counting.products = []
+        ops.gram_invsqrt = counting
+        for name in ("splu", "spsolve", "factorized"):
+            monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
+        monkeypatch.setattr(calderon_mod, "sparse_gram", refuse)
+        normalized_rhs(ops, SRC, ETA)
+        assert counting.products == [(96, 4)]
 
     def test_rhs_allocates_no_dense_temporary(self, circle_ops):
         # G^{-1/2} is real: promoting it to complex would allocate 16 N^2 bytes
@@ -401,24 +442,23 @@ class TestFilteredSystem:
                 / np.linalg.norm(x_ref)) <= 1e-3
 
     def test_efie_and_mfie_solutions_proportional(self, circle_ops):
-        # under the literal system definitions the two formulations carry
-        # the same current scaled by -ik; the clean proportionality jointly
-        # validates every kernel sign and normalization
+        # every formulation solves for one unknown, -h_tot in
+        # Gram-normalized coefficients, so the solutions agree up to the
+        # discretization error (1.0e-7 here, 5e-8 for cfie); agreement
+        # jointly validates every kernel sign and normalization
         mesh, ops = circle_ops
-        efie = build_filtered_system(mesh, K, ETA, SRC, "efie",
-                                     mesh.n_nodes, ops=ops)
-        mfie = build_filtered_system(mesh, K, ETA, SRC, "mfie",
-                                     mesh.n_nodes, ops=ops)
-        x_e = np.linalg.solve(dense_system(efie), efie.rhs)
-        x_m = np.linalg.solve(dense_system(mfie), mfie.rhs)
-        assert (np.linalg.norm(x_m - (-1j * K) * x_e)
-                / np.linalg.norm(x_m)) <= 5e-2
+        solutions = []
+        for formulation in ("mfie", "efie", "cfie"):
+            system = build_filtered_system(mesh, K, ETA, SRC, formulation,
+                                           mesh.n_nodes, ops=ops)
+            solutions.append(np.linalg.solve(dense_system(system), system.rhs))
+        x_m = solutions[0]
+        for x in solutions[1:]:
+            assert np.linalg.norm(x - x_m) / np.linalg.norm(x_m) <= 1e-6
 
     def test_yukawa_preconditioning_pipeline(self):
         # imaginary-wavenumber preconditioning kernel: still second kind,
         # and the filtered solve still tracks its dense reference
-        from filtbem.solver import woodbury_factorize
-
         mesh = build_mesh(Ellipse(1.0, 1.0), 96)
         ops = assemble_operators(mesh, K, slayer_kind="yukawa")
         system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
@@ -457,6 +497,33 @@ class TestFilteredSystem:
         assert np.array_equal(systems["mfie"].rhs, v_h)
         assert np.array_equal(systems["cfie"].rhs,
                               systems["efie"].rhs + 0.3 * systems["mfie"].rhs)
+
+    def test_both_routes_near_the_exact_product(self):
+        # oracle: w.T (G^{-1/2} S G^{-1} N G^{-1/2} / (ik) - I/4) in 50-digit
+        # arithmetic from the same float64 S, N, G, banded G^{-1/2} and w.
+        # Measured 2.0e-14 (thin B) and 5.5e-15 (dense route); a G^{-1}
+        # taken as the squared banded root is off by 1.5e-13
+        mpmath = pytest.importorskip("mpmath")
+
+        def to_mp(mat):
+            return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row]
+                                  for row in mat])
+
+        mesh = build_mesh(BENCH_CURVES["ellipse"], 64)
+        ops = assemble_operators(mesh, K)
+        system = build_filtered_system(mesh, K, ETA, SRC, "efie", 21, ops=ops)
+        w = system.compact.basis
+        slayer, hyper = assemble_helmholtz_pair(mesh, K)
+        with mpmath.workdps(50):
+            root = to_mp(ops.gram_invsqrt.toarray())
+            rows = (to_mp(w.T) * root * to_mp(slayer)
+                    * mpmath.inverse(to_mp(assemble_gram(mesh)))
+                    * to_mp(hyper) * root) / (1j * mpmath.mpf(K))
+            exact = np.array(rows.tolist(), dtype=np.complex128) - 0.25 * w.T
+        scale = np.abs(exact).max()
+        dense = w.T @ second_kind_split(ops, "efie")[1]
+        for block in (system.compact.coeffs, dense):
+            assert np.abs(block - exact).max() <= 4e-14 * scale
 
     @pytest.mark.parametrize("formulation", ["efie", "cfie"])
     def test_projection_matches_filter_plus_constant_mode(self, circle_ops,
@@ -581,6 +648,42 @@ class TestFilteredSystem:
         filtered = np.asarray(system.compact)
         filt_rows = np.linalg.norm(modes.T @ filtered @ modes, axis=1)
         assert filt_rows[21:].max() <= 1e-12 * filt_rows.max()
+
+
+class TestContinuum:
+    @staticmethod
+    def mie_total_field(k, phi, orders=40):
+        """Total field of a TE plane wave along x on the unit circle:
+        sum_m i^m e^{i m phi} 2i / (pi k H_m^(1)'(k)), |m| <= ``orders``."""
+        m = np.arange(-orders, orders + 1)
+        coeffs = 1j ** m * 2j / (np.pi * k * scipy.special.h1vp(m, k))
+        return np.exp(1j * np.outer(phi, m)) @ coeffs
+
+    @pytest.mark.parametrize("k, bound", [(0.4, 6e-5), (2.0, 8e-4)])
+    def test_every_formulation_matches_the_mie_series(self, k, bound):
+        # the structured solve's nodal values G^{-1/2} x are -h_tot for
+        # every formulation; the error is the discretization's, O(h^2):
+        # measured 5.4e-5 / 1.35e-5 / 3.4e-6 at k = 0.4 and 7.2e-4 /
+        # 1.8e-4 / 4.5e-5 at k = 2, alike to 2 digits across formulations
+        src = PlaneWaveTE((1.0, 0.0))
+        errors = {formulation: [] for formulation in FORMULATIONS}
+        for n in (128, 256, 512):
+            mesh = build_mesh(Ellipse(1.0, 1.0), n)
+            ops = assemble_operators(mesh, k, need_double_layer=True)
+            h_tot = self.mie_total_field(
+                k, np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0]))
+            for formulation in FORMULATIONS:
+                system = build_filtered_system(mesh, k, ETA, src, formulation,
+                                               21, ops=ops)
+                skeleton = lowrank_factor(system.compact, 6e-6, seed=0)
+                x = woodbury_factorize(system.beta, skeleton).apply(system.rhs)
+                nodal = ops.gram_invsqrt @ x
+                errors[formulation].append(np.linalg.norm(nodal + h_tot)
+                                           / np.linalg.norm(h_tot))
+        for errs in errors.values():
+            assert errs[0] <= bound, errors
+            for coarse, fine in zip(errs, errs[1:]):
+                assert 3.5 <= coarse / fine <= 4.5, errors
 
 
 class TestConditioning:

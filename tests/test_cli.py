@@ -475,6 +475,10 @@ def test_meta_records_each_set_up(tmp_path, command, argv, solved):
     assert [rec["n_nodes"] for rec in meta["set_up"]] == ok
     for rec in meta["set_up"]:
         assert rec["seconds"] > 0 and rec["peak_rss_mb"] > 0
+        # efie holds S G^{-1} and N, two complex N x N arrays, and the
+        # banded root, O(N) bytes
+        n = rec["n_nodes"]
+        assert 0 < rec["operators_mb"] * 1e6 - 32 * n * n < 2000 * n
 
 
 class TestTable:
