@@ -39,9 +39,10 @@ Against order q everywhere, S, N and D move by <= 3e-14 relative (max
 norm) at q = 8 while k times the longest segment stays <= 0.2.  The far
 error grows about as (k h)^8 (1e-12 at k h = 0.38), still far below the
 O((k h)^2) discretization error of linear elements.  On touching pairs
-the kernel's singular part is integrated analytically and the bounded
-remainder by the near pairs' routine at the touching order, with no
-distance floor (``_touching_blocks``):
+the kernel's singular part is integrated analytically for the whole mesh
+when the rule is built; the bounded remainder is integrated by the near
+pairs' routine at the touching order, with no distance floor, for the
+test segments of each row block inside the pass (``_touching_blocks``):
 
 * same segment: the single layer's log part has a closed form for linear
   shape functions; the double layer vanishes (flat segments).
@@ -90,6 +91,8 @@ ROW_BLOCK = 1 << 14  # entries per row block of the kernel pass ...
 MIN_ROWS = 16        # ... which holds at least this many hat rows
 BLOCKS_PER_WORKER = 8  # fewest row blocks per worker thread of the pass
 TILE = 128           # rows per tile of the in-place transpose and the checks
+PAIR_CHUNK = 1 << 13  # kernel entries per chunk of gathered pairs
+TOUCH_SHIFTS = (0, 1, -1)  # touching pairs (p, p + shift): same, next, previous
 
 # Exact moments over the unit square: integral of n_a(x) n_b(y) ln|x-y|
 # for linear shape functions n_0 = 1-x, n_1 = x (same-segment log part).
@@ -245,25 +248,27 @@ def _kernel_at(kernel, test, source, src, floor):
 def _near_pair_blocks(mesh, gauss, kernel, p, q, floor):
     """Tensor-Gauss blocks [a][b] of the gathered pairs (p[i], q[i]), each (M,).
 
-    ``gauss`` is a :func:`_gauss_points` rule.  All g x g Gauss pairs are
-    taken, one test point against every source point per step, on (g, M)
-    arrays.  The sums over source points avoid BLAS, which would contend
-    with itself when the pass's threads call it at once.
+    ``gauss`` is a :func:`_gauss_points` rule.  The kernel is taken at all
+    g x g Gauss pairs of a chunk of pairs at once, on (g, g, chunk) arrays
+    of at most PAIR_CHUNK entries.  Each block entry sums over the source
+    points, then over the test points, in order, whatever the chunk's
+    size.  The sums avoid BLAS, which would contend with itself when the
+    pass's threads call it at once.
     """
     pts, w, shapes = gauss
-    src_pts = pts[:, q]
-    src_coef = (w * shapes).astype(np.complex128)   # [b][h]
-    blocks = [[np.zeros(len(p), np.complex128) for _ in range(2)] for _ in range(2)]
-    for gi in range(len(w)):
-        kern = _kernel_at(kernel, pts[gi, p], src_pts, q, floor)
-        for b in range(2):
-            row = np.einsum("h,hm->m", src_coef[b], kern)
-            for a in range(2):
-                blocks[a][b] += (w[gi] * shapes[a, gi]) * row
+    coef = (w * shapes).astype(np.complex128)   # [a][g], [b][h]
     jac = mesh.segment_lengths[p] * mesh.segment_lengths[q]
-    for a in range(2):
+    blocks = [[np.empty(len(p), np.complex128) for _ in range(2)] for _ in range(2)]
+    chunk = max(1, PAIR_CHUNK // len(w) ** 2)
+    for start in range(0, len(p), chunk):
+        pairs = slice(start, start + chunk)
+        kern = _kernel_at(kernel, pts[:, None, p[pairs]], pts[None, :, q[pairs]],
+                          q[pairs], floor)
         for b in range(2):
-            blocks[a][b] *= jac
+            row = np.einsum("h,ghm->gm", coef[b], kern)
+            for a in range(2):
+                np.multiply(np.einsum("g,gm->m", coef[a], row), jac[pairs],
+                            out=blocks[a][b][pairs])
     return blocks
 
 
@@ -274,11 +279,14 @@ class _PairRule:
     ``kernel(dx, dy, d, src)`` maps test-minus-source offsets and distances
     to kernel values; ``src`` indexes the source segments along the last
     axis of the offsets (``slice(None)`` on the far grid, the gathered
-    source indices on near pairs).  ``far`` and ``near`` are
-    :func:`_gauss_points` rules.  ``touching`` holds the blocks[a][b], each
-    (n,), of the pairs (p, p), (p, p + 1) and (p, p - 1), indexed by p, in
-    the half-weighted form :func:`_shape_blocks` describes for a symmetric
-    kernel, built for the whole mesh by :func:`_touching_blocks`.
+    source indices on near pairs).  ``far``, ``near`` and ``touch`` are
+    :func:`_gauss_points` rules, ``touch`` at the touching order.
+    ``singular`` holds, for the touching pairs (p, p), (p, p + 1) and
+    (p, p - 1), the analytic blocks[a][b] of the kernel's singular part,
+    each (n,) and indexed by p, or None where a shift has no pair;
+    ``remainder`` is the bounded rest of the kernel, which
+    :func:`_touching_blocks` integrates for the test segments of a row
+    block.
     """
 
     mesh: CurveMesh
@@ -286,16 +294,21 @@ class _PairRule:
     symmetric: bool
     far: tuple
     near: tuple
-    touching: tuple
+    touch: tuple
+    remainder: Callable
+    singular: tuple
 
 
 def _graded_rules(mesh, k, quad_order):
-    """Far and near Gauss rules and the touching order, arguments checked."""
+    """Far, near and touching Gauss rules and the touching order, arguments
+    checked."""
     rule = quadrature_rule(quad_order)
     if k <= 0:
         raise ValueError("wavenumber must be positive")
+    touch_order = rule["touching_order"]
     return (_gauss_points(mesh, rule["far_order"]),
-            _gauss_points(mesh, rule["near_order"]), rule["touching_order"])
+            _gauss_points(mesh, rule["near_order"]),
+            _gauss_points(mesh, touch_order), touch_order)
 
 
 def _shape_blocks(rule: _PairRule, segs: np.ndarray):
@@ -304,8 +317,8 @@ def _shape_blocks(rule: _PairRule, segs: np.ndarray):
 
     Far pairs take the far rule on the full grid, near pairs
     (:func:`_near_pairs`) the near rule on gathered index arrays, and
-    touching pairs ``rule.touching``.  For a symmetric kernel the blocks
-    are halves, so that the whole block of pair (p, q) is
+    touching pairs :func:`_touching_blocks`.  For a symmetric kernel the
+    blocks are halves, so that the whole block of pair (p, q) is
     blk[a][b][p, q] + blk[b][a][q, p]: the far grid takes Gauss pairs
     gi <= hi (gi = hi at half weight), near pairs p < q carry their block
     and p > q zero, and touching pairs carry the half-weighted same-segment
@@ -331,6 +344,7 @@ def _shape_blocks(rule: _PairRule, segs: np.ndarray):
     mirrored = q < segs[rows] if rule.symmetric else np.zeros(len(q), bool)
     near_rows, near_q = rows[~mirrored], q[~mirrored]
     near = _near_pair_blocks(mesh, rule.near, rule.kernel, segs[near_rows], near_q, floor)
+    touching = _touching_blocks(rule, segs)
     local = np.arange(len(segs))
     jac = np.outer(ell[segs], ell)
     for a in range(2):
@@ -339,8 +353,8 @@ def _shape_blocks(rule: _PairRule, segs: np.ndarray):
             blk *= jac
             blk[near_rows, near_q] = near[a][b]
             blk[rows[mirrored], q[mirrored]] = 0.0
-            for shift, touch in zip((0, 1, -1), rule.touching):
-                blk[local, (segs + shift) % n] = touch[a][b][segs]
+            for shift, touch in zip(TOUCH_SHIFTS, touching):
+                blk[local, (segs + shift) % n] = touch[a][b]
     return blocks
 
 
@@ -426,25 +440,36 @@ def _duffy_geometry(lt, ls, cc, touch_order):
     return tg, tw, rho1_sq, rho2_sq
 
 
-def _touching_blocks(mesh, touch_order, remainder, singular):
-    """Blocks[a][b], each (n,), of the pairs (p, p + shift), shifts 0, +1
-    and -1: the analytic ``singular`` blocks of each shift plus the
-    tensor-Gauss integral of the bounded ``remainder`` kernel at
-    ``touch_order`` (:func:`_near_pair_blocks`, no distance floor).  A shift
-    whose ``singular`` entry is None has no pair and stays zero.
+def _touching_blocks(rule: _PairRule, segs: np.ndarray):
+    """Blocks[a][b], each (len(segs),), of the pairs (p, p + shift), p in
+    ``segs``, for the shifts TOUCH_SHIFTS: the analytic singular part
+    (``rule.singular``) plus the tensor-Gauss integral of the bounded
+    remainder at the touching order (:func:`_near_pair_blocks`, no distance
+    floor), one call for all shifts.  A shift without a singular part has
+    no pair and stays zero.  For a symmetric kernel the same-segment block
+    is halved, as :func:`_shape_blocks` describes.
     """
-    n = mesh.n_nodes
-    gauss = _gauss_points(mesh, touch_order)
-    p = np.arange(n)
-    zero = np.zeros(n)
-    touching = []
-    for shift, part in zip((0, 1, -1), singular):
+    n = rule.mesh.n_nodes
+    shifts = [shift for shift, part in zip(TOUCH_SHIFTS, rule.singular)
+              if part is not None]
+    rem = _near_pair_blocks(rule.mesh, rule.touch, rule.remainder,
+                            np.tile(segs, len(shifts)),
+                            np.concatenate([(segs + shift) % n for shift in shifts]),
+                            0.0)
+    zero = np.zeros(len(segs))
+    touching, start = [], 0
+    for shift, part in zip(TOUCH_SHIFTS, rule.singular):
         if part is None:
             touching.append([[zero, zero], [zero, zero]])
             continue
-        rem = _near_pair_blocks(mesh, gauss, remainder, p, (p + shift) % n, 0.0)
-        touching.append([[part[a][b] + rem[a][b] for b in range(2)] for a in range(2)])
-    return tuple(touching)
+        taken = slice(start, start + len(segs))
+        start += len(segs)
+        touch = [[part[a][b][segs] + rem[a][b][taken] for b in range(2)]
+                 for a in range(2)]
+        if rule.symmetric and shift == 0:
+            touch = [[0.5 * blk for blk in row] for row in touch]
+        touching.append(touch)
+    return touching
 
 
 def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
@@ -455,7 +480,7 @@ def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
     shared node: backward on segment p (so shape a = 1, the shared node,
     is 1 - x) and forward on segment p + 1.
     """
-    far, near, touch_order = _graded_rules(mesh, k, quad_order)
+    far, near, touch, touch_order = _graded_rules(mesh, k, quad_order)
     lp = mesh.segment_lengths
     lq = np.roll(lp, -1)
     cc = -np.sum(mesh.tangents * np.roll(mesh.tangents, -1, axis=0), axis=1)
@@ -473,12 +498,10 @@ def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
                 + _ADJ_GAMMA_T1["g0"][a, b] * t0_1 + _ADJ_GAMMA_T1["g1"][a, b] * t1_1 \
                 + _ADJ_GAMMA_T2["g0"][a, b] * t0_2 + _ADJ_GAMMA_T2["g1"][a, b] * t1_2
             adjacent[a][b] = lp * lq * (LOG_COEF * logpart)
-    same, adjacent, none = _touching_blocks(
-        mesh, touch_order, lambda dx, dy, d, src: _kernel_smooth(k, d, kind),
-        (same, adjacent, None))
-    touching = ([[0.5 * same[a][b] for b in range(2)] for a in range(2)], adjacent, none)
     return _PairRule(mesh, lambda dx, dy, d, src: _kernel_full(k, d, kind),
-                     True, far, near, touching)
+                     True, far, near, touch,
+                     lambda dx, dy, d, src: _kernel_smooth(k, d, kind),
+                     (same, adjacent, None))
 
 
 def _hypersingular_transform(mesh, k):
@@ -640,7 +663,7 @@ def _dlayer_static_blocks(lt, ls, cc, wc, touch_order):
 
 def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
     """Pair rule of the double-layer kernel (all pairs, not symmetric)."""
-    far, near, touch_order = _graded_rules(mesh, k, quad_order)
+    far, near, touch, touch_order = _graded_rules(mesh, k, quad_order)
     nx = mesh.normals[:, 0]
     ny = mesh.normals[:, 1]
 
@@ -663,11 +686,9 @@ def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
     # ordered pair (p+1, p): test = p+1 (shared local 0), source = p
     bwd = _dlayer_static_blocks(
         ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1), touch_order)
-    touching = _touching_blocks(
-        mesh, touch_order, remainder,
-        (None, [[fwd[1 - a][b] for b in range(2)] for a in range(2)],
-         [[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)]))
-    return _PairRule(mesh, kernel, False, far, near, touching)
+    singular = (None, [[fwd[1 - a][b] for b in range(2)] for a in range(2)],
+                [[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)])
+    return _PairRule(mesh, kernel, False, far, near, touch, remainder, singular)
 
 
 def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:

@@ -236,13 +236,17 @@ def _lowest_modes(ops: Operators2D, count: int):
 def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
     """The ``filter_n`` lowest Laplacian modes, Gram-normalized, and the cut.
 
-    Takes the lowest ``filter_n + 1`` modes (:func:`_lowest_modes`),
-    or more when the cut splits a cluster that runs past them, and makes
-    them canonical (:func:`canonical_modes`).
+    Takes the lowest ``filter_n + 1`` modes (:func:`_lowest_modes`) for
+    odd ``filter_n`` and ``filter_n + 2`` for even: past the constant mode
+    a closed curve's modes come in near-degenerate pairs, and an even cut
+    splits the pair (filter_n - 1, filter_n), so the gap after that pair
+    is needed too.  A cut through a wider cluster that runs past them takes
+    more, and the modes are made canonical (:func:`canonical_modes`).  On
+    the benchmark curves that is one eigensolve per cut.
     """
     size = ops.mesh.n_nodes
     _check_filter_index(filter_n, size)
-    count = min(filter_n + 1, size)
+    count = min(filter_n + 2 - filter_n % 2, size)
     values, vectors = _lowest_modes(ops, count)
     while count < size:
         run = cut_cluster(values, filter_n, size)[1]

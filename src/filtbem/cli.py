@@ -17,8 +17,9 @@ the filter cut: its relative eigen-gap and whether it split a
 near-degenerate pair that was made canonical; the ``refine`` and ``table``
 sidecars add the skeleton's rank, convergence, achieved error and norm
 estimate and the Woodbury core's condition number, and under ``set_up``
-the set-up's wall time, the process's peak RSS right after it and the
-bytes the operator bundle holds (``operators_mb``).  A run
+the set-up's wall time, split into its stages (``assemble_s``,
+``filter_s``, ``compress_s``), the process's peak RSS right after it and
+the bytes the operator bundle holds (``operators_mb``).  A run
 is bit-reproducible for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
@@ -224,18 +225,27 @@ def _outdir(cfg) -> Path:
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
-def _set_up(cfg: ExperimentConfig, n_nodes: int):
+def _set_up(cfg: ExperimentConfig, n_nodes: int, stages=None):
     """``(ops, system, skeleton)`` at one size.  Below ``filter_n = N`` the
-    system holds only the filter-coordinate block, no N x N array."""
+    system holds only the filter-coordinate block, no N x N array.  A dict
+    ``stages`` receives the wall time of each stage in seconds:
+    ``assemble_s`` (mesh and operators), ``filter_s`` (the filtered system,
+    its modes included) and ``compress_s`` (the skeleton)."""
+    t0 = time.perf_counter()
     mesh = build_mesh(cfg.curve(), n_nodes)
     if cfg.filter_n > mesh.n_nodes:
         raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
     slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
     ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
+    t1 = time.perf_counter()
     system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
                                    cfg.formulation, cfg.filter_n, cfg.alpha,
                                    ops=ops)
+    t2 = time.perf_counter()
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
+    if stages is not None:
+        stages.update(assemble_s=t1 - t0, filter_s=t2 - t1,
+                      compress_s=time.perf_counter() - t2)
     return ops, system, skeleton
 
 
@@ -244,15 +254,18 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
 
     Returns a dict with the mesh, the structured inverse, the error against
     the dense reference, the factorize/apply timings and the meta records
-    of the filter cut, the skeleton and the set-up (its wall time, the
-    process's peak RSS right after it and the operator bundle's size).
+    of the filter cut, the skeleton and the set-up (its wall time and
+    that of each stage, the process's peak RSS right after it and the
+    operator bundle's size).
     The dense reference is formed only after the filtered system is
     released.
     """
+    stages = {}
     t0 = time.perf_counter()
-    ops, system, skeleton = _set_up(cfg, n_nodes)
+    ops, system, skeleton = _set_up(cfg, n_nodes, stages)
     set_up = {"n_nodes": n_nodes, "seconds": time.perf_counter() - t0,
-              "peak_rss_mb": _peak_rss_mb(), "operators_mb": ops.nbytes / 1e6}
+              **stages, "peak_rss_mb": _peak_rss_mb(),
+              "operators_mb": ops.nbytes / 1e6}
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0

@@ -9,7 +9,13 @@ near-minimal rank.  Fully deterministic for a fixed seed.
 
 The input may be given as ``basis @ coeffs`` (:class:`ProjectedMatrix`)
 with orthonormal basis columns: the finder then runs on the short
-coefficient block, since the basis preserves every norm it measures.
+coefficient block B, since the basis preserves every norm it measures.
+The norm estimate and the range certificates run in B's row space: one
+QR factorization per call, of which only the triangle is kept, writes
+B = T Q^H with an (r, r) triangle T and orthonormal Q, so ||P B|| =
+||P T|| for every left projector P and each power step after the first
+costs (r, r) products instead of (r, n) ones.  The final certificate
+multiplies by B and the returned factors themselves.
 """
 
 from __future__ import annotations
@@ -79,13 +85,20 @@ def _adjoint_times(mat, y):
     return (y.conj().T @ mat).conj().T
 
 
-def _power_norm(matvec, rmatvec, n, iters, rng):
-    """Power-iteration estimate of the largest singular value."""
+def _power_norm(matvec, rmatvec, n, iters, rng, first=None):
+    """Power-iteration estimate of the largest singular value of the
+    operator A = ``matvec``, whose adjoint is ``rmatvec``.
+
+    The start vector is Gaussian of length n.  ``first``, if given, is the
+    operator on that vector: ``matvec`` and ``rmatvec`` then act in a
+    factor space of A's row space (see :func:`_row_space_norm`).
+    """
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
+    apply = matvec if first is None else first
     est = 0.0
     for _ in range(iters):
-        y = matvec(x)
+        y = apply(x)
         est = np.linalg.norm(y)
         if est == 0.0:
             return 0.0
@@ -94,29 +107,58 @@ def _power_norm(matvec, rmatvec, n, iters, rng):
         if nz == 0.0:
             return est
         x = z / nz
+        apply = matvec
     return est
 
 
+def _row_space_factor(mat):
+    """``rt`` with mat = rt Q^H for some Q with orthonormal columns: a
+    triangle when ``mat`` is short, else ``mat`` itself (a square block has
+    no shorter side, so Q = I).
+
+    The triangle is R^T for the QR factorization mat^T = Q' R, so that
+    Q = conj(Q').  Factoring mat^T, not its conjugate mat^H, needs no
+    conjugate copy, and neither Q' nor a full-height R is formed.
+    """
+    rows, n = mat.shape
+    if rows == n:
+        return mat
+    return np.linalg.qr(mat.T, mode="r").T
+
+
+def _row_space_norm(mat, rt, iters, rng, q=None):
+    """Estimate ||(I - q q^H) mat||_2, or ||mat||_2 when q is None.
+
+    With mat = rt Q^H (:func:`_row_space_factor`) the norm is that of
+    (I - q q^H) rt, as Q has orthonormal columns.  The start vector is
+    drawn at length n and takes the first step through ``mat``; every
+    later step runs on the (rows, rows) ``rt``.  Iterating on the Gram
+    mat mat^H instead would square the condition number and floor every
+    estimate at about 1e-8 of the norm.
+    """
+    if q is None:
+        def project(y):
+            return y
+    else:
+        qh = q.conj().T
+
+        def project(y):
+            return y - q @ (qh @ y)
+
+    return _power_norm(lambda x: project(rt @ x),
+                       lambda y: _adjoint_times(rt, project(y)),
+                       mat.shape[1], iters, rng,
+                       first=lambda x: project(mat @ x))
+
+
 def _factor_residual_norm(mat, left, right, iters, rng):
-    """Estimate ||mat - left @ right.T||_2."""
+    """Estimate ||mat - left @ right.T||_2, two-sided on the full block."""
+    lh, rc = left.conj().T, right.conj()
     return _power_norm(
         lambda x: mat @ x - left @ (right.T @ x),
-        lambda y: _adjoint_times(mat, y) - right.conj() @ (left.conj().T @ y),
+        lambda y: _adjoint_times(mat, y) - rc @ (lh @ y),
         mat.shape[1], iters, rng,
     )
-
-
-def _range_residual_norm(mat, q, iters, rng):
-    """Estimate ||(I - q q^H) mat||_2."""
-
-    def matvec(x):
-        y = mat @ x
-        return y - q @ (q.conj().T @ y)
-
-    def rmatvec(y):
-        return _adjoint_times(mat, y - q @ (q.conj().T @ y))
-
-    return _power_norm(matvec, rmatvec, mat.shape[1], iters, rng)
 
 
 def _orthonormalize_against(q, block):
@@ -133,13 +175,14 @@ def _orthonormalize_against(q, block):
     scale = np.linalg.norm(block, axis=0).max() if block.size else 0.0
     if scale == 0.0:
         return block[:, :0]
+    qh = q.conj().T
     for _ in range(2):
         if q.shape[1]:
-            block = block - q @ (q.conj().T @ block)
+            block = block - q @ (qh @ block)
     qb, rb = np.linalg.qr(block)
     qb = qb[:, np.abs(np.diag(rb)) > 1e-12 * scale]
     if q.shape[1]:
-        qb = qb - q @ (q.conj().T @ qb)
+        qb = qb - q @ (qh @ qb)
         qb = np.linalg.qr(qb[:, np.linalg.norm(qb, axis=0) >= 0.5])[0]
     return qb
 
@@ -183,9 +226,9 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
     rows = mat.shape[0]
     full = min(rows, n)   # the largest rank the block can have
     rng = np.random.default_rng(seed)
+    rt = _row_space_factor(mat)
 
-    norm_est = _power_norm(lambda x: mat @ x, lambda y: _adjoint_times(mat, y),
-                           n, NORM_EST_ITERS, rng)
+    norm_est = _row_space_norm(mat, rt, NORM_EST_ITERS, rng)
     if norm_est == 0.0:
         empty = np.zeros((n, 0), np.complex128)
         return LowRankFactor(left=empty, right=empty.copy(), rank=0,
@@ -213,7 +256,7 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
         exhausted = q_new.shape[1] == 0 or q.shape[1] + q_new.shape[1] >= full
         if q_new.shape[1]:
             q = np.hstack([q, q_new])
-        resid = SAFETY * _range_residual_norm(mat, q, NORM_EST_ITERS, rng)
+        resid = SAFETY * _row_space_norm(mat, rt, NORM_EST_ITERS, rng, q)
         # capture somewhat past the tolerance so the retained spectrum (and
         # hence the reported rank) is set by the SVD cut, not by where the
         # random capture happened to stop

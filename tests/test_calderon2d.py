@@ -8,15 +8,16 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
+from filtbem import calderon2d
 from filtbem.assembly2d import (_row_block_pass, _single_layer_rule,
                                 assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_laplacian,
                                 sparse_gram)
-from filtbem.calderon2d import (FORMULATIONS, assemble_operators,
-                                build_calderon_matrix, build_filtered_system,
-                                canonical_modes, filter_modes,
-                                normalized_double_layer, normalized_rhs,
-                                second_kind_split)
+from filtbem.calderon2d import (FORMULATIONS, _lowest_modes,
+                                assemble_operators, build_calderon_matrix,
+                                build_filtered_system, canonical_modes,
+                                filter_modes, normalized_double_layer,
+                                normalized_rhs, second_kind_split)
 from filtbem.compression import lowrank_factor
 from filtbem.excitation2d import MagneticLineSource, PlaneWaveTE, assemble_rhs
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
@@ -606,6 +607,28 @@ class TestFilteredSystem:
         w = modes.vectors
         ref = dense_modes(ops, filter_n).vectors[:, :filter_n]
         assert np.abs(w @ w.T - ref @ ref.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("curve, n, filter_n, count", [
+        ("lobed", 502, 200, 202),     # the cut splits the pair (199, 200)
+        ("ellipse", 1004, 21, 22),    # an odd cut closes its pair
+    ])
+    def test_one_eigensolve_per_cut(self, monkeypatch, curve, n, filter_n, count):
+        # past the constant mode the modes come in near-degenerate pairs: an
+        # even cut splits one, and its first solve already holds the value
+        # after the pair that closes the cluster
+        mesh = build_mesh(BENCH_CURVES[curve], n)
+        ops = assemble_operators(mesh, K)
+        counts = []
+        solve = calderon2d.pencil_modes
+        monkeypatch.setattr(calderon2d, "pencil_modes",
+                            lambda stiff, mass, count, shift: counts.append(count)
+                            or solve(stiff, mass, count, shift))
+        modes = filter_modes(ops, filter_n)
+        assert counts == [count]
+        monkeypatch.undo()
+        ref = canonical_modes(ops, *_lowest_modes(ops, count), filter_n)
+        assert np.array_equal(modes.vectors, ref.vectors[:, :filter_n])
+        assert modes.cut_canonicalized == ref.cut_canonicalized == (filter_n == 200)
 
     def test_cut_gap_reported(self):
         # refine config: ellipse, filter_n 21, where the gap is wide

@@ -475,6 +475,8 @@ def test_meta_records_each_set_up(tmp_path, command, argv, solved):
     assert [rec["n_nodes"] for rec in meta["set_up"]] == ok
     for rec in meta["set_up"]:
         assert rec["seconds"] > 0 and rec["peak_rss_mb"] > 0
+        stages = [rec["assemble_s"], rec["filter_s"], rec["compress_s"]]
+        assert min(stages) >= 0 and sum(stages) <= rec["seconds"]
         # efie holds S G^{-1} and N, two complex N x N arrays, and the
         # banded root, O(N) bytes
         n = rec["n_nodes"]
