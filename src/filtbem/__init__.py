@@ -20,7 +20,7 @@ from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
                          normalized_rhs, second_kind_split)
 from .compression import LowRankFactor, ProjectedMatrix, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
-                           assemble_rhs, incident_e_field, incident_fields)
+                           assemble_rhs, incident_fields)
 from .mesh2d import (CurveMesh, Ellipse, ParametricCurve, PerturbedCircle,
                      basis_eval, build_mesh)
 from .qh3d import (FilteredProjectors, Grams, IncidenceMatrices,
@@ -48,7 +48,7 @@ __all__ = [
     "normalized_double_layer", "normalized_rhs", "second_kind_split",
     "LowRankFactor", "ProjectedMatrix", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",
-    "incident_e_field", "incident_fields",
+    "incident_fields",
     "CurveMesh", "Ellipse", "ParametricCurve", "PerturbedCircle",
     "basis_eval", "build_mesh",
     "FilteredProjectors", "Grams", "IncidenceMatrices", "TriangleMesh",

@@ -82,6 +82,7 @@ __all__ = [
     "assemble_helmholtz_pair",
     "assert_symmetric",
     "quadrature_rule",
+    "gauss_points",
 ]
 
 LOG_COEF = -1.0 / (2.0 * np.pi)  # strength of the ln|r-r'| part of the kernel
@@ -227,9 +228,11 @@ def _near_pairs(mesh, segs):
     return rows[keep], q[keep]
 
 
-def _gauss_points(mesh, order):
-    """Gauss rule on [0, 1], its points on every segment, (g, n, 2), and
-    the shape functions at the nodes, shapes[a][g]."""
+def gauss_points(mesh: CurveMesh, order: int):
+    """Segment rule of every integral over the curve: the Gauss points on
+    every segment, (g, n, 2), the weights on [0, 1] and the hat shapes at
+    the points, shapes[a][g] (a = 0: 1 - x; a = 1: x).  Order >= 2."""
+    _check_order(order)
     x, w = _gauss01(order)
     chords = mesh.tangents * mesh.segment_lengths[:, None]
     pts = mesh.nodes[None, :, :] + x[:, None, None] * chords[None, :, :]
@@ -248,7 +251,7 @@ def _kernel_at(kernel, test, source, src, floor):
 def _near_pair_blocks(mesh, gauss, kernel, p, q, floor):
     """Tensor-Gauss blocks [a][b] of the gathered pairs (p[i], q[i]), each (M,).
 
-    ``gauss`` is a :func:`_gauss_points` rule.  The kernel is taken at all
+    ``gauss`` is a :func:`gauss_points` rule.  The kernel is taken at all
     g x g Gauss pairs of a chunk of pairs at once, on (g, g, chunk) arrays
     of at most PAIR_CHUNK entries.  Each block entry sums over the source
     points, then over the test points, in order, whatever the chunk's
@@ -280,7 +283,7 @@ class _PairRule:
     to kernel values; ``src`` indexes the source segments along the last
     axis of the offsets (``slice(None)`` on the far grid, the gathered
     source indices on near pairs).  ``far``, ``near`` and ``touch`` are
-    :func:`_gauss_points` rules, ``touch`` at the touching order.
+    :func:`gauss_points` rules, ``touch`` at the touching order.
     ``singular`` holds, for the touching pairs (p, p), (p, p + 1) and
     (p, p - 1), the analytic blocks[a][b] of the kernel's singular part,
     each (n,) and indexed by p, or None where a shift has no pair;
@@ -306,9 +309,9 @@ def _graded_rules(mesh, k, quad_order):
     if k <= 0:
         raise ValueError("wavenumber must be positive")
     touch_order = rule["touching_order"]
-    return (_gauss_points(mesh, rule["far_order"]),
-            _gauss_points(mesh, rule["near_order"]),
-            _gauss_points(mesh, touch_order), touch_order)
+    return (gauss_points(mesh, rule["far_order"]),
+            gauss_points(mesh, rule["near_order"]),
+            gauss_points(mesh, touch_order), touch_order)
 
 
 def _shape_blocks(rule: _PairRule, segs: np.ndarray):

@@ -59,6 +59,7 @@ __all__ = [
     "normalized_double_layer",
     "normalized_rhs",
     "second_kind_split",
+    "formulation_weights",
     "build_filtered_system",
     "FORMULATIONS",
 ]
@@ -334,7 +335,7 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     return v_e, v_h
 
 
-def _weights(formulation: str, alpha: float):
+def formulation_weights(formulation: str, alpha: float):
     """``(first, second)``: the formulation's system is
     first Z + second (I/2 - Dn).  Raises ``ValueError`` for an unknown
     formulation or a combined-field coupling alpha <= 0."""
@@ -382,7 +383,7 @@ def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
 
     C is returned as a new array.
     """
-    first, second = _weights(formulation, alpha)
+    first, second = formulation_weights(formulation, alpha)
     return first / 4 + second / 2, _compact_block(ops, first, second, None)
 
 
@@ -442,7 +443,7 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     FilteredSystem
     """
     formulation = formulation.lower()
-    first, second = _weights(formulation, alpha)
+    first, second = formulation_weights(formulation, alpha)
     ops = _operators_for(mesh, k, ops)
     _check_filter_index(filter_n, mesh.n_nodes)
     v_e, v_h = normalized_rhs(ops, src, eta)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import resource
 import sys
@@ -47,12 +48,12 @@ import scipy
 
 from . import __version__
 from .assembly2d import quadrature_rule
-from .calderon2d import (FORMULATIONS, _lowest_modes, assemble_operators,
+from .calderon2d import (_lowest_modes, assemble_operators,
                          build_filtered_system, canonical_modes,
-                         second_kind_split)
+                         formulation_weights, second_kind_split)
 from .compression import lowrank_factor
 from .excitation2d import MagneticLineSource, PlaneWaveTE
-from .mesh2d import Ellipse, PerturbedCircle, build_mesh
+from .mesh2d import MIN_NODES, Ellipse, PerturbedCircle, build_mesh
 from .qh3d import (build_incidence, filtered_projectors, icosphere,
                    octahedron, projectors, tetrahedron, torus_mesh)
 from .solver import dense_solve, memory_report, woodbury_factorize
@@ -78,7 +79,6 @@ class ExperimentConfig:
     amp: float = 0.2
     lobes: int = 8
     k: float = 0.4                   # wavenumber (rad/m)
-    eta: float = 1.0                 # impedance (ohm)
     source: str = "line"             # line | plane
     source_x: float = 3.0
     source_y: float = 0.0
@@ -155,25 +155,30 @@ def parse_config_file(path) -> dict:
 
 def resolve_config(command: str, file_values: dict, cli_values: dict) -> ExperimentConfig:
     """Defaults of ``command``, then file values, then flag values, checked
-    (the curve and source built once) before any assembly."""
+    (every float finite, every mesh size at least ``MIN_NODES``, the curve
+    and source built once) before any assembly."""
     cfg = dataclasses.replace(_BASE, **_COMMANDS[command][2])
     for values in (file_values, cli_values):
         for key, val in values.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown configuration key {key!r}")
             setattr(cfg, key, _coerce(key, val) if isinstance(val, str) else val)
-    if cfg.k <= 0 or cfg.eta <= 0:
-        raise ValueError("k and eta must be positive")
+    for key, value in dataclasses.asdict(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if cfg.k <= 0:
+        raise ValueError("k must be positive")
     if not 0 < cfg.epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if cfg.filter_n < 1:
         raise ValueError("filter_n must be >= 1")
-    if cfg.formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}")
-    if cfg.alpha <= 0:
-        raise ValueError("alpha must be positive")
+    formulation_weights(cfg.formulation, cfg.alpha)
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.n < MIN_NODES:
+        raise ValueError(f"n must be >= {MIN_NODES}, got {cfg.n}")
+    if any(size < MIN_NODES for size in cfg.sizes):
+        raise ValueError(f"sizes {list(cfg.sizes)}: each must be >= {MIN_NODES}")
     cfg.curve()
     cfg.source_model()
     return cfg
@@ -229,16 +234,20 @@ def _set_up(cfg: ExperimentConfig, n_nodes: int, stages=None):
     """``(ops, system, skeleton)`` at one size.  Below ``filter_n = N`` the
     system holds only the filter-coordinate block, no N x N array.  A dict
     ``stages`` receives the wall time of each stage in seconds:
-    ``assemble_s`` (mesh and operators), ``filter_s`` (the filtered system,
-    its modes included) and ``compress_s`` (the skeleton)."""
+    ``assemble_s`` (mesh and operators, the double layer included when the
+    formulation weighs it), ``filter_s`` (the filtered system, its modes
+    included) and ``compress_s`` (the skeleton)."""
     t0 = time.perf_counter()
     mesh = build_mesh(cfg.curve(), n_nodes)
     if cfg.filter_n > mesh.n_nodes:
         raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
-    slayer_kind = "yukawa" if cfg.yukawa else "helmholtz"
-    ops = assemble_operators(mesh, cfg.k, cfg.quad_order, slayer_kind=slayer_kind)
+    _, second = formulation_weights(cfg.formulation, cfg.alpha)
+    ops = assemble_operators(
+        mesh, cfg.k, cfg.quad_order, need_double_layer=bool(second),
+        slayer_kind="yukawa" if cfg.yukawa else "helmholtz")
     t1 = time.perf_counter()
-    system = build_filtered_system(mesh, cfg.k, cfg.eta, cfg.source_model(),
+    # the impedance cancels from every normalized right-hand side
+    system = build_filtered_system(mesh, cfg.k, 1.0, cfg.source_model(),
                                    cfg.formulation, cfg.filter_n, cfg.alpha,
                                    ops=ops)
     t2 = time.perf_counter()
@@ -350,7 +359,8 @@ def _sweep(cfg: ExperimentConfig, command: str, sizes, header, row):
     """Solve at each of ``sizes``, write ``<command>.csv`` and its meta,
     then raise a failed size as a ``LinAlgError``.  ``row(n_nodes, res,
     status)`` makes a CSV row from the :func:`_solve_one` result, or from
-    None for a size above ``max_n`` (``skipped:max_n``) or a failed one.
+    None for a size above ``max_n`` (``skipped:max_n``) or one whose solve
+    raised a ``LinAlgError`` or ``FloatingPointError`` (``failed:``).
     A sweep with no size at or below ``max_n`` is a configuration error."""
     # checked before the first size is solved
     solvable = [n for n in sizes if n <= cfg.max_n]
@@ -366,7 +376,7 @@ def _sweep(cfg: ExperimentConfig, command: str, sizes, header, row):
             continue
         try:
             res = _solve_one(cfg, n_nodes)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
             rows.append(row(n_nodes, None, f"failed:{exc}"))
             failed.append(n_nodes)
             continue

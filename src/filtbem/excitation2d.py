@@ -2,7 +2,8 @@
 
 Sources produce the out-of-plane magnetic field h_z and the in-plane
 electric field E = (eta / (i k)) (grad h_z x z_hat); the tangential trace
-of E and the trace of h_z are tested against the nodal hat functions.
+of E and the trace of h_z are tested against the nodal hat functions on
+the kernel pass's segment Gauss rule (:func:`~filtbem.assembly2d.gauss_points`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .assembly2d import _gauss01
+from .assembly2d import gauss_points
 from .mesh2d import CurveMesh
 from .special import hankel_h1_0, hankel_h1_1
 
@@ -21,7 +22,6 @@ __all__ = [
     "PlaneWaveTE",
     "Source2D",
     "incident_fields",
-    "incident_e_field",
     "assemble_rhs",
 ]
 
@@ -55,33 +55,44 @@ class PlaneWaveTE:
 Source2D = Union[MagneticLineSource, PlaneWaveTE]
 
 
-def _h_and_grad(src: Source2D, k: float, pts: np.ndarray):
-    """h_z and its gradient at the given points, (m,) and (m, 2)."""
+def _traces(src: Source2D, k: float, eta: float, pts: np.ndarray,
+            tangents: np.ndarray, clearance: float = 0.0):
+    """Tangential E and h_z at points (..., 2), each of shape pts.shape[:-1];
+    ``tangents`` broadcasts against the points, x and y on its last axis.
+
+    The one dispatch on the source kind.  A line source's one array of
+    distances serves the field and both rejections: points closer than
+    ``clearance`` (h/2 of the curve the moments are taken on) and points
+    at the source itself.
+    """
+    shape, pts = pts.shape[:-1], pts.reshape(-1, 2)
     if isinstance(src, MagneticLineSource):
-        r0 = np.asarray(src.position, float)
-        diff = pts - r0[None, :]
+        diff = pts - np.asarray(src.position, float)
         dist = np.linalg.norm(diff, axis=1)
-        if np.any(dist == 0.0):
+        dmin = dist.min()
+        if dmin < clearance:
+            raise ValueError(
+                f"source distance {dmin:.3e} m from the curve is below h/2 = "
+                f"{clearance:.3e} m")
+        if dmin == 0.0:
             raise ValueError("field evaluated at the line-source position")
-        h = src.amplitude * 0.25j * hankel_h1_0(k * dist)
+        kd = k * dist
+        h = src.amplitude * 0.25j * hankel_h1_0(kd)
         # d/dx H0(kx) = -k H1(kx)
-        radial = src.amplitude * (-0.25j) * k * hankel_h1_1(k * dist) / dist
-        grad = radial[:, None] * diff
-        return h, grad
-    if isinstance(src, PlaneWaveTE):
+        radial = src.amplitude * (-0.25j) * k * hankel_h1_1(kd) / dist
+        g_x, g_y = radial * diff[:, 0], radial * diff[:, 1]
+    elif isinstance(src, PlaneWaveTE):
         d = np.asarray(src.direction, float)
         h = src.amplitude * np.exp(1j * k * (pts @ d))
-        grad = (1j * k) * h[:, None] * d[None, :]
-        return h, grad
-    raise TypeError(f"unknown source type {type(src).__name__}")
-
-
-def incident_e_field(src: Source2D, k: float, eta: float, pts) -> np.ndarray:
-    """In-plane incident electric field E = (eta/(i k)) (grad h_z x z_hat)."""
-    pts = np.atleast_2d(np.asarray(pts, float))
-    _, grad = _h_and_grad(src, k, pts)
-    # (gx, gy, 0) x (0, 0, 1) = (gy, -gx, 0)
-    return (eta / (1j * k)) * np.column_stack([grad[:, 1], -grad[:, 0]])
+        ikh = (1j * k) * h
+        g_x, g_y = ikh * d[0], ikh * d[1]
+    else:
+        raise TypeError(f"unknown source type {type(src).__name__}")
+    # E = c (g_y, -g_x) with c = eta/(i k), so E . t = c g_y t_x - c g_x t_y
+    coef = eta / (1j * k)
+    e_t = ((coef * g_y).reshape(shape) * tangents[..., 0]
+           - (coef * g_x).reshape(shape) * tangents[..., 1])
+    return e_t, h.reshape(shape)
 
 
 def incident_fields(src: Source2D, k: float, eta: float, pts, tangents):
@@ -100,18 +111,9 @@ def incident_fields(src: Source2D, k: float, eta: float, pts, tangents):
     -------
     (e_t, h_z) : complex arrays (or scalars for a single point).
     """
-    pts = np.asarray(pts, float)
-    tangents = np.asarray(tangents, float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    tangents = np.atleast_2d(tangents)
-    h, grad = _h_and_grad(src, k, pts)
-    # E = c (g_y, -g_x) with c = eta/(i k), so E . t = c g_y t_x - c g_x t_y
-    coef = eta / (1j * k)
-    e_t = (coef * grad[:, 1]) * tangents[:, 0] - (coef * grad[:, 0]) * tangents[:, 1]
-    if scalar:
-        return e_t[0], h[0]
-    return e_t, h
+    e_t, h = _traces(src, k, eta, np.asarray(pts, float),
+                     np.asarray(tangents, float))
+    return e_t[()], h[()]    # [()]: a 0-d result becomes a scalar
 
 
 def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
@@ -128,33 +130,15 @@ def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
     ValueError
         If a line source sits closer than h/2 to the curve.
     """
-    if quad_order < 2:
-        raise ValueError("quadrature order must be >= 2")
-    n = mesh.n_nodes
+    pts, w, shapes = gauss_points(mesh, quad_order)
+    traces = _traces(src, k, eta, pts, mesh.tangents, 0.5 * mesh.h)
     ell = mesh.segment_lengths
-
-    x, w = _gauss01(quad_order)
-    chords = mesh.tangents * ell[:, None]
-    pts = (mesh.nodes[None, :, :] + x[:, None, None] * chords[None, :, :]).reshape(-1, 2)
-
-    if isinstance(src, MagneticLineSource):
-        r0 = np.asarray(src.position, float)
-        dmin = np.linalg.norm(pts - r0[None, :], axis=1).min()
-        if dmin < 0.5 * mesh.h:
-            raise ValueError(
-                f"source distance {dmin:.3e} m from the curve is below h/2 = "
-                f"{0.5 * mesh.h:.3e} m")
-
-    tangents = np.broadcast_to(mesh.tangents[None, :, :], (len(x), n, 2)).reshape(-1, 2)
-    e_t, h_z = incident_fields(src, k, eta, pts, tangents)
-    e_t = e_t.reshape(len(x), n)
-    h_z = h_z.reshape(len(x), n)
 
     # segment i carries the hats of node i (shape 1 - x) and node i + 1
     # (shape x); node i collects its segment i moment and segment i - 1's
     def moments(trace):
-        first = ell * ((w * (1.0 - x))[:, None] * trace).sum(axis=0)
-        second = ell * ((w * x)[:, None] * trace).sum(axis=0)
+        first, second = (ell * (coef[:, None] * trace).sum(axis=0)
+                         for coef in w * shapes)
         return first + np.roll(second, 1)
 
-    return moments(e_t), moments(h_z)
+    return tuple(moments(trace) for trace in traces)

@@ -105,7 +105,6 @@ class CurveMesh:
     tangents: np.ndarray         # (N, 2) unit vectors
     normals: np.ndarray          # (N, 2) outward unit vectors
     h: float                     # mean segment length, meters
-    closed: bool = True
     node_arclengths: np.ndarray = field(repr=False, default=None)  # (N+1,) cumulative
 
     @property

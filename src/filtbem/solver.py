@@ -86,8 +86,9 @@ def woodbury_factorize(beta: float,
     Raises
     ------
     ValueError
-        For beta = 0 or a numerically singular core (condition number
-        above 1e12), which signals -beta is an eigenvalue of U V^T.
+        For beta = 0, and as its subclass ``np.linalg.LinAlgError`` for a
+        numerically singular core (condition number above 1e12), which
+        signals -beta is an eigenvalue of U V^T.
 
     Warns
     -----
@@ -109,7 +110,7 @@ def woodbury_factorize(beta: float,
     core = np.eye(rank, dtype=np.complex128) + (right.T @ left) / beta
     cond = np.linalg.cond(core) if rank else 1.0
     if not np.isfinite(cond) or cond > CORE_COND_LIMIT:
-        raise ValueError(f"singular core: condition number {cond:.3e}")
+        raise np.linalg.LinAlgError(f"singular core: condition number {cond:.3e}")
     if cond > CORE_COND_WARN:
         warnings.warn(f"near-singular core: condition number {cond:.3e}",
                       RuntimeWarning, stacklevel=2)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,12 +117,56 @@ class TestConfig:
         meta = json.loads((tmp_path / "refine_meta.json").read_text())
         assert [cut["n_nodes"] for cut in meta["filter_cut"]] == [48, 192]
 
+    @pytest.mark.parametrize("failure, status", [
+        ("singular_core", "failed:singular core: condition number"),
+        ("non_finite_operator",
+         "failed:single-layer matrix contains non-finite entries"),
+    ], ids=["singular_core", "non_finite_operator"])
+    def test_numerical_failure_inside_a_sweep_is_a_failed_row(
+            self, tmp_path, monkeypatch, failure, status):
+        # real failures of the library at N = 96, not a patched solve: a
+        # skeleton whose Woodbury core is singular (U V^T = -beta on u),
+        # and a single layer with a NaN entry caught by the assembly check
+        import filtbem.assembly2d as assembly_mod
+        import filtbem.cli as cli_mod
+        if failure == "singular_core":
+            factor = cli_mod.lowrank_factor
+
+            def skeleton(block, *args, **kwargs):
+                if block.shape[0] != 96:
+                    return factor(block, *args, **kwargs)
+                u = np.ones((96, 1), np.complex128)
+                return u, -0.25 * u / 96     # efie: beta = 1/4
+            monkeypatch.setattr(cli_mod, "lowrank_factor", skeleton)
+        else:
+            check = assembly_mod._check_assembled
+
+            def poisoned(mat, name, symmetric):
+                if mat.shape[0] == 96:
+                    mat[5, 7] = np.nan
+                return check(mat, name, symmetric)
+            monkeypatch.setattr(assembly_mod, "_check_assembled", poisoned)
+        code = main(["table", "--sizes", "64,96,128", "--filter-n", "20",
+                     "--epsilon", "1e-3", "--out", str(tmp_path)])
+        assert code == 3
+        _, rows = read_csv(tmp_path / "table.csv")
+        assert [r[0] for r in rows] == ["64", "96", "128"]
+        assert [r[-1] for r in rows[::2]] == ["ok", "ok"]
+        assert rows[1][-1].startswith(status)
+        meta = json.loads((tmp_path / "table_meta.json").read_text())
+        assert [rec["n_nodes"] for rec in meta["set_up"]] == [64, 128]
+
     @pytest.mark.parametrize("argv, config, key", [
         (["--seed", "-1"], "", "seed"),
         ([], "source = plane\nsource_dir_x = 0\n", "source_dir_x"),
         ([], "source = laser\n", "source"),
         (["--geometry", "square"], "", "geometry"),
         (["--sizes", "192,96,48", "--filter-n", "60"], "", "filter_n"),
+        (["--k", "nan"], "", "k"),
+        (["--formulation", "cfie", "--alpha", "inf"], "", "alpha"),
+        ([], "source_x = -inf\n", "source_x"),
+        (["--sizes", "48,96,7", "--filter-n", "5"], "", "sizes"),
+        (["--n", "7"], "", "n"),
     ])
     def test_config_checked_before_any_assembly(self, tmp_path, monkeypatch,
                                                  capsys, argv, config, key):
@@ -170,7 +217,7 @@ def _flag_values(tmp_path):
     """A valid value, not the default, for every configuration key."""
     return {
         "geometry": "perturbed_circle", "a": 1.5, "b": 1.1, "r0": 2.5,
-        "amp": 0.1, "lobes": 6, "k": 0.7, "eta": 2.0, "source": "plane",
+        "amp": 0.1, "lobes": 6, "k": 0.7, "source": "plane",
         "source_x": 4.0, "source_y": 1.0, "source_dir_x": 0.5,
         "source_dir_y": 1.5, "formulation": "cfie", "alpha": 0.3,
         "filter_n": 40, "epsilon": 1e-5, "n": 96, "sizes": (64, 128, 256),
@@ -383,6 +430,41 @@ class TestRefine:
         assert orders == [12, 12, 12]
         _, rows = read_csv(tmp_path / "refine.csv")
         assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("formulation, with_d", [
+    ("efie", False), ("mfie", True), ("cfie", True)])
+def test_double_layer_assembled_with_the_operators(monkeypatch, formulation,
+                                                   with_d):
+    # D is part of assemble_s: the filtered system finds it in the bundle
+    # when the formulation weighs it, and efie never assembles it
+    import filtbem.cli as cli_mod
+    build = cli_mod.build_filtered_system
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["ops"].dlayer is not None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "build_filtered_system", spy)
+    cfg = resolve_config("refine", {}, {"formulation": formulation,
+                                        "filter_n": 13, "epsilon": 1e-4})
+    ops, _, _ = cli_mod._set_up(cfg, 64)
+    assert seen == [with_d]
+    assert (ops.dlayer is not None) == with_d
+
+
+def test_module_entry_point_exits_with_the_run_status(tmp_path):
+    import filtbem
+    src = str(Path(filtbem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "filtbem.cli", "qh3d-check",
+                           "--out", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    _, rows = read_csv(tmp_path / "qh3d_check.csv")
+    assert rows and all(r[-1] == "ok" for r in rows)
 
 
 @pytest.mark.parametrize("command", [

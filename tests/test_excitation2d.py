@@ -1,11 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from filtbem.assembly2d import assemble_gram
 from filtbem.excitation2d import (MagneticLineSource, PlaneWaveTE,
-                                  assemble_rhs, incident_e_field,
-                                  incident_fields)
-from filtbem.mesh2d import Ellipse, build_mesh
+                                  assemble_rhs, incident_fields)
+from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.special import hankel_h1_0
 
 
@@ -39,10 +40,14 @@ class TestIncidentFields:
         rng = np.random.default_rng(8)
         pts = rng.uniform(1.5, 3.0, (20, 2)) * rng.choice([-1, 1], (20, 2))
         step = 1e-5
-        ex_y1 = incident_e_field(src, k, eta, pts + [0.0, step])[:, 0]
-        ex_y0 = incident_e_field(src, k, eta, pts - [0.0, step])[:, 0]
-        ey_x1 = incident_e_field(src, k, eta, pts + [step, 0.0])[:, 1]
-        ey_x0 = incident_e_field(src, k, eta, pts - [step, 0.0])[:, 1]
+
+        def e_component(shift, axis):
+            # E . t with t the unit vector along axis
+            tangents = np.tile(np.eye(2)[axis], (len(pts), 1))
+            return incident_fields(src, k, eta, pts + shift, tangents)[0]
+
+        ex_y1, ex_y0 = e_component([0.0, step], 0), e_component([0.0, -step], 0)
+        ey_x1, ey_x0 = e_component([step, 0.0], 1), e_component([-step, 0.0], 1)
         curl_z = (ey_x1 - ey_x0) / (2 * step) - (ex_y1 - ex_y0) / (2 * step)
         _, h = incident_fields(src, k, eta, pts, np.tile([1.0, 0.0], (20, 1)))
         expected = -1j * k * eta * h
@@ -68,6 +73,45 @@ class TestAssembleRhs:
         src = MagneticLineSource(tuple(node + 0.1 * self.mesh.h))
         with pytest.raises(ValueError):
             assemble_rhs(self.mesh, src, 0.4, 1.0)
+
+    def test_rejections_keep_their_messages(self):
+        node = self.mesh.nodes[0]
+        with pytest.raises(ValueError, match=r"from the curve is below h/2 = "):
+            assemble_rhs(self.mesh, MagneticLineSource(tuple(node)), 0.4, 1.0)
+        with pytest.raises(ValueError, match="at the line-source position"):
+            incident_fields(MagneticLineSource(tuple(node)), 0.4, 1.0, node,
+                            np.array([1.0, 0.0]))
+        with pytest.raises(TypeError, match="unknown source type tuple"):
+            assemble_rhs(self.mesh, (3.0, 0.0), 0.4, 1.0)
+        with pytest.raises(ValueError, match="quadrature order"):
+            assemble_rhs(self.mesh, PlaneWaveTE((1.0, 0.0)), 0.4, 1.0,
+                         quad_order=1)
+
+    @pytest.mark.parametrize("src, digests", [
+        (MagneticLineSource((3.0, 0.5)),
+         ("7e24f7a85cecc4433b376e9529b67ad6c5d0c28312aa956cf49846a5542f400c",
+          "04de155691feb4e3ebc06548335b2639327774f43a85325bd3a594029cb45ab5")),
+        (PlaneWaveTE((0.6, 0.8)),
+         ("ed324a600b6d1a4a12891f8383362ccf7dbc05028643950ea2e9de1e6ec58ca2",
+          "ffe34bd95bf2653e443e8a137a9c424ab999c8ee1c6971dc62c040c8d4a29ca2")),
+    ])
+    def test_moments_bitwise_unchanged(self, src, digests):
+        # sha256 of (e, h) from assemble_rhs and of (v_e, v_h) from
+        # normalized_rhs on the lobed curve at N = 1004, k = 0.4, eta = 1,
+        # taken while the moments still had their own Gauss points and the
+        # line source its second distance pass (same at 1 and 2 BLAS threads)
+        from filtbem.calderon2d import assemble_operators, normalized_rhs
+
+        def digest(arrays):
+            sha = hashlib.sha256()
+            for arr in arrays:
+                sha.update(np.ascontiguousarray(arr).tobytes())
+            return sha.hexdigest()
+
+        mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 1004)
+        ops = assemble_operators(mesh, 0.4)
+        assert (digest(assemble_rhs(mesh, src, 0.4, 1.0)),
+                digest(normalized_rhs(ops, src, 1.0))) == digests
 
     def test_constant_moments_match_gram_row_sums(self):
         # f = 1 through the quadrature path (plane wave, k -> 0 limit of
