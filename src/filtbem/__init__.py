@@ -16,7 +16,7 @@ from .assembly2d import (assemble_double_layer, assemble_gram,
 from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
                          assemble_operators, build_calderon_matrix,
                          build_filtered_system, canonical_modes,
-                         filter_modes, normalized_double_layer,
+                         filter_modes, lowest_modes, normalized_double_layer,
                          normalized_rhs, second_kind_split)
 from .compression import LowRankFactor, ProjectedMatrix, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
@@ -44,7 +44,7 @@ __all__ = [
     "sparse_gram", "sparse_laplacian",
     "FilteredSystem", "FilterModes", "Operators2D", "assemble_operators",
     "build_calderon_matrix", "build_filtered_system", "canonical_modes",
-    "filter_modes",
+    "filter_modes", "lowest_modes",
     "normalized_double_layer", "normalized_rhs", "second_kind_split",
     "LowRankFactor", "ProjectedMatrix", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",

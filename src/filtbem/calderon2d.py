@@ -54,6 +54,7 @@ __all__ = [
     "FilteredSystem",
     "assemble_operators",
     "filter_modes",
+    "lowest_modes",
     "canonical_modes",
     "build_calderon_matrix",
     "normalized_double_layer",
@@ -68,13 +69,14 @@ FORMULATIONS = ("efie", "mfie", "cfie")
 _ROW_BLOCK = 64   # rows per block of an in-place right factor
 
 
-@dataclass
+@dataclass(frozen=True)
 class Operators2D:
-    """Operator bundle over one mesh and wavenumber.
+    """Operator bundle over one mesh and wavenumber, fixed once assembled.
 
     ``slayer_ginv`` holds P = S G^{-1}, ``hyper`` the hypersingular N and
-    ``dlayer`` the double layer D (assembled on first use), all raw,
-    read-only and N x N; ``gram_invsqrt`` is the sparse banded G^{-1/2}.
+    ``dlayer`` the double layer D (None unless :func:`assemble_operators`
+    was asked for it), all raw, read-only and N x N; ``gram_invsqrt`` is
+    the sparse banded G^{-1/2}.
     No Gram-normalized operator is kept: the filtered system reads these
     through thin products and the dense routes form theirs on demand.  No
     Laplacian basis is kept either: :func:`filter_modes` computes the modes
@@ -86,7 +88,7 @@ class Operators2D:
     gram_invsqrt: scipy.sparse.csr_array
     slayer_ginv: np.ndarray
     hyper: np.ndarray
-    dlayer: Optional[np.ndarray] = None   # assembled on first use
+    dlayer: Optional[np.ndarray] = None   # only with need_double_layer
     quad_order: int = 8
 
     @property
@@ -126,8 +128,9 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     The single-layer/hypersingular pair shares one kernel pass, and S
     becomes S G^{-1} in place, one block of rows at a time, through one
     sparse LU factorization of the tridiagonal G.  The double layer is
-    assembled here only when requested, otherwise on first use.  G^{-1/2}
-    is the banded :func:`~filtbem.spectral.chebyshev_invsqrt` of G.
+    assembled only when ``need_double_layer`` asks for it; a bundle without
+    it serves the efie alone.  G^{-1/2} is the banded
+    :func:`~filtbem.spectral.chebyshev_invsqrt` of G.
     """
     if slayer_kind == "helmholtz":
         slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
@@ -138,20 +141,12 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     # G is symmetric, so a row block of S G^{-1} is (G^{-1} block^T)^T
     slayer_ginv = _times_right(scipy.sparse.linalg.splu(gram.tocsc()).solve,
                                slayer)
-    ops = Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
-                      slayer_ginv=_read_only(slayer_ginv),
-                      hyper=_read_only(hyper), quad_order=quad_order)
-    if need_double_layer:
-        _double_layer(ops)
-    return ops
-
-
-def _double_layer(ops: Operators2D) -> np.ndarray:
-    """The raw double layer D, assembled into the bundle on first use."""
-    if ops.dlayer is None:
-        ops.dlayer = _read_only(
-            assemble_double_layer(ops.mesh, ops.k, ops.quad_order))
-    return ops.dlayer
+    dlayer = (_read_only(assemble_double_layer(mesh, k, quad_order))
+              if need_double_layer else None)
+    return Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
+                       slayer_ginv=_read_only(slayer_ginv),
+                       hyper=_read_only(hyper), dlayer=dlayer,
+                       quad_order=quad_order)
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ def canonical_modes(ops: Operators2D, values: np.ndarray,
     return FilterModes(vectors=vectors, cut_gap=gap, cut_canonicalized=fired)
 
 
-def _lowest_modes(ops: Operators2D, count: int):
+def lowest_modes(ops: Operators2D, count: int):
     """``(values, vectors)``: the ``count`` lowest eigenpairs of
     G^{-1/2} L G^{-1/2}, ascending, as G^{1/2} v for L v = lam G v solved on
     the sparse pencil (:func:`~filtbem.spectral.pencil_modes`, shifted by
@@ -237,7 +232,7 @@ def _lowest_modes(ops: Operators2D, count: int):
 def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
     """The ``filter_n`` lowest Laplacian modes, Gram-normalized, and the cut.
 
-    Takes the lowest ``filter_n + 1`` modes (:func:`_lowest_modes`) for
+    Takes the lowest ``filter_n + 1`` modes (:func:`lowest_modes`) for
     odd ``filter_n`` and ``filter_n + 2`` for even: past the constant mode
     a closed curve's modes come in near-degenerate pairs, and an even cut
     splits the pair (filter_n - 1, filter_n), so the gap after that pair
@@ -248,24 +243,25 @@ def filter_modes(ops: Operators2D, filter_n: int) -> FilterModes:
     size = ops.mesh.n_nodes
     _check_filter_index(filter_n, size)
     count = min(filter_n + 2 - filter_n % 2, size)
-    values, vectors = _lowest_modes(ops, count)
+    values, vectors = lowest_modes(ops, count)
     while count < size:
         run = cut_cluster(values, filter_n, size)[1]
         if run is None or run[1] is not None:
             break
         count = min(size, 2 * count - filter_n)   # twice as many past the cut
-        values, vectors = _lowest_modes(ops, count)
+        values, vectors = lowest_modes(ops, count)
     modes = canonical_modes(ops, values, vectors, filter_n)
     kept = np.ascontiguousarray(modes.vectors[:, :filter_n])
     kept.flags.writeable = False
     return dataclasses.replace(modes, vectors=kept)
 
 
-def _operators_for(mesh: CurveMesh, k: float,
-                   ops: Optional[Operators2D]) -> Operators2D:
+def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
+                   need_double_layer: bool = False) -> Operators2D:
     """The given bundle, checked against mesh and k, or a new one."""
     if ops is None:
-        return assemble_operators(mesh, k)
+        return assemble_operators(mesh, k,
+                                  need_double_layer=need_double_layer)
     if ops.mesh is not mesh or ops.k != k:
         raise ValueError("ops was assembled for another mesh or wavenumber")
     return ops
@@ -292,9 +288,13 @@ def _calderon_rows(ops: Operators2D, w: Optional[np.ndarray]) -> np.ndarray:
 def _double_layer_rows(ops: Operators2D,
                        w: Optional[np.ndarray]) -> np.ndarray:
     """w.T Dn for Dn = G^{-1/2} D G^{-1/2}, evaluated as (u.T D) G^{-1/2}
-    with u = G^{-1/2} w; Dn itself when ``w`` is None."""
+    with u = G^{-1/2} w; Dn itself when ``w`` is None.  The one reader of
+    D: a bundle without it raises ``ValueError``."""
+    if ops.dlayer is None:
+        raise ValueError("the operator bundle holds no double layer: "
+                         "assemble it with need_double_layer=True")
     return _times_right(ops.gram_invsqrt.__matmul__,
-                        _left_rows(ops, w, _double_layer(ops)))
+                        _left_rows(ops, w, ops.dlayer))
 
 
 def build_calderon_matrix(mesh: CurveMesh, k: float,
@@ -311,7 +311,8 @@ def build_calderon_matrix(mesh: CurveMesh, k: float,
 
 
 def normalized_double_layer(ops: Operators2D) -> np.ndarray:
-    """Gram-normalized double layer G^{-1/2} D G^{-1/2}, as a new array."""
+    """Gram-normalized double layer G^{-1/2} D G^{-1/2}, as a new array;
+    ``ops`` must hold D (``need_double_layer``)."""
     return _double_layer_rows(ops, None)
 
 
@@ -350,23 +351,20 @@ def formulation_weights(formulation: str, alpha: float):
 def _compact_block(ops: Operators2D, first: float, second: float,
                    w: Optional[np.ndarray]) -> np.ndarray:
     """w.T @ C for the compact block C = first (Z - I/4) - second Dn, as a
-    new array, or C itself when ``w`` is None (Z then comes from
-    :func:`build_calderon_matrix`, Dn from :func:`normalized_double_layer`).
-    Both routes run the same products, the dense one with w = I; with a
-    basis they cost O(N^2 r) for r columns of w and form no N x N array.
-    A zero weight skips its operator."""
+    new array, or C itself when ``w`` is None.  Both routes run the same
+    products, the dense one with w = I; with a basis they cost O(N^2 r)
+    for r columns of w and form no N x N array.  A zero weight skips its
+    operator."""
     block = 0.0
     if first:
+        block = _calderon_rows(ops, w)
         if w is None:
-            block = build_calderon_matrix(ops.mesh, ops.k, ops=ops)
             block[np.diag_indices_from(block)] -= 0.25
         else:
-            block = _calderon_rows(ops, w)
             block -= 0.25 * w.T
         block *= first
     if second:
-        term = (normalized_double_layer(ops) if w is None
-                else _double_layer_rows(ops, w))
+        term = _double_layer_rows(ops, w)
         term *= second
         block = np.subtract(block, term, out=term)
     return block
@@ -381,7 +379,8 @@ def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
     C = first (Z - I/4) - second Dn, with Z from
     :func:`build_calderon_matrix` and the normalized double layer Dn.
 
-    C is returned as a new array.
+    C is returned as a new array.  A formulation that weighs Dn needs a
+    bundle assembled with ``need_double_layer``.
     """
     first, second = formulation_weights(formulation, alpha)
     return first / 4 + second / 2, _compact_block(ops, first, second, None)
@@ -399,18 +398,14 @@ class FilteredSystem:
     (:func:`filter_modes`) and ``B = w.T @ C`` is the ``filter_n x N``
     coefficient block; when every mode is kept the basis is None and ``B``
     is C itself.  ``np.asarray(compact)`` forms the N x N block;
-    :func:`lowrank_factor` compresses ``B`` without it.  ``alpha`` is the
-    combined-field coupling, 0 unless both weights are nonzero.
-    ``cut_gap`` and ``cut_canonicalized`` report the filter cut as
-    :class:`FilterModes` does.
+    :func:`lowrank_factor` compresses ``B`` without it.  ``cut_gap`` and
+    ``cut_canonicalized`` report the filter cut as :class:`FilterModes`
+    does.
     """
 
     beta: float
     compact: ProjectedMatrix
     rhs: np.ndarray
-    formulation: str
-    filter_n: int
-    alpha: float = 0.0
     cut_gap: Optional[float] = None
     cut_canonicalized: bool = False
 
@@ -436,15 +431,16 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
         Combined-field coupling, > 0 (combined formulation only).
     ops : Operators2D, optional
         Reuse operators previously assembled on this mesh at this k; they
-        fix the quadrature order.
+        fix the quadrature order, and mfie and cfie need their double
+        layer.  Without them the operators the formulation weighs are
+        assembled.
 
     Returns
     -------
     FilteredSystem
     """
-    formulation = formulation.lower()
     first, second = formulation_weights(formulation, alpha)
-    ops = _operators_for(mesh, k, ops)
+    ops = _operators_for(mesh, k, ops, need_double_layer=bool(second))
     _check_filter_index(filter_n, mesh.n_nodes)
     v_e, v_h = normalized_rhs(ops, src, eta)
     rhs = sum(weight * vec for weight, vec in ((first, v_e), (second, v_h))
@@ -460,5 +456,4 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     return FilteredSystem(
         beta=first / 4 + second / 2,
         compact=ProjectedMatrix(w, _compact_block(ops, first, second, w)),
-        rhs=rhs, formulation=formulation, filter_n=filter_n,
-        alpha=second if first else 0.0, cut_gap=gap, cut_canonicalized=fired)
+        rhs=rhs, cut_gap=gap, cut_canonicalized=fired)

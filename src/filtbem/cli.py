@@ -14,12 +14,12 @@ configuration, the seed, the package version and the numerical
 environment (numpy and scipy versions, BLAS thread-count variables).  The
 ``spectra``, ``refine`` and ``table`` sidecars also list, per solved size,
 the filter cut: its relative eigen-gap and whether it split a
-near-degenerate pair that was made canonical; the ``refine`` and ``table``
+near-degenerate pair that was made canonical; and under ``set_up`` the
+set-up's wall time, split into its stages (``assemble_s``, ``filter_s``,
+``compress_s``), the process's peak RSS right after it and the bytes the
+operator bundle holds (``operators_mb``).  The ``refine`` and ``table``
 sidecars add the skeleton's rank, convergence, achieved error and norm
-estimate and the Woodbury core's condition number, and under ``set_up``
-the set-up's wall time, split into its stages (``assemble_s``,
-``filter_s``, ``compress_s``), the process's peak RSS right after it and
-the bytes the operator bundle holds (``operators_mb``).  A run
+estimate and the Woodbury core's condition number.  A run
 is bit-reproducible for a fixed seed and BLAS thread count.
 
 Configuration comes from per-command defaults, overridden by an optional
@@ -48,11 +48,11 @@ import scipy
 
 from . import __version__
 from .assembly2d import quadrature_rule
-from .calderon2d import (_lowest_modes, assemble_operators,
-                         build_filtered_system, canonical_modes,
-                         formulation_weights, second_kind_split)
+from .calderon2d import (assemble_operators, build_filtered_system,
+                         canonical_modes, formulation_weights, lowest_modes,
+                         second_kind_split)
 from .compression import lowrank_factor
-from .excitation2d import MagneticLineSource, PlaneWaveTE
+from .excitation2d import MagneticLineSource, PlaneWaveTE, assemble_rhs
 from .mesh2d import MIN_NODES, Ellipse, PerturbedCircle, build_mesh
 from .qh3d import (build_incidence, filtered_projectors, icosphere,
                    octahedron, projectors, tetrahedron, torus_mesh)
@@ -156,7 +156,10 @@ def parse_config_file(path) -> dict:
 def resolve_config(command: str, file_values: dict, cli_values: dict) -> ExperimentConfig:
     """Defaults of ``command``, then file values, then flag values, checked
     (every float finite, every mesh size at least ``MIN_NODES``, the curve
-    and source built once) before any assembly."""
+    and source built once) before any assembly.  At every size the command
+    will solve (:func:`_solved_sizes`) the filter must fit the mesh and the
+    source must clear the curve, by the moments' own rule
+    (:func:`~filtbem.excitation2d.assemble_rhs`, O(N) work per size)."""
     cfg = dataclasses.replace(_BASE, **_COMMANDS[command][2])
     for values in (file_values, cli_values):
         for key, val in values.items():
@@ -179,9 +182,26 @@ def resolve_config(command: str, file_values: dict, cli_values: dict) -> Experim
         raise ValueError(f"n must be >= {MIN_NODES}, got {cfg.n}")
     if any(size < MIN_NODES for size in cfg.sizes):
         raise ValueError(f"sizes {list(cfg.sizes)}: each must be >= {MIN_NODES}")
-    cfg.curve()
-    cfg.source_model()
+    curve, src = cfg.curve(), cfg.source_model()
+    solved = _solved_sizes(command, cfg)
+    if command in ("refine", "table") and not solved:
+        raise ValueError(f"sizes {list(cfg.sizes)}: none is at or below "
+                         f"max_n {cfg.max_n}, nothing to solve")
+    if solved and cfg.filter_n > min(solved):
+        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {min(solved)}")
+    for size in solved:
+        assemble_rhs(build_mesh(curve, size), src, cfg.k, 1.0, cfg.quad_order)
     return cfg
+
+
+def _solved_sizes(command: str, cfg: ExperimentConfig) -> list:
+    """The mesh sizes ``command`` solves: ``n`` for spectra, the ``sizes``
+    at or below ``max_n`` for refine and table, none for qh3d-check."""
+    if command == "spectra":
+        return [cfg.n]
+    if command == "qh3d-check":
+        return []
+    return [size for size in cfg.sizes if size <= cfg.max_n]
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +250,17 @@ def _outdir(cfg) -> Path:
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
-def _set_up(cfg: ExperimentConfig, n_nodes: int, stages=None):
-    """``(ops, system, skeleton)`` at one size.  Below ``filter_n = N`` the
-    system holds only the filter-coordinate block, no N x N array.  A dict
-    ``stages`` receives the wall time of each stage in seconds:
-    ``assemble_s`` (mesh and operators, the double layer included when the
-    formulation weighs it), ``filter_s`` (the filtered system, its modes
-    included) and ``compress_s`` (the skeleton)."""
+def _set_up(cfg: ExperimentConfig, n_nodes: int):
+    """``(ops, system, skeleton, record)`` at one size.  Below
+    ``filter_n = N`` the system holds only the filter-coordinate block, no
+    N x N array.  ``record`` is the set-up's meta record: its wall time
+    ``seconds``, that of each stage, ``assemble_s`` (mesh and operators,
+    the double layer included when the formulation weighs it),
+    ``filter_s`` (the filtered system, its modes included) and
+    ``compress_s`` (the skeleton), the process's peak RSS right after it
+    and the operator bundle's size."""
     t0 = time.perf_counter()
     mesh = build_mesh(cfg.curve(), n_nodes)
-    if cfg.filter_n > mesh.n_nodes:
-        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {mesh.n_nodes}")
     _, second = formulation_weights(cfg.formulation, cfg.alpha)
     ops = assemble_operators(
         mesh, cfg.k, cfg.quad_order, need_double_layer=bool(second),
@@ -252,10 +272,11 @@ def _set_up(cfg: ExperimentConfig, n_nodes: int, stages=None):
                                    ops=ops)
     t2 = time.perf_counter()
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
-    if stages is not None:
-        stages.update(assemble_s=t1 - t0, filter_s=t2 - t1,
-                      compress_s=time.perf_counter() - t2)
-    return ops, system, skeleton
+    t3 = time.perf_counter()
+    record = {"n_nodes": n_nodes, "seconds": t3 - t0, "assemble_s": t1 - t0,
+              "filter_s": t2 - t1, "compress_s": t3 - t2,
+              "peak_rss_mb": _peak_rss_mb(), "operators_mb": ops.nbytes / 1e6}
+    return ops, system, skeleton, record
 
 
 def _solve_one(cfg: ExperimentConfig, n_nodes: int):
@@ -263,18 +284,11 @@ def _solve_one(cfg: ExperimentConfig, n_nodes: int):
 
     Returns a dict with the mesh, the structured inverse, the error against
     the dense reference, the factorize/apply timings and the meta records
-    of the filter cut, the skeleton and the set-up (its wall time and
-    that of each stage, the process's peak RSS right after it and the
-    operator bundle's size).
+    of the filter cut, the skeleton and the set-up (see :func:`_set_up`).
     The dense reference is formed only after the filtered system is
     released.
     """
-    stages = {}
-    t0 = time.perf_counter()
-    ops, system, skeleton = _set_up(cfg, n_nodes, stages)
-    set_up = {"n_nodes": n_nodes, "seconds": time.perf_counter() - t0,
-              **stages, "peak_rss_mb": _peak_rss_mb(),
-              "operators_mb": ops.nbytes / 1e6}
+    ops, system, skeleton, set_up = _set_up(cfg, n_nodes)
     t0 = time.perf_counter()
     inverse = woodbury_factorize(system.beta, skeleton)
     t_factorize = time.perf_counter() - t0
@@ -324,10 +338,10 @@ def run_spectra(cfg: ExperimentConfig):
     from (:func:`~filtbem.calderon2d.filter_modes`), made canonical at the
     filter cut as they are.
     """
-    ops, system, skeleton = _set_up(cfg, cfg.n)
+    ops, system, skeleton, set_up = _set_up(cfg, cfg.n)
     mesh = ops.mesh
     _, compact_raw = second_kind_split(ops, cfg.formulation, cfg.alpha)
-    values, modes = _lowest_modes(ops, mesh.n_nodes)
+    values, modes = lowest_modes(ops, mesh.n_nodes)
     modes = canonical_modes(ops, values, modes, cfg.filter_n).vectors
     proj_raw = np.linalg.norm(modes.T @ compact_raw @ modes, axis=1)
     basis, coeffs = system.compact.basis, system.compact.coeffs
@@ -351,7 +365,8 @@ def run_spectra(cfg: ExperimentConfig):
     write_metadata(out / "spectra_meta.json", "spectra", cfg,
                    {"n_nodes": mesh.n_nodes, "skeleton_rank": skeleton.rank,
                     "quadrature": quadrature_rule(cfg.quad_order),
-                    "filter_cut": [_filter_cut(system)]})
+                    "filter_cut": [_filter_cut(system)],
+                    "set_up": [set_up]})
     return rows
 
 
@@ -360,15 +375,7 @@ def _sweep(cfg: ExperimentConfig, command: str, sizes, header, row):
     then raise a failed size as a ``LinAlgError``.  ``row(n_nodes, res,
     status)`` makes a CSV row from the :func:`_solve_one` result, or from
     None for a size above ``max_n`` (``skipped:max_n``) or one whose solve
-    raised a ``LinAlgError`` or ``FloatingPointError`` (``failed:``).
-    A sweep with no size at or below ``max_n`` is a configuration error."""
-    # checked before the first size is solved
-    solvable = [n for n in sizes if n <= cfg.max_n]
-    if not solvable:
-        raise ValueError(f"sizes {list(sizes)}: none is at or below "
-                         f"max_n {cfg.max_n}, nothing to solve")
-    if cfg.filter_n > min(solvable):
-        raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {min(solvable)}")
+    raised a ``LinAlgError`` or ``FloatingPointError`` (``failed:``)."""
     rows, failed, cuts, skeletons, set_ups = [], [], [], [], []
     for n_nodes in sizes:
         if n_nodes > cfg.max_n:
@@ -404,7 +411,7 @@ def run_refinement(cfg: ExperimentConfig):
     A size whose solve fails gets a ``failed:`` row; the CSV is still
     written, and then the failure is raised as a ``LinAlgError``.
     """
-    sizes = [n for n in cfg.sizes if n <= cfg.max_n]
+    sizes = _solved_sizes("refine", cfg)
     if len(sizes) < 3:
         raise ValueError("refinement sweep needs at least 3 mesh sizes "
                          "(raise --max-n or extend --sizes)")

@@ -40,17 +40,15 @@ class LowRankFactor:
     """Skeleton M ~= left @ right.T with certified relative spectral error.
 
     ``achieved_error`` is the safety-inflated power-iteration estimate of
-    ||M - left right^T||_2 / ||M||_2; it is at most ``epsilon`` whenever
-    ``converged`` is set.
+    ||M - left right^T||_2 / ||M||_2; it is at most the requested
+    tolerance whenever ``converged`` is set.
     """
 
     left: np.ndarray       # (n, r)
     right: np.ndarray      # (n, r); approximation is left @ right.T
     rank: int
-    epsilon: float
     achieved_error: float
     norm_estimate: float
-    seed: int
     converged: bool = True
 
     def reconstruct(self) -> np.ndarray:
@@ -232,8 +230,7 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
     if norm_est == 0.0:
         empty = np.zeros((n, 0), np.complex128)
         return LowRankFactor(left=empty, right=empty.copy(), rank=0,
-                             epsilon=epsilon, achieved_error=0.0,
-                             norm_estimate=0.0, seed=seed)
+                             achieved_error=0.0, norm_estimate=0.0)
 
     target = epsilon * norm_est
     q = np.zeros((rows, 0), np.complex128)
@@ -288,7 +285,6 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
         left = basis @ left
     return LowRankFactor(left=np.ascontiguousarray(left),
                          right=np.ascontiguousarray(right),
-                         rank=rank, epsilon=epsilon,
-                         achieved_error=float(achieved / norm_est),
-                         norm_estimate=float(norm_est), seed=seed,
+                         rank=rank, achieved_error=float(achieved / norm_est),
+                         norm_estimate=float(norm_est),
                          converged=bool(converged))

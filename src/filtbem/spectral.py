@@ -1,13 +1,13 @@
 """Symmetric eigendecompositions, matrix square roots and spectral filters.
 
-The central object is the low-pass projector of a symmetric PSD Laplacian
-(the orthonormalized variational Laplacian of a curve, or a graph
-Laplacian of a triangle mesh): the orthogonal projector onto its n lowest
-eigenmodes minus the nullspace (constants on a closed curve or a
-connected graph).  On uniformly discretized closed curves,
-:func:`circulant_filter_apply` reproduces :func:`laplacian_filter` by the
-FFT in O(N log N); the curve pipeline, whose filter keeps the constant
-mode, does not use it.
+:func:`laplacian_filter` is the low-pass projector of a symmetric PSD
+Laplacian: the orthogonal projector onto its n lowest eigenmodes minus
+the nullspace (constants on a connected graph or a closed curve).  The
+3D projectors apply it to graph Laplacians of triangle meshes; on
+uniformly discretized closed curves :func:`circulant_filter_apply`
+reproduces it by the FFT in O(N log N).  The curve pipeline's filter,
+:func:`~filtbem.calderon2d.filter_modes`, keeps the constant mode and
+calls neither.
 
 The curve pipeline needs no dense eigendecomposition: the inverse square
 root of a sparse, well-conditioned SPD matrix is a banded Chebyshev

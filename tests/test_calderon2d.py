@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import threading
 import tracemalloc
 
@@ -13,11 +15,11 @@ from filtbem.assembly2d import (_row_block_pass, _single_layer_rule,
                                 assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_laplacian,
                                 sparse_gram)
-from filtbem.calderon2d import (FORMULATIONS, _lowest_modes,
-                                assemble_operators, build_calderon_matrix,
-                                build_filtered_system, canonical_modes,
-                                filter_modes, normalized_double_layer,
-                                normalized_rhs, second_kind_split)
+from filtbem.calderon2d import (FORMULATIONS, assemble_operators,
+                                build_calderon_matrix, build_filtered_system,
+                                canonical_modes, filter_modes, lowest_modes,
+                                normalized_double_layer, normalized_rhs,
+                                second_kind_split)
 from filtbem.compression import lowrank_factor
 from filtbem.excitation2d import MagneticLineSource, PlaneWaveTE, assemble_rhs
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
@@ -116,12 +118,12 @@ class TestOperatorBundle:
         # forms; those are made on demand, against the independent dense
         # root to rounding (the banded root agrees with it, not bit for bit)
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
-        ops = assemble_operators(mesh, K)
+        ops = assemble_operators(mesh, K, need_double_layer=True)
         gram = assemble_gram(mesh)
         gm = sym_sqrt_and_invsqrt(gram)[1]
         slayer, hyper = assemble_helmholtz_pair(mesh, K)
         dlayer = assemble_double_layer(mesh, K)
-        assert ops.dlayer is None
+        assert assemble_operators(mesh, K).dlayer is None
         dn = normalized_double_layer(ops)
         assert normalized_double_layer(ops) is not dn   # nothing cached
         ref_p = np.linalg.solve(gram, slayer.T).T       # G is symmetric
@@ -138,6 +140,21 @@ class TestOperatorBundle:
         for made, ref in ((build_calderon_matrix(mesh, K, ops=ops), zref),
                           (dn, gm @ dlayer @ gm)):
             assert np.abs(made - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_bundle_is_frozen_and_d_is_asked_for(self):
+        # D has one producer, assemble_operators(need_double_layer=True):
+        # no reader adds it to a bundle later
+        mesh = build_mesh(Ellipse(1.42, 1.32), 64)
+        ops = assemble_operators(mesh, K)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ops.dlayer = assemble_double_layer(mesh, K)
+        for formulation in ("mfie", "cfie"):
+            with pytest.raises(ValueError, match="need_double_layer"):
+                second_kind_split(ops, formulation)
+            with pytest.raises(ValueError, match="need_double_layer"):
+                build_filtered_system(mesh, K, ETA, SRC, formulation, 21,
+                                      ops=ops)
+        assert ops.dlayer is None
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
     @pytest.mark.parametrize("n", [96, 502])
@@ -321,7 +338,7 @@ class TestOperatorBundle:
         ops = assemble_operators(mesh, K)
         counting = CountingMatrix(ops.gram_invsqrt)
         counting.products = []
-        ops.gram_invsqrt = counting
+        ops = dataclasses.replace(ops, gram_invsqrt=counting)
         for name in ("splu", "spsolve", "factorized"):
             monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
         monkeypatch.setattr(calderon_mod, "sparse_gram", refuse)
@@ -491,7 +508,6 @@ class TestFilteredSystem:
             assert (np.abs(system.compact.coeffs - expected).max()
                     <= 1e-12 * np.abs(expected).max())
             assert system.beta == beta == first / 4 + second / 2
-            assert system.alpha == (second if first else 0.0)
             systems[formulation] = system
         v_e, v_h = normalized_rhs(ops, SRC, ETA)
         assert np.array_equal(systems["efie"].rhs, v_e)
@@ -545,6 +561,21 @@ class TestFilteredSystem:
                         + np.outer(u, u @ compact_raw))
             assert (np.abs(np.asarray(system.compact) - expected).max()
                     <= 1e-12 * np.abs(compact_raw).max())
+
+    def test_cfie_block_bitwise_unchanged(self):
+        # sha256 prefixes of B and its basis for the cfie of the benchmark
+        # (lobed curve, N = 502, filter_n 200, alpha 0.5), taken before the
+        # operator bundle was frozen; B rounds differently at one and at
+        # two BLAS threads, the basis does not
+        mesh = build_mesh(BENCH_CURVES["lobed"], 502)
+        ops = assemble_operators(mesh, K, need_double_layer=True)
+        system = build_filtered_system(mesh, K, ETA, SRC, "cfie", 200,
+                                       alpha=0.5, ops=ops)
+        coeffs, basis = (
+            hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+            for arr in (system.compact.coeffs, system.compact.basis))
+        assert coeffs in {"890e8cf6e9a41b5a", "51dccb7025c348b3"}
+        assert basis == "23db29959037b356"
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
     @pytest.mark.parametrize("filter_n", [21, 200])
@@ -626,7 +657,7 @@ class TestFilteredSystem:
         modes = filter_modes(ops, filter_n)
         assert counts == [count]
         monkeypatch.undo()
-        ref = canonical_modes(ops, *_lowest_modes(ops, count), filter_n)
+        ref = canonical_modes(ops, *lowest_modes(ops, count), filter_n)
         assert np.array_equal(modes.vectors, ref.vectors[:, :filter_n])
         assert modes.cut_canonicalized == ref.cut_canonicalized == (filter_n == 200)
 
@@ -649,8 +680,10 @@ class TestFilteredSystem:
 
     def test_validation(self, circle_ops):
         mesh, ops = circle_ops
-        with pytest.raises(ValueError):
-            build_filtered_system(mesh, K, ETA, SRC, "bad", 21, ops=ops)
+        for formulation in ("bad", "EFIE"):
+            with pytest.raises(ValueError):
+                build_filtered_system(mesh, K, ETA, SRC, formulation, 21,
+                                      ops=ops)
         with pytest.raises(ValueError):
             build_filtered_system(mesh, K, ETA, SRC, "cfie", 21, alpha=-1.0,
                                   ops=ops)

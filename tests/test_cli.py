@@ -184,6 +184,24 @@ class TestConfig:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["table", "--sizes", "256,64"],
+        ["spectra", "--n", "64", "--geometry", "perturbed_circle"],
+    ])
+    def test_source_clearance_checked_before_any_assembly(
+            self, tmp_path, monkeypatch, capsys, argv):
+        # the line source clears h/2 of the curve at N = 256, not at N = 64
+        import filtbem.cli as cli_mod
+        calls = []
+        monkeypatch.setattr(cli_mod, "assemble_operators",
+                            lambda *args, **kwargs: calls.append(args))
+        code = main(argv + ["--filter-n", "10", "--source-x", "2.12",
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+        assert "source distance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["--sizes", ","],
         ["--sizes", "2008,4016", "--max-n", "1004"],
     ])
@@ -220,7 +238,7 @@ def _flag_values(tmp_path):
         "amp": 0.1, "lobes": 6, "k": 0.7, "source": "plane",
         "source_x": 4.0, "source_y": 1.0, "source_dir_x": 0.5,
         "source_dir_y": 1.5, "formulation": "cfie", "alpha": 0.3,
-        "filter_n": 40, "epsilon": 1e-5, "n": 96, "sizes": (64, 128, 256),
+        "filter_n": 40, "epsilon": 1e-5, "n": 256, "sizes": (64, 128, 256),
         "max_n": 512, "quad_order": 10, "seed": 7, "yukawa": True,
         "out": str(tmp_path / "elsewhere"),
     }
@@ -358,7 +376,7 @@ def test_spectra_basis_starts_with_the_filters_own_modes(tmp_path, monkeypatch):
         "geometry": "perturbed_circle", "n": 128, "filter_n": 30,
         "out": str(tmp_path)})
     run_spectra(cfg)
-    ops, system, _ = seen["set_up"]
+    ops, system, _, _ = seen["set_up"]
     kept = seen["modes"].vectors[:, :30]
     own = filter_modes(ops, 30).vectors
     assert np.abs(kept @ kept.T - own @ own.T).max() <= 1e-12
@@ -449,7 +467,7 @@ def test_double_layer_assembled_with_the_operators(monkeypatch, formulation,
     monkeypatch.setattr(cli_mod, "build_filtered_system", spy)
     cfg = resolve_config("refine", {}, {"formulation": formulation,
                                         "filter_n": 13, "epsilon": 1e-4})
-    ops, _, _ = cli_mod._set_up(cfg, 64)
+    ops, _, _, _ = cli_mod._set_up(cfg, 64)
     assert seen == [with_d]
     assert (ops.dlayer is not None) == with_d
 
@@ -501,15 +519,17 @@ def test_refine_rank_at_n512_stays_within_filter_n():
 ])
 def test_calderon_product_formed_once_per_size(tmp_path, monkeypatch,
                                                command, sizes):
+    # the dense Calderon product is its rows with the identity as basis
     import filtbem.calderon2d as calderon_mod
-    build = calderon_mod.build_calderon_matrix
+    calderon_rows = calderon_mod._calderon_rows
     calls = []
 
-    def counting(mesh, *args, **kwargs):
-        calls.append(mesh.n_nodes)
-        return build(mesh, *args, **kwargs)
+    def counting(ops, w):
+        if w is None:
+            calls.append(ops.mesh.n_nodes)
+        return calderon_rows(ops, w)
 
-    monkeypatch.setattr(calderon_mod, "build_calderon_matrix", counting)
+    monkeypatch.setattr(calderon_mod, "_calderon_rows", counting)
     code = main(command + ["--epsilon", "1e-4", "--out", str(tmp_path)])
     assert code == 0
     assert calls == sizes
@@ -530,12 +550,18 @@ def test_dense_reference_formed_after_the_fast_path(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    calderon_rows = calderon_mod._calderon_rows
+
+    def dense_calderon(ops, w):
+        if w is None:
+            events.append("calderon")
+        return calderon_rows(ops, w)
+
     monkeypatch.setattr(WoodburyInverse, "apply",
                         spy("apply", WoodburyInverse.apply))
     monkeypatch.setattr(cli_mod, "second_kind_split",
                         spy("split", cli_mod.second_kind_split))
-    monkeypatch.setattr(calderon_mod, "build_calderon_matrix",
-                        spy("calderon", calderon_mod.build_calderon_matrix))
+    monkeypatch.setattr(calderon_mod, "_calderon_rows", dense_calderon)
     cfg = resolve_config("refine", {}, {"filter_n": 13, "epsilon": 1e-4})
     assert _solve_one(cfg, 96)["rel_error"] <= 1e-3
     assert events == ["apply", "split", "calderon"]
@@ -544,17 +570,18 @@ def test_dense_reference_formed_after_the_fast_path(monkeypatch):
 @pytest.mark.parametrize("command, argv, solved", [
     ("refine", ["--sizes", "48,64,96"], [48, 64, 96]),
     ("table", ["--sizes", "48,96,512", "--max-n", "100"], [48, 96]),
+    ("spectra", ["--n", "64"], [64]),
 ])
 def test_meta_records_each_set_up(tmp_path, command, argv, solved):
     code = main([command, "--geometry", "circle", "--a", "1.0",
                  "--filter-n", "13", "--epsilon", "1e-4",
                  "--out", str(tmp_path)] + argv)
     assert code == 0
-    _, rows = read_csv(tmp_path / f"{command}.csv")
-    ok = [int(r[0]) for r in rows if r[-1] == "ok"]
-    assert ok == solved
+    if command != "spectra":      # spectra's rows are modes, not sizes
+        _, rows = read_csv(tmp_path / f"{command}.csv")
+        assert [int(r[0]) for r in rows if r[-1] == "ok"] == solved
     meta = json.loads((tmp_path / f"{command}_meta.json").read_text())
-    assert [rec["n_nodes"] for rec in meta["set_up"]] == ok
+    assert [rec["n_nodes"] for rec in meta["set_up"]] == solved
     for rec in meta["set_up"]:
         assert rec["seconds"] > 0 and rec["peak_rss_mb"] > 0
         stages = [rec["assemble_s"], rec["filter_s"], rec["compress_s"]]

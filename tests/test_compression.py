@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from filtbem.calderon2d import assemble_operators, build_filtered_system
-from filtbem.compression import (NORM_EST_ITERS, LowRankFactor, ProjectedMatrix,
-                                 _orthonormalize_against, _row_space_factor,
-                                 _row_space_norm, lowrank_factor)
+from filtbem.compression import (NORM_EST_ITERS, SAFETY, LowRankFactor,
+                                 ProjectedMatrix, _orthonormalize_against,
+                                 _row_space_factor, _row_space_norm,
+                                 lowrank_factor)
 from filtbem.excitation2d import MagneticLineSource
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 
@@ -213,7 +214,11 @@ class TestProjectedInput:
         # range and returns the truncated SVD to rounding, while the dense
         # finder stops once its residual is below a quarter of the target:
         # its factor differs from the SVD by 1e-7 to 4e-7 of the norm, within
-        # its certified error, and its error estimate by up to 1.5e-4
+        # its certified error.  The two factors' error estimates then differ
+        # as their factors do (by 1.7e-3 at seed 2 with one BLAS thread,
+        # 2.6e-4 with two), so each is checked against what its certificate
+        # promises: its own factor's exact residual, inflated by at most
+        # the safety factor (measured: 1.1977 to 1.2000 times it)
         config, block, eps = filtered_block
         dense = np.asarray(block)
         projected = lowrank_factor(block, eps, seed=seed)
@@ -221,6 +226,9 @@ class TestProjectedInput:
         assert projected.rank == plain.rank
         assert projected.converged and plain.converged
         norm = spectral_norm(dense)
+        for skel in (projected, plain):
+            exact = spectral_norm(dense - skel.reconstruct()) / norm
+            assert exact <= skel.achieved_error <= SAFETY * exact
         gap = spectral_norm(projected.reconstruct() - plain.reconstruct()) / norm
         if config == "table":
             assert projected.achieved_error == pytest.approx(plain.achieved_error,
@@ -231,8 +239,6 @@ class TestProjectedInput:
             rank = projected.rank
             truncated = (u[:, :rank] * sing[:rank]) @ vh[:rank]
             assert spectral_norm(projected.reconstruct() - truncated) <= 1e-12 * norm
-            assert projected.achieved_error == pytest.approx(plain.achieved_error,
-                                                             rel=1e-3)
             assert gap <= plain.achieved_error
 
 
