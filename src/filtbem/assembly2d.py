@@ -12,9 +12,10 @@ shape-function blocks of the test segments s-1 .. e-1 that feed them,
 against every source segment, and folds them straight into those rows of
 each output matrix; no N x N shape accumulator exists.  The hypersingular
 operator reuses the single-layer blocks of the same rows through its
-per-pair transform.  A symmetric kernel (S, N) visits half of the pairs;
-the pass then adds the transpose in place, tile by tile, so S and N come
-out exactly symmetric.  No two row blocks write the same hat row, so the
+per-pair transform.  A symmetric kernel (S, N) integrates each unordered
+pair once, (p, q) with p < q at full weight and the same segment at half
+weight; the pass then adds the transpose in place, tile by tile, so S and
+N come out exactly symmetric.  No two row blocks write the same hat row, so the
 blocks, and then the transpose tiles, run on a thread pool with one worker
 per CPU of the process's affinity mask, fewer on meshes too small to give
 each worker eight row blocks (scipy's Bessel functions release the GIL).
@@ -22,27 +23,28 @@ The pool lives only as long as the pass, and the result does not depend
 on its size.  The symmetry and finiteness checks read the
 matrices in strips, adding no N x N temporary.
 
-Pairs that do not touch take tensor Gauss-Legendre, graded by
-admissibility (Sauter & Schwab, *Boundary Element Methods*, Springer 2011,
-ch. 5), see ``quadrature_rule``:
+Every segment pair goes through one routine, ``_gathered_pair_blocks``:
+tensor Gauss-Legendre on gathered index arrays, at the order of the pair's
+class.  Each non-touching pair of a row block is classified once by its
+midpoint distance, graded by admissibility (Sauter & Schwab, *Boundary
+Element Methods*, Springer 2011, ch. 5), see ``quadrature_rule``:
 
 * far pairs, whose midpoints are at least FAR_RADIUS = 20 times the longer
-  segment apart, take order max(2, ceil(q/2)) on the full grid of the
-  row block; their integrand is nearly polynomial;
-* the other non-touching pairs are near.  They are found from midpoint
-  distances, not from index distance, so a curve that folds back on
-  itself keeps order q where it comes close.
-  They are integrated at order q on gathered index arrays, 38 to 46
-  ordered pairs per segment on the two benchmark curves.
+  segment apart, take order max(2, ceil(q/2)); their integrand is nearly
+  polynomial;
+* the other non-touching pairs are near and take order q, 38 to 46
+  ordered pairs per segment on the two benchmark curves.  The class comes
+  from midpoint distances, not from index distance, so a curve that folds
+  back on itself keeps order q where it comes close.
 
 Against order q everywhere, S, N and D move by <= 3e-14 relative (max
 norm) at q = 8 while k times the longest segment stays <= 0.2.  The far
 error grows about as (k h)^8 (1e-12 at k h = 0.38), still far below the
 O((k h)^2) discretization error of linear elements.  On touching pairs
 the kernel's singular part is integrated analytically for the whole mesh
-when the rule is built; the bounded remainder is integrated by the near
-pairs' routine at the touching order, with no distance floor, for the
-test segments of each row block inside the pass (``_touching_blocks``):
+when the rule is built; the bounded remainder is integrated by the same
+routine at the touching order, with no distance floor, for the test
+segments of each row block inside the pass (``_touching_blocks``):
 
 * same segment: the single layer's log part has a closed form for linear
   shape functions; the double layer vanishes (flat segments).
@@ -209,23 +211,27 @@ def quadrature_rule(quad_order: int = 8) -> dict:
             "touching_order": max(3 * quad_order, 24)}
 
 
-def _near_pairs(mesh, segs):
-    """Near, non-touching pairs of the test segments ``segs``: local rows
-    r and source segments q, sorted.
+def _pair_classes(mesh, segs, symmetric):
+    """Near and far pairs of the test segments ``segs``, each class an
+    index pair (r, q) of local rows r and source segments q, sorted.
 
     A pair is near when its midpoints are closer than FAR_RADIUS times the
-    longer of the two segments.  The test is geometric, so a curve that
-    folds back on itself gets its close but index-distant pairs.
+    longer of the two segments, far otherwise.  The test is geometric, so a
+    curve that folds back on itself gets its close but index-distant pairs.
+    Touching pairs belong to neither class; for a symmetric kernel only the
+    pairs segs[r] < q are taken.
     """
     n = mesh.n_nodes
     ell = mesh.segment_lengths
     mid_x, mid_y = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
     reach_sq = (FAR_RADIUS * ell) ** 2
     dist_sq = (mid_x[segs, None] - mid_x) ** 2 + (mid_y[segs, None] - mid_y) ** 2
-    rows, q = np.nonzero(dist_sq < np.maximum(reach_sq[segs, None], reach_sq))
-    gap = (q - segs[rows]) % n
-    keep = (gap > 1) & (gap < n - 1)
-    return rows[keep], q[keep]
+    near = dist_sq < np.maximum(reach_sq[segs, None], reach_sq)
+    taken = segs[:, None] < np.arange(n) if symmetric else np.ones(near.shape, bool)
+    local = np.arange(len(segs))
+    for shift in TOUCH_SHIFTS:
+        taken[local, (segs + shift) % n] = False
+    return np.nonzero(taken & near), np.nonzero(taken & ~near)
 
 
 def gauss_points(mesh: CurveMesh, order: int):
@@ -248,31 +254,33 @@ def _kernel_at(kernel, test, source, src, floor):
     return kernel(dx, dy, d, src)
 
 
-def _near_pair_blocks(mesh, gauss, kernel, p, q, floor):
-    """Tensor-Gauss blocks [a][b] of the gathered pairs (p[i], q[i]), each (M,).
+def _gathered_pair_blocks(mesh, gauss, kernel, floor, segs, pairs, blocks):
+    """Set ``blocks[a, b, r, q]`` to the tensor-Gauss block of the pair
+    (segs[r], q), for each gathered pair (r, q) of ``pairs``.
 
     ``gauss`` is a :func:`gauss_points` rule.  The kernel is taken at all
     g x g Gauss pairs of a chunk of pairs at once, on (g, g, chunk) arrays
-    of at most PAIR_CHUNK entries.  Each block entry sums over the source
-    points, then over the test points, in order, whatever the chunk's
-    size.  The sums avoid BLAS, which would contend with itself when the
-    pass's threads call it at once.
+    of at most PAIR_CHUNK entries, and each chunk is written straight into
+    ``blocks``.  Each block entry sums over the source points, then over
+    the test points, in order, whatever the chunk's size.  The sums read
+    the complex kernel values as pairs of reals, so the real shape weights
+    scale them with no complex product, and they avoid BLAS, which would
+    contend with itself when the pass's threads call it at once.
     """
     pts, w, shapes = gauss
-    coef = (w * shapes).astype(np.complex128)   # [a][g], [b][h]
-    jac = mesh.segment_lengths[p] * mesh.segment_lengths[q]
-    blocks = [[np.empty(len(p), np.complex128) for _ in range(2)] for _ in range(2)]
+    coef = w * shapes   # [a][g], [b][h]
+    ell = mesh.segment_lengths
     chunk = max(1, PAIR_CHUNK // len(w) ** 2)
-    for start in range(0, len(p), chunk):
-        pairs = slice(start, start + chunk)
-        kern = _kernel_at(kernel, pts[:, None, p[pairs]], pts[None, :, q[pairs]],
-                          q[pairs], floor)
-        for b in range(2):
-            row = np.einsum("h,ghm->gm", coef[b], kern)
-            for a in range(2):
-                np.multiply(np.einsum("g,gm->m", coef[a], row), jac[pairs],
-                            out=blocks[a][b][pairs])
-    return blocks
+    for start in range(0, len(pairs[0]), chunk):
+        rows, q = (idx[start:start + chunk] for idx in pairs)
+        p = segs[rows]
+        kern = _kernel_at(kernel, np.take(pts, p, axis=1)[:, None],
+                          np.take(pts, q, axis=1)[None], q, floor)
+        vals = np.einsum("ag,bgm->abm", coef,
+                         np.einsum("bh,ghm->bgm", coef, kern.view(np.float64)))
+        vals = vals.view(np.complex128)
+        vals *= ell[p] * ell[q]
+        blocks[:, :, rows, q] = vals
 
 
 @dataclass(frozen=True)
@@ -280,14 +288,13 @@ class _PairRule:
     """One kernel's graded quadrature over every segment pair of a mesh.
 
     ``kernel(dx, dy, d, src)`` maps test-minus-source offsets and distances
-    to kernel values; ``src`` indexes the source segments along the last
-    axis of the offsets (``slice(None)`` on the far grid, the gathered
-    source indices on near pairs).  ``far``, ``near`` and ``touch`` are
-    :func:`gauss_points` rules, ``touch`` at the touching order.
-    ``singular`` holds, for the touching pairs (p, p), (p, p + 1) and
-    (p, p - 1), the analytic blocks[a][b] of the kernel's singular part,
-    each (n,) and indexed by p, or None where a shift has no pair;
-    ``remainder`` is the bounded rest of the kernel, which
+    to kernel values; ``src`` holds the gathered source segments along the
+    last axis of the offsets.  ``far``, ``near`` and ``touch`` are
+    :func:`gauss_points` rules, one per pair class, ``touch`` at the
+    touching order.  ``singular`` holds, for the touching pairs (p, p),
+    (p, p + 1) and (p, p - 1), the analytic blocks [a, b, p] of the
+    kernel's singular part, each (2, 2, n), or None where a shift has no
+    pair; ``remainder`` is the bounded rest of the kernel, which
     :func:`_touching_blocks` integrates for the test segments of a row
     block.
     """
@@ -315,49 +322,24 @@ def _graded_rules(mesh, k, quad_order):
 
 
 def _shape_blocks(rule: _PairRule, segs: np.ndarray):
-    """Shape-function blocks ``blk[a][b][r, q]`` of the test segments
-    ``segs[r]`` against every source segment q, each (len(segs), n).
+    """Shape-function blocks ``blk[a, b, r, q]`` of the test segments
+    ``segs[r]`` against every source segment q, (2, 2, len(segs), n).
 
-    Far pairs take the far rule on the full grid, near pairs
-    (:func:`_near_pairs`) the near rule on gathered index arrays, and
-    touching pairs :func:`_touching_blocks`.  For a symmetric kernel the
-    blocks are halves, so that the whole block of pair (p, q) is
-    blk[a][b][p, q] + blk[b][a][q, p]: the far grid takes Gauss pairs
-    gi <= hi (gi = hi at half weight), near pairs p < q carry their block
-    and p > q zero, and touching pairs carry the half-weighted same-segment
-    block and the adjacent block at (p, p + 1) only.
+    Near and far pairs (:func:`_pair_classes`) take the near and the far
+    rule, touching pairs :func:`_touching_blocks`, all through
+    :func:`_gathered_pair_blocks`.  For a symmetric kernel the blocks are
+    halves, so that the whole block of pair (p, q) is
+    blk[a, b, p, q] + blk[b, a, q, p]: pairs p < q carry their block and
+    p > q zero, the same segment carries half its block, and the adjacent
+    block sits at (p, p + 1) only.
     """
     mesh = rule.mesh
-    n = mesh.n_nodes
-    ell = mesh.segment_lengths
     floor = 1e-12 * mesh.h
-    pts, w, shapes = rule.far
-    g = len(w)
-    blocks = [[np.zeros((len(segs), n), np.complex128) for _ in range(2)]
-              for _ in range(2)]
-    for gi in range(g):
-        for hi in range(gi if rule.symmetric else 0, g):
-            kern = _kernel_at(rule.kernel, pts[gi, segs, None, :], pts[hi, None, :, :],
-                              slice(None), floor)
-            ww = w[gi] * w[hi] * (0.5 if rule.symmetric and hi == gi else 1.0)
-            for a in range(2):
-                for b in range(2):
-                    blocks[a][b] += (ww * shapes[a, gi] * shapes[b, hi]) * kern
-    rows, q = _near_pairs(mesh, segs)
-    mirrored = q < segs[rows] if rule.symmetric else np.zeros(len(q), bool)
-    near_rows, near_q = rows[~mirrored], q[~mirrored]
-    near = _near_pair_blocks(mesh, rule.near, rule.kernel, segs[near_rows], near_q, floor)
-    touching = _touching_blocks(rule, segs)
-    local = np.arange(len(segs))
-    jac = np.outer(ell[segs], ell)
-    for a in range(2):
-        for b in range(2):
-            blk = blocks[a][b]
-            blk *= jac
-            blk[near_rows, near_q] = near[a][b]
-            blk[rows[mirrored], q[mirrored]] = 0.0
-            for shift, touch in zip(TOUCH_SHIFTS, touching):
-                blk[local, (segs + shift) % n] = touch[a][b]
+    blocks = np.zeros((2, 2, len(segs), mesh.n_nodes), np.complex128)
+    for gauss, pairs in zip((rule.near, rule.far),
+                            _pair_classes(mesh, segs, rule.symmetric)):
+        _gathered_pair_blocks(mesh, gauss, rule.kernel, floor, segs, pairs, blocks)
+    _touching_blocks(rule, segs, blocks)
     return blocks
 
 
@@ -367,8 +349,8 @@ def _fold(blocks, dst: np.ndarray):
     Local shape a on segment p is the hat of node p + a, and shape b on
     segment q that of node q + b (cyclic).
     """
-    np.add(blocks[0][0][1:], blocks[1][0][:-1], out=dst)
-    shifted = blocks[0][1][1:] + blocks[1][1][:-1]
+    np.add(blocks[0, 0, 1:], blocks[1, 0, :-1], out=dst)
+    shifted = blocks[0, 1, 1:] + blocks[1, 1, :-1]
     dst[:, 1:] += shifted[:, :-1]
     dst[:, 0] += shifted[:, -1]
 
@@ -395,8 +377,9 @@ def _row_block_pass(rule: _PairRule, outputs):
     Works one block of hat rows at a time (see the module docstring), on
     one worker thread per CPU of :func:`_pool_size`, but with at least
     BLOCKS_PER_WORKER blocks per worker: that keeps the workers evenly
-    loaded, and their temporaries, about ten blocks' worth each, below
-    1.5 N x N arrays in all whatever the CPU count.
+    loaded, and their temporaries, at most about eleven blocks' worth each
+    (7 to 11.3 shape-block arrays of one worker, S+N and D, N = 502 to
+    2008), below 1.5 N x N arrays in all whatever the CPU count.
     ``transform(blocks, segs)``, if not None, maps the blocks of the test
     segments ``segs`` in place before they are folded into its matrix; the
     outputs are formed in order from the same blocks.  Each matrix is
@@ -443,36 +426,26 @@ def _duffy_geometry(lt, ls, cc, touch_order):
     return tg, tw, rho1_sq, rho2_sq
 
 
-def _touching_blocks(rule: _PairRule, segs: np.ndarray):
-    """Blocks[a][b], each (len(segs),), of the pairs (p, p + shift), p in
-    ``segs``, for the shifts TOUCH_SHIFTS: the analytic singular part
-    (``rule.singular``) plus the tensor-Gauss integral of the bounded
-    remainder at the touching order (:func:`_near_pair_blocks`, no distance
-    floor), one call for all shifts.  A shift without a singular part has
-    no pair and stays zero.  For a symmetric kernel the same-segment block
-    is halved, as :func:`_shape_blocks` describes.
+def _touching_blocks(rule: _PairRule, segs: np.ndarray, blocks):
+    """Set ``blocks[:, :, r, (segs[r] + shift) % n]`` of the touching pairs,
+    for each shift of TOUCH_SHIFTS that has a singular part: the analytic
+    singular part (``rule.singular``) plus the tensor-Gauss integral of the
+    bounded remainder at the touching order (:func:`_gathered_pair_blocks`,
+    no distance floor), one call for all shifts.  For a symmetric kernel
+    the same-segment block is halved, as :func:`_shape_blocks` describes.
     """
     n = rule.mesh.n_nodes
-    shifts = [shift for shift, part in zip(TOUCH_SHIFTS, rule.singular)
+    local = np.arange(len(segs))
+    shifts = [(shift, part) for shift, part in zip(TOUCH_SHIFTS, rule.singular)
               if part is not None]
-    rem = _near_pair_blocks(rule.mesh, rule.touch, rule.remainder,
-                            np.tile(segs, len(shifts)),
-                            np.concatenate([(segs + shift) % n for shift in shifts]),
-                            0.0)
-    zero = np.zeros(len(segs))
-    touching, start = [], 0
-    for shift, part in zip(TOUCH_SHIFTS, rule.singular):
-        if part is None:
-            touching.append([[zero, zero], [zero, zero]])
-            continue
-        taken = slice(start, start + len(segs))
-        start += len(segs)
-        touch = [[part[a][b][segs] + rem[a][b][taken] for b in range(2)]
-                 for a in range(2)]
+    cols = [(segs + shift) % n for shift, _ in shifts]
+    _gathered_pair_blocks(rule.mesh, rule.touch, rule.remainder, 0.0, segs,
+                          (np.tile(local, len(shifts)), np.concatenate(cols)), blocks)
+    for (shift, part), col in zip(shifts, cols):
+        touch = blocks[:, :, local, col] + part[:, :, segs]
         if rule.symmetric and shift == 0:
-            touch = [[0.5 * blk for blk in row] for row in touch]
-        touching.append(touch)
-    return touching
+            touch *= 0.5
+        blocks[:, :, local, col] = touch
 
 
 def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
@@ -504,7 +477,7 @@ def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
     return _PairRule(mesh, lambda dx, dy, d, src: _kernel_full(k, d, kind),
                      True, far, near, touch,
                      lambda dx, dy, d, src: _kernel_smooth(k, d, kind),
-                     (same, adjacent, None))
+                     (np.array(same), np.array(adjacent), None))
 
 
 def _hypersingular_transform(mesh, k):
@@ -519,13 +492,13 @@ def _hypersingular_transform(mesh, k):
     ell = mesh.segment_lengths
 
     def transform(blocks, segs):
-        winv = blocks[0][0] + blocks[0][1] + blocks[1][0] + blocks[1][1]
+        winv = blocks[0, 0] + blocks[0, 1] + blocks[1, 0] + blocks[1, 1]
         winv *= np.outer(1.0 / ell[segs], 1.0 / ell)
         nx, ny = mesh.normals.T
         normal_dot = nx[segs, None] * nx + ny[segs, None] * ny
         for a in range(2):
             for b in range(2):
-                blk = blocks[a][b]
+                blk = blocks[a, b]
                 blk *= normal_dot
                 blk *= -k * k
                 (np.add if a == b else np.subtract)(blk, winv, out=blk)
@@ -689,8 +662,8 @@ def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
     # ordered pair (p+1, p): test = p+1 (shared local 0), source = p
     bwd = _dlayer_static_blocks(
         ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1), touch_order)
-    singular = (None, [[fwd[1 - a][b] for b in range(2)] for a in range(2)],
-                [[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)])
+    singular = (None, np.array([[fwd[1 - a][b] for b in range(2)] for a in range(2)]),
+                np.array([[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)]))
     return _PairRule(mesh, kernel, False, far, near, touch, remainder, singular)
 
 

@@ -10,8 +10,9 @@ Subcommands
 
 Each run writes a CSV (17-significant-digit scientific notation, LF line
 endings) plus a JSON metadata sidecar echoing the fully resolved
-configuration, the seed, the package version and the numerical
-environment (numpy and scipy versions, BLAS thread-count variables).  The
+configuration under ``config`` (the seed and the formulation included),
+the package version and the numerical environment (numpy and scipy
+versions, BLAS thread-count variables); each value is written once.  The
 ``spectra``, ``refine`` and ``table`` sidecars also list, per solved size,
 the filter cut: its relative eigen-gap and whether it split a
 near-degenerate pair that was made canonical; and under ``set_up`` the
@@ -229,8 +230,6 @@ def write_metadata(path, command: str, cfg: ExperimentConfig, extra=None) -> Non
         "command": command,
         "version": __version__,
         "config": dataclasses.asdict(cfg),
-        "seed": cfg.seed,
-        "formulation": cfg.formulation,
         "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
                         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
     }
@@ -363,7 +362,7 @@ def run_spectra(cfg: ExperimentConfig):
               ["mode_index", "proj_C", "proj_Cfiltered", "proj_UV",
                "proj_rhs", "kept_flag"], rows)
     write_metadata(out / "spectra_meta.json", "spectra", cfg,
-                   {"n_nodes": mesh.n_nodes, "skeleton_rank": skeleton.rank,
+                   {"skeleton_rank": skeleton.rank,
                     "quadrature": quadrature_rule(cfg.quad_order),
                     "filter_cut": [_filter_cut(system)],
                     "set_up": [set_up]})

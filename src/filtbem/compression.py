@@ -46,10 +46,13 @@ class LowRankFactor:
 
     left: np.ndarray       # (n, r)
     right: np.ndarray      # (n, r); approximation is left @ right.T
-    rank: int
     achieved_error: float
     norm_estimate: float
     converged: bool = True
+
+    @property
+    def rank(self) -> int:
+        return self.left.shape[1]
 
     def reconstruct(self) -> np.ndarray:
         return self.left @ self.right.T
@@ -229,7 +232,7 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
     norm_est = _row_space_norm(mat, rt, NORM_EST_ITERS, rng)
     if norm_est == 0.0:
         empty = np.zeros((n, 0), np.complex128)
-        return LowRankFactor(left=empty, right=empty.copy(), rank=0,
+        return LowRankFactor(left=empty, right=empty.copy(),
                              achieved_error=0.0, norm_estimate=0.0)
 
     target = epsilon * norm_est
@@ -285,6 +288,6 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
         left = basis @ left
     return LowRankFactor(left=np.ascontiguousarray(left),
                          right=np.ascontiguousarray(right),
-                         rank=rank, achieved_error=float(achieved / norm_est),
+                         achieved_error=float(achieved / norm_est),
                          norm_estimate=float(norm_est),
                          converged=bool(converged))

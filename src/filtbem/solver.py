@@ -43,8 +43,14 @@ class WoodburyInverse:
     right: np.ndarray    # (n, r)
     core_lu: tuple       # LU factorization of I_r + beta^{-1} right.T @ left
     core_cond: float
-    n: int
-    rank: int
+
+    @property
+    def n(self) -> int:
+        return self.left.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.left.shape[1]
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (beta I + left right^T) x = rhs for one vector or a block.
@@ -106,7 +112,7 @@ def woodbury_factorize(beta: float,
     right = np.asarray(right, np.complex128)
     if left.shape != right.shape:
         raise ValueError("skeleton factors must have matching shapes")
-    n, rank = left.shape
+    rank = left.shape[1]
     core = np.eye(rank, dtype=np.complex128) + (right.T @ left) / beta
     cond = np.linalg.cond(core) if rank else 1.0
     if not np.isfinite(cond) or cond > CORE_COND_LIMIT:
@@ -116,8 +122,7 @@ def woodbury_factorize(beta: float,
                       RuntimeWarning, stacklevel=2)
     core_lu = scipy.linalg.lu_factor(core) if rank else (core, np.zeros(0, np.int32))
     return WoodburyInverse(beta=float(beta), left=left, right=right,
-                           core_lu=core_lu, core_cond=float(cond),
-                           n=n, rank=rank)
+                           core_lu=core_lu, core_cond=float(cond))
 
 
 def dense_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -246,9 +246,9 @@ class TestOperatorBundle:
         assert threading.active_count() == threads   # no pool thread outlives it
 
     def test_far_sweep_peak_memory(self):
-        # the row-block kernel pass alone (its touching-pair blocks made
-        # beforehand): the output matrix plus the shape blocks and kernel
-        # temporaries of the row blocks in flight
+        # the row-block kernel pass alone (its rule built beforehand): the
+        # output matrix plus the shape blocks and kernel temporaries of the
+        # row blocks in flight
         mesh = build_mesh(Ellipse(1.0, 1.0), 256)
         n = mesh.n_nodes
         rule = _single_layer_rule(mesh, K, 8)
@@ -564,9 +564,10 @@ class TestFilteredSystem:
 
     def test_cfie_block_bitwise_unchanged(self):
         # sha256 prefixes of B and its basis for the cfie of the benchmark
-        # (lobed curve, N = 502, filter_n 200, alpha 0.5), taken before the
-        # operator bundle was frozen; B rounds differently at one and at
-        # two BLAS threads, the basis does not
+        # (lobed curve, N = 502, filter_n 200, alpha 0.5), taken when the
+        # far segment pairs joined the gathered pair routine of the kernel
+        # pass; B rounds differently at one and at two BLAS threads, the
+        # basis does not
         mesh = build_mesh(BENCH_CURVES["lobed"], 502)
         ops = assemble_operators(mesh, K, need_double_layer=True)
         system = build_filtered_system(mesh, K, ETA, SRC, "cfie", 200,
@@ -574,7 +575,7 @@ class TestFilteredSystem:
         coeffs, basis = (
             hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
             for arr in (system.compact.coeffs, system.compact.basis))
-        assert coeffs in {"890e8cf6e9a41b5a", "51dccb7025c348b3"}
+        assert coeffs in {"ce48b00f99530d25", "56fba39e5e5aa8a3"}
         assert basis == "23db29959037b356"
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))

@@ -312,9 +312,9 @@ class TestSpectra:
         out, _, cfg = small_spectra
         meta = json.loads((out / "spectra_meta.json").read_text())
         assert meta["command"] == "spectra"
-        assert meta["seed"] == cfg.seed
+        assert meta["config"]["seed"] == cfg.seed
         assert meta["config"]["n"] == 96
-        assert meta["formulation"] == "efie"
+        assert meta["config"]["formulation"] == "efie"
         assert "version" in meta
         env = meta["environment"]
         assert set(env) == {"numpy", "scipy", "OPENBLAS_NUM_THREADS",

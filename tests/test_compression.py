@@ -283,18 +283,19 @@ class TestRowSpaceCertifier:
         mat = gaussian(np.random.default_rng(0), 12, 12)
         assert _row_space_factor(mat) is mat
 
-    # sha256 prefixes of left and right, taken while the certifier still
-    # iterated on the full block; the filtered block rounds differently at
-    # one and at two BLAS threads, so each case lists both digests
+    # sha256 prefixes of left and right, taken when the far segment pairs
+    # joined the gathered pair routine of the kernel pass; the filtered
+    # block rounds differently at one and at two BLAS threads, so each case
+    # lists both digests
     FACTOR_DIGESTS = {
-        ("refine", 0): {"24c52aff641771a2", "a53aeca2f1f5df2a"},
-        ("refine", 1): {"161acf5d6e405ab5", "423521d67d5ab78c"},
-        ("refine", 2): {"f0dcb2483cecb28a", "82066085b53248d6"},
-        ("refine", 3): {"d19a43f49bfd7bdd", "1fb5df80223f1455"},
-        ("table", 0): {"309e523e987b67bb", "e3e365a69f490b5a"},
-        ("table", 1): {"35d11593de9f04c5", "ec7af058872a0cf7"},
-        ("table", 2): {"704ac327ff30d3f6", "b7b20f2b2cd59830"},
-        ("table", 3): {"2a78690cc25f4d71", "8fff0668ddf3f3b5"},
+        ("refine", 0): {"ee10efed1ff7a7bc", "fbed444f051d2df2"},
+        ("refine", 1): {"1d6a4f5c919197b8", "db8333acb52837eb"},
+        ("refine", 2): {"2296ecadbbc136a9", "c2126ebf14999afe"},
+        ("refine", 3): {"d69da862a35cbcd8", "a02105e57483028f"},
+        ("table", 0): {"c0236e1f426556c4", "7eb8842b79d76ac7"},
+        ("table", 1): {"691675bb3fe6d6ca", "3d713e70be743a83"},
+        ("table", 2): {"2343e66d898167bf", "e38588fb0fde3e59"},
+        ("table", 3): {"a3cd12926bcac7bb", "d76817c216dffb6d"},
     }
 
     @pytest.mark.parametrize("seed", range(4))

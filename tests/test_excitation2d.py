@@ -90,16 +90,18 @@ class TestAssembleRhs:
     @pytest.mark.parametrize("src, digests", [
         (MagneticLineSource((3.0, 0.5)),
          ("7e24f7a85cecc4433b376e9529b67ad6c5d0c28312aa956cf49846a5542f400c",
-          "04de155691feb4e3ebc06548335b2639327774f43a85325bd3a594029cb45ab5")),
+          "567f4cd9bae1449b393903f739e5df1d52f28cb2d37400cccf070d4466b7ab35")),
         (PlaneWaveTE((0.6, 0.8)),
          ("ed324a600b6d1a4a12891f8383362ccf7dbc05028643950ea2e9de1e6ec58ca2",
-          "ffe34bd95bf2653e443e8a137a9c424ab999c8ee1c6971dc62c040c8d4a29ca2")),
+          "ebaad10228ffe29aa68c3e92af84982986abd37bbc72f206cfdce8438601533e")),
     ])
     def test_moments_bitwise_unchanged(self, src, digests):
-        # sha256 of (e, h) from assemble_rhs and of (v_e, v_h) from
-        # normalized_rhs on the lobed curve at N = 1004, k = 0.4, eta = 1,
-        # taken while the moments still had their own Gauss points and the
-        # line source its second distance pass (same at 1 and 2 BLAS threads)
+        # sha256 of (e, h) from assemble_rhs, taken while the moments still
+        # had their own Gauss points and the line source its second distance
+        # pass, and of (v_e, v_h) from normalized_rhs, taken when the far
+        # segment pairs joined the gathered pair routine of the kernel pass;
+        # lobed curve at N = 1004, k = 0.4, eta = 1 (same at 1 and 2 BLAS
+        # threads)
         from filtbem.calderon2d import assemble_operators, normalized_rhs
 
         def digest(arrays):
