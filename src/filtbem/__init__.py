@@ -10,9 +10,8 @@ and filtered projectors on closed triangle meshes in 3D.
 """
 
 from .assembly2d import (assemble_double_layer, assemble_gram,
-                         assemble_helmholtz_pair, assemble_hypersingular,
-                         assemble_laplacian, assemble_single_layer,
-                         sparse_gram, sparse_laplacian)
+                         assemble_helmholtz_pair, assemble_laplacian,
+                         assemble_single_layer, sparse_gram, sparse_laplacian)
 from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
                          assemble_operators, build_calderon_matrix,
                          build_filtered_system, canonical_modes,
@@ -39,8 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "assemble_double_layer", "assemble_gram",
-    "assemble_helmholtz_pair", "assemble_hypersingular",
-    "assemble_laplacian", "assemble_single_layer",
+    "assemble_helmholtz_pair", "assemble_laplacian", "assemble_single_layer",
     "sparse_gram", "sparse_laplacian",
     "FilteredSystem", "FilterModes", "Operators2D", "assemble_operators",
     "build_calderon_matrix", "build_filtered_system", "canonical_modes",

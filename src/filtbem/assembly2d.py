@@ -54,9 +54,9 @@ segments of each row block inside the pass (``_touching_blocks``):
   part wdot / (2 pi d^2) are exact and the angular factor is smooth.
 
 The hypersingular operator uses the integration-by-parts representation
-(arclength derivatives and normal-weighted single layers), scaled by ik so
-that the normalized composition with the single layer is second kind; see
-``assemble_hypersingular``.
+(arclength derivatives and normal-weighted single layers).  It comes only
+with the Helmholtz single layer, from their shared kernel pass; see
+``assemble_helmholtz_pair`` for it and its ik scaling.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "sparse_laplacian",
     "assemble_single_layer",
     "assemble_double_layer",
-    "assemble_hypersingular",
     "assemble_helmholtz_pair",
     "assert_symmetric",
     "quadrature_rule",
@@ -90,6 +89,7 @@ __all__ = [
 LOG_COEF = -1.0 / (2.0 * np.pi)  # strength of the ln|r-r'| part of the kernel
 SYMMETRY_TOL = 1e-12
 FAR_RADIUS = 20.0  # admissibility radius of the far rule, in segment lengths
+KERNEL_KINDS = ("helmholtz", "yukawa")  # single-layer kernels of _kernel_full
 ROW_BLOCK = 1 << 14  # entries per row block of the kernel pass ...
 MIN_ROWS = 16        # ... which holds at least this many hat rows
 BLOCKS_PER_WORKER = 8  # fewest row blocks per worker thread of the pass
@@ -581,21 +581,15 @@ def assemble_single_layer(mesh: CurveMesh, k: float, quad_order: int = 8,
     return slayer
 
 
-def assemble_hypersingular(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:
-    """Hypersingular operator via integration by parts, scaled by ik.
-
-    The bilinear form is  ik * [ <psi', S phi'> - k^2 <psi n, S(phi n)> ]
-    with arclength derivatives; the ik scaling makes the normalized
-    composition (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} cluster at +1/4
-    (the second-kind identity used throughout this package).
-    """
-    [hyper] = _row_block_pass(_single_layer_rule(mesh, k, quad_order),
-                              [("hypersingular matrix", _hypersingular_transform(mesh, k))])
-    return hyper
-
-
 def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
     """Assemble the single-layer and hypersingular matrices in one kernel pass.
+
+    The hypersingular matrix is formed from the same single-layer blocks,
+    by integration by parts with arclength derivatives, and scaled by ik:
+    its bilinear form is  ik * [ <psi', S phi'> - k^2 <psi n, S(phi n)> ].
+    The ik scaling makes the normalized composition
+    (ik)^{-1} G^{-1/2} S G^{-1} N G^{-1/2} cluster at +1/4 (the
+    second-kind identity used throughout this package).
 
     Returns
     -------

@@ -16,10 +16,11 @@ compression and Woodbury solver modules.
 
 No Gram-normalized operator is stored.  The bundle keeps S G^{-1}, N and D
 raw, with the sparse banded Chebyshev G^{-1/2} of the tridiagonal G
-(:func:`assemble_operators`).  The filtered block is read from them
-through thin products with u = G^{-1/2} w for the filter's modes w; the
-dense Z, Dn and C are formed on demand by the same products with the
-identity as basis.  No dense eigendecomposition runs here: the filter's
+(:func:`assemble_operators`).  One routine reads N and D: it forms
+w.T (first Z - second Dn) as one weighted sum of thin products with
+u = G^{-1/2} w, for the filter's modes w, and applies G^{-1/2} on the
+right once.  The dense Z, Dn and C are the same routine with the identity
+as basis.  No dense eigendecomposition runs here: the filter's
 modes are the lowest ones of the sparse pencil (L, G), computed when a
 filter index is first known (:func:`filter_modes`).
 """
@@ -35,9 +36,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly2d import (
+    KERNEL_KINDS,
     assemble_double_layer,
     assemble_helmholtz_pair,
-    assemble_hypersingular,
     assemble_single_layer,
     sparse_gram,
     sparse_laplacian,
@@ -73,12 +74,12 @@ _ROW_BLOCK = 64   # rows per block of an in-place right factor
 class Operators2D:
     """Operator bundle over one mesh and wavenumber, fixed once assembled.
 
-    ``slayer_ginv`` holds P = S G^{-1}, ``hyper`` the hypersingular N and
-    ``dlayer`` the double layer D (None unless :func:`assemble_operators`
-    was asked for it), all raw, read-only and N x N; ``gram_invsqrt`` is
-    the sparse banded G^{-1/2}.
-    No Gram-normalized operator is kept: the filtered system reads these
-    through thin products and the dense routes form theirs on demand.  No
+    ``slayer_ginv`` holds P = S G^{-1}, ``hyper`` the hypersingular N of
+    the Helmholtz kernel pass and ``dlayer`` the double layer D (None
+    unless :func:`assemble_operators` was asked for it), all raw,
+    read-only and N x N; ``gram_invsqrt`` is the sparse banded G^{-1/2}.
+    No Gram-normalized operator is kept: one weighted product reads N and
+    D for the filtered system and the dense routes alike.  No
     Laplacian basis is kept either: :func:`filter_modes` computes the modes
     a filter index needs.
     """
@@ -125,18 +126,22 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
                        slayer_kind: str = "helmholtz") -> Operators2D:
     """Assemble every operator a filtered system may need.
 
-    The single-layer/hypersingular pair shares one kernel pass, and S
-    becomes S G^{-1} in place, one block of rows at a time, through one
+    N always comes from the Helmholtz single-layer/hypersingular kernel
+    pass; for another ``slayer_kind`` that pass's S is dropped before the
+    single layer of that kernel is assembled, and a kind outside
+    ``KERNEL_KINDS`` raises ``ValueError`` before any pass.  S becomes S G^{-1} in
+    place, one block of rows at a time, through one
     sparse LU factorization of the tridiagonal G.  The double layer is
     assembled only when ``need_double_layer`` asks for it; a bundle without
     it serves the efie alone.  G^{-1/2} is the banded
     :func:`~filtbem.spectral.chebyshev_invsqrt` of G.
     """
-    if slayer_kind == "helmholtz":
-        slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
-    else:
+    if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
+        raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")
+    slayer, hyper = assemble_helmholtz_pair(mesh, k, quad_order)
+    if slayer_kind != "helmholtz":
+        del slayer   # the pass's Helmholtz S, before the other kernel's pass
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
-        hyper = assemble_hypersingular(mesh, k, quad_order)
     gram = sparse_gram(mesh)
     # G is symmetric, so a row block of S G^{-1} is (G^{-1} block^T)^T
     slayer_ginv = _times_right(scipy.sparse.linalg.splu(gram.tocsc()).solve,
@@ -276,25 +281,30 @@ def _left_rows(ops: Operators2D, w: Optional[np.ndarray],
     return (left @ mat.view(np.float64)).view(np.complex128)
 
 
-def _calderon_rows(ops: Operators2D, w: Optional[np.ndarray]) -> np.ndarray:
-    """w.T Z for Z = G^{-1/2} (S G^{-1}) N G^{-1/2} / (ik), evaluated as
-    ((u.T P) N) G^{-1/2} / (ik) with u = G^{-1/2} w and P = S G^{-1}; Z
-    itself when ``w`` is None.  O(N^2 r) work for r columns of w."""
-    rows = _left_rows(ops, w, ops.slayer_ginv) @ ops.hyper
-    rows /= 1j * ops.k
-    return _times_right(ops.gram_invsqrt.__matmul__, rows)
+def _operator_rows(ops: Operators2D, first: float, second: float,
+                  w: Optional[np.ndarray]) -> np.ndarray:
+    """w.T (first Z - second Dn) as a new array, or first Z - second Dn
+    when ``w`` is None (w = I), for Z = G^{-1/2} (S G^{-1}) N G^{-1/2} / (ik)
+    and Dn = G^{-1/2} D G^{-1/2}.
 
-
-def _double_layer_rows(ops: Operators2D,
-                       w: Optional[np.ndarray]) -> np.ndarray:
-    """w.T Dn for Dn = G^{-1/2} D G^{-1/2}, evaluated as (u.T D) G^{-1/2}
-    with u = G^{-1/2} w; Dn itself when ``w`` is None.  The one reader of
-    D: a bundle without it raises ``ValueError``."""
-    if ops.dlayer is None:
+    Evaluated as (first ((u.T P) N) / (ik) - second (u.T D)) G^{-1/2} with
+    u = G^{-1/2} w and P = S G^{-1}, so G^{-1/2} acts on the right once;
+    O(N^2 r) work for r columns of w.  A zero weight skips its operator.
+    The one reader of N and D: a nonzero ``second`` on a bundle without D
+    raises ``ValueError`` before any product runs.
+    """
+    if second and ops.dlayer is None:
         raise ValueError("the operator bundle holds no double layer: "
                          "assemble it with need_double_layer=True")
-    return _times_right(ops.gram_invsqrt.__matmul__,
-                        _left_rows(ops, w, ops.dlayer))
+    rows = 0.0
+    if first:
+        rows = _left_rows(ops, w, ops.slayer_ginv) @ ops.hyper
+        rows /= 1j * ops.k / first
+    if second:
+        term = _left_rows(ops, w, ops.dlayer)
+        term *= -second
+        rows = np.add(rows, term, out=term) if first else term
+    return _times_right(ops.gram_invsqrt.__matmul__, rows)
 
 
 def build_calderon_matrix(mesh: CurveMesh, k: float,
@@ -307,13 +317,13 @@ def build_calderon_matrix(mesh: CurveMesh, k: float,
     reuse operators.  The quadrature order is that of ``ops`` (the default
     of :func:`assemble_operators` without it).
     """
-    return _calderon_rows(_operators_for(mesh, k, ops), None)
+    return _operator_rows(_operators_for(mesh, k, ops), 1.0, 0.0, None)
 
 
 def normalized_double_layer(ops: Operators2D) -> np.ndarray:
     """Gram-normalized double layer G^{-1/2} D G^{-1/2}, as a new array;
     ``ops`` must hold D (``need_double_layer``)."""
-    return _double_layer_rows(ops, None)
+    return _operator_rows(ops, 0.0, -1.0, None)
 
 
 def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
@@ -349,25 +359,19 @@ def formulation_weights(formulation: str, alpha: float):
 
 
 def _compact_block(ops: Operators2D, first: float, second: float,
-                   w: Optional[np.ndarray]) -> np.ndarray:
-    """w.T @ C for the compact block C = first (Z - I/4) - second Dn, as a
-    new array, or C itself when ``w`` is None.  Both routes run the same
-    products, the dense one with w = I; with a basis they cost O(N^2 r)
-    for r columns of w and form no N x N array.  A zero weight skips its
-    operator."""
-    block = 0.0
+                   w: Optional[np.ndarray]):
+    """``(beta, w.T @ C)`` for the system beta I + C with beta = first/4 +
+    second/2 and the compact block C = first (Z - I/4) - second Dn; C
+    itself when ``w`` is None.  Both routes run the products of
+    :func:`_operator_rows`, the dense one with w = I; with a basis they
+    cost O(N^2 r) for r columns of w and form no N x N array."""
+    block = _operator_rows(ops, first, second, w)
     if first:
-        block = _calderon_rows(ops, w)
         if w is None:
-            block[np.diag_indices_from(block)] -= 0.25
+            block[np.diag_indices_from(block)] -= 0.25 * first
         else:
-            block -= 0.25 * w.T
-        block *= first
-    if second:
-        term = _double_layer_rows(ops, w)
-        term *= second
-        block = np.subtract(block, term, out=term)
-    return block
+            block -= 0.25 * first * w.T
+    return first / 4 + second / 2, block
 
 
 def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
@@ -383,7 +387,7 @@ def second_kind_split(ops: Operators2D, formulation: str, alpha: float = 0.5):
     bundle assembled with ``need_double_layer``.
     """
     first, second = formulation_weights(formulation, alpha)
-    return first / 4 + second / 2, _compact_block(ops, first, second, None)
+    return _compact_block(ops, first, second, None)
 
 
 @dataclass(frozen=True)
@@ -453,7 +457,6 @@ def build_filtered_system(mesh: CurveMesh, k: float, eta: float, src: Source2D,
     if filter_n < mesh.n_nodes:
         modes = filter_modes(ops, filter_n)
         w, gap, fired = modes.vectors, modes.cut_gap, modes.cut_canonicalized
-    return FilteredSystem(
-        beta=first / 4 + second / 2,
-        compact=ProjectedMatrix(w, _compact_block(ops, first, second, w)),
-        rhs=rhs, cut_gap=gap, cut_canonicalized=fired)
+    beta, block = _compact_block(ops, first, second, w)
+    return FilteredSystem(beta=beta, compact=ProjectedMatrix(w, block),
+                          rhs=rhs, cut_gap=gap, cut_canonicalized=fired)

@@ -267,19 +267,15 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
     # the range-capture residual
     small = q.conj().T @ mat
     u_s, sing, vh_s = np.linalg.svd(small, full_matrices=False)
-    rank = int(np.sum(sing > 0.5 * target))
-    left = (q @ u_s[:, :rank]) * sing[:rank]
-    right = vh_s[:rank, :].T.copy()  # so that left @ right.T = q u_s sing vh_s
-
-    achieved = SAFETY * _factor_residual_norm(mat, left, right, NORM_EST_ITERS, rng)
-    converged = achieved <= target
-    while not converged and rank < sing.size:
-        rank += 1
+    # certify the SVD cut, then each larger rank until one holds
+    for rank in range(int(np.sum(sing > 0.5 * target)), sing.size + 1):
         left = (q @ u_s[:, :rank]) * sing[:rank]
-        right = vh_s[:rank, :].T.copy()
+        right = vh_s[:rank, :].T.copy()  # so left @ right.T = q u_s sing vh_s
         achieved = SAFETY * _factor_residual_norm(mat, left, right,
                                                   NORM_EST_ITERS, rng)
         converged = achieved <= target
+        if converged:
+            break
     if not converged:
         warnings.warn(f"low-rank factor not converged: error {achieved / norm_est:.3e} "
                       f"at rank {rank} exceeds epsilon {epsilon:.1e}",

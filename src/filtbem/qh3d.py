@@ -217,9 +217,17 @@ def read_off(path) -> TriangleMesh:
                 tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ValueError("not an OFF file: missing header")
-    pos = 1
-    nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-    pos += 3  # vertex, face, (ignored) edge counts
+    if len(tokens) < 4:
+        raise ValueError("OFF header lacks its vertex, face and edge counts")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4  # past the header and its vertex, face, (ignored) edge counts
+    body = len(tokens) - pos
+    if body < 3 * nv:
+        raise ValueError(f"truncated OFF file: its vertex block holds "
+                         f"{body} of {3 * nv} tokens")
+    if body - 3 * nv < 4 * nf:
+        raise ValueError(f"truncated OFF file: its face list holds "
+                         f"{body - 3 * nv} of {4 * nf} tokens")
     verts = np.array(tokens[pos:pos + 3 * nv], float).reshape(nv, 3)
     pos += 3 * nv
     faces = []

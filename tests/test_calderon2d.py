@@ -156,6 +156,56 @@ class TestOperatorBundle:
                                       ops=ops)
         assert ops.dlayer is None
 
+    def test_one_right_root_per_compact_block(self, monkeypatch):
+        # the cfie block weighs N and D in one sum before G^{-1/2} acts on
+        # the right, once; a bundle without D is refused before any product
+        mesh = build_mesh(BENCH_CURVES["lobed"], 128)
+        ops = assemble_operators(mesh, K, need_double_layer=True)
+        times_right = calderon2d._times_right
+        calls = []
+
+        def counting(apply, mat):
+            calls.append(mat.shape)
+            return times_right(apply, mat)
+
+        monkeypatch.setattr(calderon2d, "_times_right", counting)
+        system = build_filtered_system(mesh, K, ETA, SRC, "cfie", 21, ops=ops)
+        assert calls == [system.compact.coeffs.shape]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("product formed")
+
+        monkeypatch.setattr(calderon2d, "_left_rows", refuse)
+        bare = dataclasses.replace(ops, dlayer=None)
+        with pytest.raises(ValueError, match="need_double_layer"):
+            build_filtered_system(mesh, K, ETA, SRC, "cfie", 21, ops=bare)
+
+    def test_yukawa_bundle_takes_n_from_the_pair(self, monkeypatch):
+        # every kernel kind takes N from the Helmholtz S+N pass, and drops
+        # that pass's S before its own single layer is assembled, so its
+        # peak stays at the helmholtz bundle's: measured 4.27 against 4.27
+        # to 4.28 N x N arrays at N = 256; keeping the dropped S would add
+        # one array.  An unknown kind is refused before that pass.
+        mesh = build_mesh(Ellipse(1.0, 1.0), 256)
+        n = mesh.n_nodes
+        peaks = {}
+        for kind in ("helmholtz", "yukawa"):
+            tracemalloc.start()
+            try:
+                ops = assemble_operators(mesh, K, slayer_kind=kind)
+                _, peaks[kind] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert ops.hyper.tobytes() == assemble_helmholtz_pair(mesh, K)[1].tobytes()
+        assert peaks["yukawa"] <= peaks["helmholtz"] + 0.25 * 16 * n * n
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel pass run")
+
+        monkeypatch.setattr(calderon2d, "assemble_helmholtz_pair", refuse)
+        with pytest.raises(ValueError, match="slayer_kind"):
+            assemble_operators(mesh, K, slayer_kind="laplace")
+
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
     @pytest.mark.parametrize("n", [96, 502])
     def test_banded_gram_root(self, curve, n):
@@ -564,10 +614,11 @@ class TestFilteredSystem:
 
     def test_cfie_block_bitwise_unchanged(self):
         # sha256 prefixes of B and its basis for the cfie of the benchmark
-        # (lobed curve, N = 502, filter_n 200, alpha 0.5), taken when the
-        # far segment pairs joined the gathered pair routine of the kernel
-        # pass; B rounds differently at one and at two BLAS threads, the
-        # basis does not
+        # (lobed curve, N = 502, filter_n 200, alpha 0.5); B was taken when
+        # N and D came to share one right product with G^{-1/2}, the basis
+        # when the far segment pairs joined the gathered pair routine of
+        # the kernel pass; B rounds differently at one and at two BLAS
+        # threads, the basis does not
         mesh = build_mesh(BENCH_CURVES["lobed"], 502)
         ops = assemble_operators(mesh, K, need_double_layer=True)
         system = build_filtered_system(mesh, K, ETA, SRC, "cfie", 200,
@@ -575,7 +626,7 @@ class TestFilteredSystem:
         coeffs, basis = (
             hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
             for arr in (system.compact.coeffs, system.compact.basis))
-        assert coeffs in {"ce48b00f99530d25", "56fba39e5e5aa8a3"}
+        assert coeffs in {"32869b58b1ef0a33", "61bd6e9883c0e467"}
         assert basis == "23db29959037b356"
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))

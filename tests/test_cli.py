@@ -519,17 +519,18 @@ def test_refine_rank_at_n512_stays_within_filter_n():
 ])
 def test_calderon_product_formed_once_per_size(tmp_path, monkeypatch,
                                                command, sizes):
-    # the dense Calderon product is its rows with the identity as basis
+    # the dense Calderon product is the weighted operator rows with the
+    # identity as basis and a nonzero weight on Z
     import filtbem.calderon2d as calderon_mod
-    calderon_rows = calderon_mod._calderon_rows
+    operator_rows = calderon_mod._operator_rows
     calls = []
 
-    def counting(ops, w):
-        if w is None:
+    def counting(ops, first, second, w):
+        if w is None and first:
             calls.append(ops.mesh.n_nodes)
-        return calderon_rows(ops, w)
+        return operator_rows(ops, first, second, w)
 
-    monkeypatch.setattr(calderon_mod, "_calderon_rows", counting)
+    monkeypatch.setattr(calderon_mod, "_operator_rows", counting)
     code = main(command + ["--epsilon", "1e-4", "--out", str(tmp_path)])
     assert code == 0
     assert calls == sizes
@@ -550,18 +551,18 @@ def test_dense_reference_formed_after_the_fast_path(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    calderon_rows = calderon_mod._calderon_rows
+    operator_rows = calderon_mod._operator_rows
 
-    def dense_calderon(ops, w):
-        if w is None:
+    def dense_calderon(ops, first, second, w):
+        if w is None and first:
             events.append("calderon")
-        return calderon_rows(ops, w)
+        return operator_rows(ops, first, second, w)
 
     monkeypatch.setattr(WoodburyInverse, "apply",
                         spy("apply", WoodburyInverse.apply))
     monkeypatch.setattr(cli_mod, "second_kind_split",
                         spy("split", cli_mod.second_kind_split))
-    monkeypatch.setattr(calderon_mod, "_calderon_rows", dense_calderon)
+    monkeypatch.setattr(calderon_mod, "_operator_rows", dense_calderon)
     cfg = resolve_config("refine", {}, {"filter_n": 13, "epsilon": 1e-4})
     assert _solve_one(cfg, 96)["rel_error"] <= 1e-3
     assert events == ["apply", "split", "calderon"]

@@ -267,6 +267,17 @@ class TestOffIO:
         with pytest.raises(ValueError):
             read_off(path)
 
+    @pytest.mark.parametrize("kept, block", [
+        ("0 0 0\n1 0 0\n1 1\n", "vertex block"),
+        ("0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 1 3\n", "face list"),
+    ], ids=["vertices", "faces"])
+    def test_rejects_truncated_file(self, tmp_path, kept, block):
+        # the header promises 4 vertices and 4 faces; the file stops short
+        path = tmp_path / "cut.off"
+        path.write_text("OFF\n4 4 6\n" + kept)
+        with pytest.raises(ValueError, match=block):
+            read_off(path)
+
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("NOT_OFF\n")
