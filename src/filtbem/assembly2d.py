@@ -9,19 +9,27 @@ Quadrature strategy
 One routine integrates every kernel, a block of hat rows at a time (see
 ``_row_block_pass``).  For hat rows [s, e) it forms the tensor-Gauss
 shape-function blocks of the test segments s-1 .. e-1 that feed them,
-against every source segment, and folds them straight into those rows of
-each output matrix; no N x N shape accumulator exists.  The hypersingular
+against every source segment, and folds them straight into the output
+matrices; no N x N shape accumulator exists.  The hypersingular
 operator reuses the single-layer blocks of the same rows through its
-per-pair transform.  A symmetric kernel (S, N) integrates each unordered
-pair once, (p, q) with p < q at full weight and the same segment at half
-weight; the pass then adds the transpose in place, tile by tile, so S and
-N come out exactly symmetric.  No two row blocks write the same hat row, so the
-blocks, and then the transpose tiles, run on a thread pool with one worker
+per-pair transform.  Every kernel integrates each unordered non-touching
+pair once.  A symmetric kernel (S, N) takes it as (p, q) with p < q, at
+full weight, and the same segment at half weight; the pass then adds the
+transpose in place, tile by tile, so S and N come out exactly symmetric.
+The double layer is not symmetric, but one Hankel value per Gauss pair
+serves both directions: the pair (q, p) has the negated offset, so the
+same distance, and the other normal.  Segment p takes the pairs
+(p, p + d), 2 <= d <= n/2 + 1, cyclic (O(N) pairs come twice), and the
+touching pair (p, p + 1); a row block folds their forward blocks into
+the first n/2 + 1 cells of its hat rows from the diagonal on, and their
+backward blocks into the other cells of its hat columns, below the
+diagonal.  Each cell has one writer, so the blocks, and
+then the transpose tiles, run on a thread pool with one worker
 per CPU of the process's affinity mask, fewer on meshes too small to give
 each worker eight row blocks (scipy's Bessel functions release the GIL).
-The pool lives only as long as the pass, and the result does not depend
-on its size.  The symmetry and finiteness checks read the
-matrices in strips, adding no N x N temporary.
+The pool lives only as long as the pass, and the result depends neither
+on its size nor on the block size.  The symmetry and finiteness checks
+read the matrices in strips, adding no N x N temporary.
 
 Every segment pair goes through one routine, ``_gathered_pair_blocks``:
 tensor Gauss-Legendre on gathered index arrays, at the order of the pair's
@@ -47,7 +55,9 @@ routine at the touching order, with no distance floor, for the test
 segments of each row block inside the pass (``_touching_blocks``):
 
 * same segment: the single layer's log part has a closed form for linear
-  shape functions; the double layer vanishes (flat segments).
+  shape functions, and its remainder is symmetric in the two Gauss points,
+  so it is taken at the pairs g <= h and mirrored; the double layer
+  vanishes (flat segments).
 * adjacent segments: the square is split along the diagonal through the
   shared node (Duffy), where log|r-r'| = log(radial) + log(angular factor);
   the radial moments of the log part and of the double layer's static
@@ -212,26 +222,37 @@ def quadrature_rule(quad_order: int = 8) -> dict:
 
 
 def _pair_classes(mesh, segs, symmetric):
-    """Near and far pairs of the test segments ``segs``, each class an
-    index pair (r, q) of local rows r and source segments q, sorted.
+    """The source segments ``cols`` of the blocks of the consecutive test
+    segments ``segs``, and their near and far pairs, each class an index
+    pair (r, c) of local rows r and columns c, sorted.
 
-    A pair is near when its midpoints are closer than FAR_RADIUS times the
-    longer of the two segments, far otherwise.  The test is geometric, so a
-    curve that folds back on itself gets its close but index-distant pairs.
-    Touching pairs belong to neither class; for a symmetric kernel only the
-    pairs segs[r] < q are taken.
+    For a symmetric kernel the columns are all segments, and the pairs
+    those with segs[r] < cols[c], each unordered pair once.  For a two-way
+    kernel the columns are the len(segs) + n // 2 + 2 segments from
+    segs[0] - 1 on, cyclic, and segment p takes the pairs (p, p + d),
+    2 <= d <= n // 2 + 1, so that each unordered pair comes once, or twice
+    for the O(N) with d near n / 2, in one direction or the other.  A pair
+    is near when its midpoints are closer than FAR_RADIUS times the longer
+    of the two segments, far otherwise.  The test is geometric, so a curve
+    that folds back on itself gets its close but index-distant pairs.
+    Touching pairs belong to neither class.
     """
     n = mesh.n_nodes
+    if symmetric:
+        cols = np.arange(n)
+        taken = segs[:, None] < cols
+    else:
+        cols = (segs[0] - 1 + np.arange(len(segs) + n // 2 + 2)) % n
+        ahead = np.arange(len(cols)) - np.arange(len(segs))[:, None] - 1
+        taken = (ahead >= 2) & (ahead <= n // 2 + 1)
+    gap = (cols - segs[:, None]) % n
+    taken &= (gap > 1) & (gap < n - 1)
     ell = mesh.segment_lengths
     mid_x, mid_y = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
     reach_sq = (FAR_RADIUS * ell) ** 2
-    dist_sq = (mid_x[segs, None] - mid_x) ** 2 + (mid_y[segs, None] - mid_y) ** 2
-    near = dist_sq < np.maximum(reach_sq[segs, None], reach_sq)
-    taken = segs[:, None] < np.arange(n) if symmetric else np.ones(near.shape, bool)
-    local = np.arange(len(segs))
-    for shift in TOUCH_SHIFTS:
-        taken[local, (segs + shift) % n] = False
-    return np.nonzero(taken & near), np.nonzero(taken & ~near)
+    dist_sq = (mid_x[segs, None] - mid_x[cols]) ** 2 + (mid_y[segs, None] - mid_y[cols]) ** 2
+    near = dist_sq < np.maximum(reach_sq[segs, None], reach_sq[cols])
+    return cols, np.nonzero(taken & near), np.nonzero(taken & ~near)
 
 
 def gauss_points(mesh: CurveMesh, order: int):
@@ -245,58 +266,102 @@ def gauss_points(mesh: CurveMesh, order: int):
     return pts, w, np.stack([1.0 - x, x])
 
 
-def _kernel_at(kernel, test, source, src, floor):
-    """Kernel values between test and source points (last axis: x, y)."""
+def _kernel_at(kernel, test, source, p, q, floor, mirror=False):
+    """Kernel values kern[g, h, m] between the Gauss points test[g, m] and
+    source[h, m] (last axis: x, y) of the test segments p and source
+    segments q.
+
+    ``mirror`` marks same-segment pairs of a symmetric kernel: the kernel
+    is taken at g <= h only and mirrored, since (h, g) has the negated
+    offset, hence the same distance bits.
+    """
+    order = len(test)
+    if mirror:
+        g, h = np.triu_indices(order)
+        test, source = test[g], source[h]
+    else:
+        test, source = test[:, None], source[None]
     dx = test[..., 0] - source[..., 0]
     dy = test[..., 1] - source[..., 1]
     d = np.sqrt(dx * dx + dy * dy)
     np.maximum(d, floor, out=d)
-    return kernel(dx, dy, d, src)
+    kern = kernel(dx, dy, d, p, q)
+    if not mirror:
+        return kern
+    full = np.empty((order, order) + kern.shape[1:], kern.dtype)
+    full[g, h] = kern
+    full[h, g] = kern
+    return full
 
 
-def _gathered_pair_blocks(mesh, gauss, kernel, floor, segs, pairs, blocks):
-    """Set ``blocks[a, b, r, q]`` to the tensor-Gauss block of the pair
-    (segs[r], q), for each gathered pair (r, q) of ``pairs``.
+def _integrated(coef, kern, scale):
+    """Blocks [a, b, m] of the kernel values kern[g, h, m] (test point g,
+    source point h, pair m): sums over h, then over g, times ``scale``.
+
+    A two-way ``kern`` (forward, backward), both on the forward offsets,
+    gives a pair of blocks; the backward values are first laid out as
+    (test, source, pair), contiguous, so they round as the ordered pair
+    (source, test) taken on its own would.
+    """
+    if isinstance(kern, tuple):
+        ahead, behind = kern
+        return (_integrated(coef, ahead, scale),
+                _integrated(coef, np.ascontiguousarray(behind.transpose(1, 0, 2)), scale))
+    vals = np.einsum("ag,bgm->abm", coef,
+                     np.einsum("bh,ghm->bgm", coef, kern.view(np.float64)))
+    vals = vals.view(np.complex128)
+    vals *= scale
+    return vals
+
+
+def _gathered_pair_blocks(mesh, gauss, kernel, floor, tests, sources, pairs,
+                          mirror=False):
+    """Yield ``(sl, vals)``, the tensor-Gauss blocks vals[a, b, m] of the
+    segment pairs (tests[rows[m]], sources[cols[m]]) of the chunk ``sl``
+    of the gathered pairs ``(rows, cols) = pairs``, a chunk at a time.
 
     ``gauss`` is a :func:`gauss_points` rule.  The kernel is taken at all
-    g x g Gauss pairs of a chunk of pairs at once, on (g, g, chunk) arrays
-    of at most PAIR_CHUNK entries, and each chunk is written straight into
-    ``blocks``.  Each block entry sums over the source points, then over
-    the test points, in order, whatever the chunk's size.  The sums read
-    the complex kernel values as pairs of reals, so the real shape weights
-    scale them with no complex product, and they avoid BLAS, which would
-    contend with itself when the pass's threads call it at once.
+    g x g Gauss pairs of a chunk at once (:func:`_kernel_at`, ``mirror``
+    passed on), on (g, g, chunk) arrays of at most PAIR_CHUNK entries.
+    Each block entry sums over the source points, then over the test
+    points, in order, whatever the chunk's size.  The sums read the complex
+    kernel values as pairs of reals, so the real shape weights scale them
+    with no complex product, and they avoid BLAS, which would contend with
+    itself when the pass's threads call it at once.  For a two-way kernel
+    ``vals`` is a pair (forward, backward), the backward block that of the
+    pair (q, p), test shape a on q (:func:`_integrated`).
     """
     pts, w, shapes = gauss
     coef = w * shapes   # [a][g], [b][h]
     ell = mesh.segment_lengths
     chunk = max(1, PAIR_CHUNK // len(w) ** 2)
     for start in range(0, len(pairs[0]), chunk):
-        rows, q = (idx[start:start + chunk] for idx in pairs)
-        p = segs[rows]
-        kern = _kernel_at(kernel, np.take(pts, p, axis=1)[:, None],
-                          np.take(pts, q, axis=1)[None], q, floor)
-        vals = np.einsum("ag,bgm->abm", coef,
-                         np.einsum("bh,ghm->bgm", coef, kern.view(np.float64)))
-        vals = vals.view(np.complex128)
-        vals *= ell[p] * ell[q]
-        blocks[:, :, rows, q] = vals
+        sl = slice(start, start + chunk)
+        p, q = tests[pairs[0][sl]], sources[pairs[1][sl]]
+        yield sl, _integrated(coef, _kernel_at(kernel, np.take(pts, p, axis=1),
+                                               np.take(pts, q, axis=1), p, q, floor, mirror),
+                              ell[p] * ell[q])
 
 
 @dataclass(frozen=True)
 class _PairRule:
     """One kernel's graded quadrature over every segment pair of a mesh.
 
-    ``kernel(dx, dy, d, src)`` maps test-minus-source offsets and distances
-    to kernel values; ``src`` holds the gathered source segments along the
-    last axis of the offsets.  ``far``, ``near`` and ``touch`` are
+    ``kernel(dx, dy, d, test, src)`` maps test-minus-source offsets and
+    distances to kernel values; ``test`` and ``src`` hold the gathered
+    test and source segments along the last axis of the offsets.
+    ``symmetric`` tells how one evaluation serves both directions of an
+    unordered pair: a symmetric kernel (S, N) gives one value, and the
+    pass adds the transpose; otherwise the kernel is two-way (D) and
+    returns the values (test -> src, src -> test), and the pass folds the
+    backward blocks into hat columns.  ``far``, ``near`` and ``touch`` are
     :func:`gauss_points` rules, one per pair class, ``touch`` at the
     touching order.  ``singular`` holds, for the touching pairs (p, p),
     (p, p + 1) and (p, p - 1), the analytic blocks [a, b, p] of the
     kernel's singular part, each (2, 2, n), or None where a shift has no
-    pair; ``remainder`` is the bounded rest of the kernel, which
-    :func:`_touching_blocks` integrates for the test segments of a row
-    block.
+    pair; ``remainder`` (same signature as ``kernel``) is the bounded rest
+    of the kernel, which :func:`_touching_blocks` integrates for the test
+    segments of a row block.
     """
 
     mesh: CurveMesh
@@ -322,25 +387,36 @@ def _graded_rules(mesh, k, quad_order):
 
 
 def _shape_blocks(rule: _PairRule, segs: np.ndarray):
-    """Shape-function blocks ``blk[a, b, r, q]`` of the test segments
-    ``segs[r]`` against every source segment q, (2, 2, len(segs), n).
+    """Shape-function blocks ``blk[a, b, r, c]`` of the consecutive test
+    segments ``segs[r]`` against the source segments ``cols[c]`` of
+    :func:`_pair_classes`, (2, 2, len(segs), len(cols)).
 
-    Near and far pairs (:func:`_pair_classes`) take the near and the far
-    rule, touching pairs :func:`_touching_blocks`, all through
-    :func:`_gathered_pair_blocks`.  For a symmetric kernel the blocks are
-    halves, so that the whole block of pair (p, q) is
+    Near and far pairs take the near and the far rule, touching pairs
+    :func:`_touching_blocks`, all through :func:`_gathered_pair_blocks`.
+    For a symmetric kernel the columns are all segments, c = q, and the
+    blocks are halves, so that the whole block of pair (p, q) is
     blk[a, b, p, q] + blk[b, a, q, p]: pairs p < q carry their block and
     p > q zero, the same segment carries half its block, and the adjacent
-    block sits at (p, p + 1) only.
+    block sits at (p, p + 1) only.  A two-way kernel returns ``(blk,
+    back)``, zero outside the pairs taken, ``back[a, b, r, c]`` the block
+    of the pair (cols[c], segs[r]), test shape a on cols[c]; both hold the
+    touching pairs of every segment of ``segs`` in both directions.
     """
     mesh = rule.mesh
     floor = 1e-12 * mesh.h
-    blocks = np.zeros((2, 2, len(segs), mesh.n_nodes), np.complex128)
-    for gauss, pairs in zip((rule.near, rule.far),
-                            _pair_classes(mesh, segs, rule.symmetric)):
-        _gathered_pair_blocks(mesh, gauss, rule.kernel, floor, segs, pairs, blocks)
-    _touching_blocks(rule, segs, blocks)
-    return blocks
+    cols, *classes = _pair_classes(mesh, segs, rule.symmetric)
+    shape = (2, 2, len(segs), len(cols))
+    blocks = np.zeros(shape, np.complex128)
+    back = None if rule.symmetric else np.zeros(shape, np.complex128)
+    for gauss, (rows, c) in zip((rule.near, rule.far), classes):
+        for sl, vals in _gathered_pair_blocks(mesh, gauss, rule.kernel, floor,
+                                              segs, cols, (rows, c)):
+            if back is None:
+                blocks[:, :, rows[sl], c[sl]] = vals
+            else:
+                blocks[:, :, rows[sl], c[sl]], back[:, :, rows[sl], c[sl]] = vals
+    _touching_blocks(rule, segs, blocks, back)
+    return blocks if back is None else (blocks, back)
 
 
 def _fold(blocks, dst: np.ndarray):
@@ -353,6 +429,30 @@ def _fold(blocks, dst: np.ndarray):
     shifted = blocks[0, 1, 1:] + blocks[1, 1, :-1]
     dst[:, 1:] += shifted[:, :-1]
     dst[:, 0] += shifted[:, -1]
+
+
+def _fold_two_way(blocks, back, mat: np.ndarray, start: int, stop: int):
+    """Write the cells of ``mat`` that the row block [start, stop) of a
+    two-way kernel owns, from its blocks over the source window of
+    :func:`_pair_classes` (column t: segment start - 2 + t).
+
+    Hat row i takes the cells (i, i + delta), delta = 0 .. n // 2, from
+    ``blocks`` as :func:`_fold` sums them; hat column j takes the cells
+    (j + eps, j), eps = 1 .. (n - 1) // 2, from ``back`` by the same sums:
+    (B00[i, j] + B10[i-1, j]) + (B01[i, j-1] + B11[i-1, j-1]), with Bab[p, q]
+    the block of test segment p, source q.  Indices are cyclic.
+    """
+    n = len(mat)
+    rows = np.empty((stop - start, blocks.shape[-1]), np.complex128)
+    _fold(blocks, rows)   # rows[c, t]: cell (start + c, start - 2 + t)
+    for c, i in enumerate(range(start, stop)):
+        mat[i, (i + np.arange(n // 2 + 1)) % n] = rows[c, c + 2:c + 3 + n // 2]
+    del rows
+    cols = np.add(back[0, 0, 1:, 1:], back[1, 0, 1:, :-1])   # cols[c, t - 1]: cell
+    cols += back[0, 1, :-1, 1:] + back[1, 1, :-1, :-1]     # (start - 2 + t, start + c)
+    below = (n - 1) // 2
+    for c, j in enumerate(range(start, stop)):
+        mat[(j + 1 + np.arange(below)) % n, j] = cols[c, c + 2:c + 2 + below]
 
 
 def _add_transpose(mat: np.ndarray, start: int):
@@ -382,8 +482,11 @@ def _row_block_pass(rule: _PairRule, outputs):
     2008), below 1.5 N x N arrays in all whatever the CPU count.
     ``transform(blocks, segs)``, if not None, maps the blocks of the test
     segments ``segs`` in place before they are folded into its matrix; the
-    outputs are formed in order from the same blocks.  Each matrix is
-    checked (:func:`_check_assembled`) under its name.
+    outputs are formed in order from the same blocks.  A two-way rule
+    takes no transform: each block writes part of its hat rows and the
+    rest of its hat columns (:func:`_fold_two_way`), so each cell has one
+    writer.  Each matrix is checked (:func:`_check_assembled`) under its
+    name.
     """
     n = rule.mesh.n_nodes
     mats = [np.empty((n, n), np.complex128) for _ in outputs]
@@ -394,6 +497,11 @@ def _row_block_pass(rule: _PairRule, outputs):
     def row_block(start):
         stop = min(start + step, n)
         segs = np.arange(start - 1, stop) % n
+        if not rule.symmetric:
+            blocks, back = _shape_blocks(rule, segs)
+            for mat in mats:
+                _fold_two_way(blocks, back, mat, start, stop)
+            return
         blocks = _shape_blocks(rule, segs)
         for mat, (_, transform) in zip(mats, outputs):
             if transform is not None:
@@ -426,26 +534,54 @@ def _duffy_geometry(lt, ls, cc, touch_order):
     return tg, tw, rho1_sq, rho2_sq
 
 
-def _touching_blocks(rule: _PairRule, segs: np.ndarray, blocks):
-    """Set ``blocks[:, :, r, (segs[r] + shift) % n]`` of the touching pairs,
-    for each shift of TOUCH_SHIFTS that has a singular part: the analytic
-    singular part (``rule.singular``) plus the tensor-Gauss integral of the
-    bounded remainder at the touching order (:func:`_gathered_pair_blocks`,
-    no distance floor), one call for all shifts.  For a symmetric kernel
-    the same-segment block is halved, as :func:`_shape_blocks` describes.
+def _touching_blocks(rule: _PairRule, segs: np.ndarray, blocks, back=None):
+    """Set the blocks of the touching pairs of the test segments ``segs``:
+    the analytic singular part (``rule.singular``) plus the tensor-Gauss
+    integral of the bounded remainder at the touching order
+    (:func:`_gathered_pair_blocks`, no distance floor).
+
+    A symmetric kernel sets ``blocks[:, :, r, (segs[r] + shift) % n]`` for
+    each shift of TOUCH_SHIFTS that has a singular part; its same-segment
+    remainder is taken at the Gauss pairs g <= h and mirrored, and that
+    block is halved, as :func:`_shape_blocks` describes.  A two-way kernel
+    (the double layer, zero on the same segment) takes each pair
+    (p, p + 1) of ``segs`` once for both directions, in the columns of
+    :func:`_pair_classes`: (p, p + 1) and (p, p - 1) in ``blocks``, the
+    latter for all but segs[0], and (p + 1, p) in ``back``, which is all
+    that :func:`_fold_two_way` reads of the touching pairs.
     """
-    n = rule.mesh.n_nodes
+    mesh = rule.mesh
+    n = mesh.n_nodes
     local = np.arange(len(segs))
-    shifts = [(shift, part) for shift, part in zip(TOUCH_SHIFTS, rule.singular)
-              if part is not None]
-    cols = [(segs + shift) % n for shift, _ in shifts]
-    _gathered_pair_blocks(rule.mesh, rule.touch, rule.remainder, 0.0, segs,
-                          (np.tile(local, len(shifts)), np.concatenate(cols)), blocks)
-    for (shift, part), col in zip(shifts, cols):
-        touch = blocks[:, :, local, col] + part[:, :, segs]
-        if rule.symmetric and shift == 0:
-            touch *= 0.5
-        blocks[:, :, local, col] = touch
+    if back is None:
+        for shift, part in zip(TOUCH_SHIFTS, rule.singular):
+            if part is None:
+                continue
+            col = (segs + shift) % n
+            touch = np.empty((2, 2, len(segs)), np.complex128)
+            for sl, vals in _gathered_pair_blocks(mesh, rule.touch, rule.remainder, 0.0,
+                                                  segs, col, (local, local),
+                                                  mirror=shift == 0):
+                touch[..., sl] = vals
+            touch += part[:, :, segs]
+            if shift == 0:
+                touch *= 0.5
+            blocks[:, :, local, col] = touch
+        return
+    nxt = (segs + 1) % n
+    ahead = np.empty((2, 2, len(segs)), np.complex128)   # pair (p, p + 1)
+    behind = np.empty_like(ahead)                        # pair (p + 1, p)
+    for sl, (fwd, bwd) in _gathered_pair_blocks(mesh, rule.touch, rule.remainder, 0.0,
+                                                segs, nxt, (local, local)):
+        ahead[..., sl] = fwd
+        behind[..., sl] = bwd
+    _, next_part, prev_part = rule.singular
+    ahead += next_part[:, :, segs]
+    behind += prev_part[:, :, nxt]
+    # the columns run from segs[0] - 1: segs[r] - 1 is column r, segs[r] + 1 column r + 2
+    blocks[:, :, local, local + 2] = ahead
+    blocks[:, :, local[1:], local[1:]] = behind[..., :-1]
+    back[:, :, local, local + 2] = behind
 
 
 def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
@@ -474,9 +610,9 @@ def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
                 + _ADJ_GAMMA_T1["g0"][a, b] * t0_1 + _ADJ_GAMMA_T1["g1"][a, b] * t1_1 \
                 + _ADJ_GAMMA_T2["g0"][a, b] * t0_2 + _ADJ_GAMMA_T2["g1"][a, b] * t1_2
             adjacent[a][b] = lp * lq * (LOG_COEF * logpart)
-    return _PairRule(mesh, lambda dx, dy, d, src: _kernel_full(k, d, kind),
+    return _PairRule(mesh, lambda dx, dy, d, test, src: _kernel_full(k, d, kind),
                      True, far, near, touch,
-                     lambda dx, dy, d, src: _kernel_smooth(k, d, kind),
+                     lambda dx, dy, d, test, src: _kernel_smooth(k, d, kind),
                      (np.array(same), np.array(adjacent), None))
 
 
@@ -632,17 +768,30 @@ def _dlayer_static_blocks(lt, ls, cc, wc, touch_order):
 
 
 def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
-    """Pair rule of the double-layer kernel (all pairs, not symmetric)."""
+    """Pair rule of the double-layer kernel: not symmetric, two-way.
+
+    The kernel of the pair (q, p) is that of (p, q) with the offset negated
+    and the normal of p: one Hankel value per Gauss pair serves both, and
+    each direction's values carry the bits the pair alone would give,
+    since the distance of the negated offset is the same.
+    """
     far, near, touch, touch_order = _graded_rules(mesh, k, quad_order)
     nx = mesh.normals[:, 0]
     ny = mesh.normals[:, 1]
 
-    def kernel(dx, dy, d, src):
-        wdot = dx * nx[src] + dy * ny[src]
-        return (0.25j * k) * hankel_h1_1(k * d) * (wdot / d)
+    def wdot(dx, dy, seg):
+        """(r - r') . n_seg"""
+        return dx * nx[seg] + dy * ny[seg]
 
-    def remainder(dx, dy, d, src):
-        return kernel(dx, dy, d, src) - (dx * nx[src] + dy * ny[src]) / (2.0 * np.pi * d * d)
+    def kernel(dx, dy, d, test, src):
+        radial = (0.25j * k) * hankel_h1_1(k * d)
+        return radial * (wdot(dx, dy, src) / d), radial * (-wdot(dx, dy, test) / d)
+
+    def remainder(dx, dy, d, test, src):
+        static = 2.0 * np.pi * d * d
+        ahead, behind = kernel(dx, dy, d, test, src)
+        return (ahead - wdot(dx, dy, src) / static,
+                behind - (-wdot(dx, dy, test)) / static)
 
     ell = mesh.segment_lengths
     tang = mesh.tangents

@@ -333,6 +333,20 @@ class TestRowBlockPass:
         for mats in zip(*runs):
             assert all(np.array_equal(mats[0], other) for other in mats[1:])
 
+    def test_row_block_size_changes_no_bit(self, monkeypatch):
+        # blocks of 16, 21 (the last one holding 4) and 64 hat rows give the
+        # entries of the default blocks (64 rows at N = 256), though the
+        # edges between the cells a block writes from its rows and those it
+        # writes from its columns move with the block size
+        mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 256)
+        n = mesh.n_nodes
+        default = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
+        for rows in (16, 21, 64):
+            monkeypatch.setattr(assembly2d, "MIN_ROWS", rows)
+            monkeypatch.setattr(assembly2d, "ROW_BLOCK", rows * n)
+            mats = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
+            assert all(np.array_equal(*pair) for pair in zip(default, mats)), rows
+
     def test_symmetric_kernels_exactly_symmetric(self, lobed768):
         s, nh = assemble_helmholtz_pair(lobed768, 0.4)
         yukawa = assemble_single_layer(lobed768, 0.4, kind="yukawa")
@@ -368,13 +382,16 @@ class TestRowBlockPass:
                          assemble_double_layer(mesh, 0.4)))
         assert all(np.array_equal(*mats) for mats in zip(*runs))
 
-    @pytest.mark.parametrize("assemble, bound", [(assemble_helmholtz_pair, 17.5),
-                                                 (assemble_double_layer, 30.5)],
+    @pytest.mark.parametrize("assemble, bound", [(assemble_helmholtz_pair, 16.2),
+                                                 (assemble_double_layer, 15.2)],
                              ids=["S+N", "D"])
     def test_hankel_values_per_pass(self, monkeypatch, assemble, bound):
-        # a symmetric kernel takes each unordered non-touching pair once, far
-        # pairs included; measured 16.9 N^2 (S+N) and 29.5 N^2 (D), against
-        # 20.5 and 32.6 with the far pairs on a broadcast Gauss-pair grid
+        # every kernel takes each unordered non-touching pair once, far pairs
+        # included, and D's touching pairs once for both directions; S's
+        # same-segment remainder is taken at the Gauss pairs g <= h only.
+        # Measured 15.78 N^2 (S+N) and 14.83 N^2 (D), against 16.9 and 29.5
+        # with D's ordered pairs and S's whole same-segment grid, and 20.5
+        # and 32.6 with the far pairs on a broadcast Gauss-pair grid
         mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 256)
         values = []
         for name in ("hankel_h1_0", "hankel_h1_1"):
