@@ -330,7 +330,10 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     """Normalized electric and magnetic right-hand sides.
 
     v_e = (ik / eta) G^{-1/2} S G^{-1} e  and  v_h = -G^{-1/2} h, where e,
-    h are the Galerkin moments of the incident traces.  The factor -ik
+    h are the Galerkin moments of the incident traces, taken at the
+    bundle's ``quad_order`` as the near order: a plane wave, or a line
+    source at least the far radius from the curve, takes the kernel pass's
+    far order (:func:`~filtbem.excitation2d.assemble_rhs`).  The factor -ik
     against the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every
     formulation the same unknown: -h_tot, the total field's nodal values,
     in Gram-normalized coefficients.  The stored S G^{-1} takes one

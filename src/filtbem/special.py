@@ -17,11 +17,16 @@ EULER_GAMMA = np.euler_gamma
 
 
 def _check_argument(x):
+    """x as float64, checked finite, then positive, by one min and one max
+    and no boolean temporary: a NaN propagates into the min, and +-inf
+    shows in the max or the min."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("Hankel argument must be finite")
-    if np.any(x <= 0.0):
-        raise ValueError("Hankel argument must be positive (Y diverges at 0)")
+    if x.size:
+        low, high = x.min(), x.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("Hankel argument must be finite")
+        if low <= 0.0:
+            raise ValueError("Hankel argument must be positive (Y diverges at 0)")
     return x
 
 

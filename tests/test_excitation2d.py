@@ -3,11 +3,32 @@ import hashlib
 import numpy as np
 import pytest
 
-from filtbem.assembly2d import assemble_gram
+from filtbem.assembly2d import FAR_RADIUS, assemble_gram
 from filtbem.excitation2d import (MagneticLineSource, PlaneWaveTE,
                                   assemble_rhs, incident_fields)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.special import hankel_h1_0
+
+
+def scatter_moments(mesh, src, k, eta, order):
+    """(e, h) moments at Gauss order ``order`` on every segment, each
+    segment's two shape-function moments scattered onto its end nodes:
+    the arithmetic of assemble_rhs, so a match is bit for bit."""
+    n, ell = mesh.n_nodes, mesh.segment_lengths
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    pts = mesh.nodes[None] + x[:, None, None] * (mesh.tangents * ell[:, None])[None]
+    tangents = np.broadcast_to(mesh.tangents, pts.shape)
+    e_t, h_z = incident_fields(src, k, eta, pts.reshape(-1, 2),
+                               tangents.reshape(-1, 2))
+    refs = []
+    for trace in (e_t.reshape(order, n), h_z.reshape(order, n)):
+        ref = np.zeros(n, np.complex128)
+        for a, shape in enumerate((1.0 - x, x)):
+            np.add.at(ref, (np.arange(n) + a) % n,
+                      ell * ((w * shape)[:, None] * trace).sum(axis=0))
+        refs.append(ref)
+    return refs
 
 
 class TestIncidentFields:
@@ -89,19 +110,19 @@ class TestAssembleRhs:
 
     @pytest.mark.parametrize("src, digests", [
         (MagneticLineSource((3.0, 0.5)),
-         ("7e24f7a85cecc4433b376e9529b67ad6c5d0c28312aa956cf49846a5542f400c",
-          "567f4cd9bae1449b393903f739e5df1d52f28cb2d37400cccf070d4466b7ab35")),
+         ("6b7520bdd474bdcf1eb783a4a420a79f404479b2bcca00d963f50d30a81266be",
+          "04ec967338839171a05ee2badb5f204c2cf6579f28bcbcd004a231900f861500")),
         (PlaneWaveTE((0.6, 0.8)),
-         ("ed324a600b6d1a4a12891f8383362ccf7dbc05028643950ea2e9de1e6ec58ca2",
-          "ebaad10228ffe29aa68c3e92af84982986abd37bbc72f206cfdce8438601533e")),
+         ("7e08a098b4b103d185f2654308fd8801a63fca000d748fe05286b52cccb68c33",
+          "4897ae486ded4cb2181e6d9ab43d8315a44402f3a51cba4ad4a5d5686c6611ed")),
     ])
     def test_moments_bitwise_unchanged(self, src, digests):
-        # sha256 of (e, h) from assemble_rhs, taken while the moments still
-        # had their own Gauss points and the line source its second distance
-        # pass, and of (v_e, v_h) from normalized_rhs, taken when the far
-        # segment pairs joined the gathered pair routine of the kernel pass;
-        # lobed curve at N = 1004, k = 0.4, eta = 1 (same at 1 and 2 BLAS
-        # threads)
+        # sha256 of (e, h) from assemble_rhs and of (v_e, v_h) from
+        # normalized_rhs, taken when both sources moved to the far Gauss
+        # order (the line source is 56 h from the curve); against the
+        # order-8 arrays before, e, h, v_e and v_h moved by at most
+        # 6.6e-16 relative (max norm); lobed curve at N = 1004, k = 0.4,
+        # eta = 1 (same at 1 and 2 BLAS threads)
         from filtbem.calderon2d import assemble_operators, normalized_rhs
 
         def digest(arrays):
@@ -129,26 +150,51 @@ class TestAssembleRhs:
         PlaneWaveTE((0.6, 0.8)),
     ])
     def test_moments_match_scatter_reference(self, src):
-        # scatter each segment's two shape-function moments onto its end
-        # nodes; same arithmetic, so the results agree bit for bit
+        # at the Gauss order the rule picks: the line source, about 12 h
+        # from this curve, keeps order 8; the plane wave takes the far order
         mesh, k, eta = self.mesh, 0.4, 1.0
-        n, ell = mesh.n_nodes, mesh.segment_lengths
-        x, w = np.polynomial.legendre.leggauss(8)
-        x, w = 0.5 * (x + 1.0), 0.5 * w
-        pts = mesh.nodes[None] + x[:, None, None] * (mesh.tangents * ell[:, None])[None]
-        tangents = np.broadcast_to(mesh.tangents, pts.shape)
-        e_t, h_z = incident_fields(src, k, eta, pts.reshape(-1, 2),
-                                   tangents.reshape(-1, 2))
-        refs = []
-        for trace in (e_t.reshape(8, n), h_z.reshape(8, n)):
-            ref = np.zeros(n, np.complex128)
-            for a, shape in enumerate((1.0 - x, x)):
-                np.add.at(ref, (np.arange(n) + a) % n,
-                          ell * ((w * shape)[:, None] * trace).sum(axis=0))
-            refs.append(ref)
+        order = 4 if isinstance(src, PlaneWaveTE) else 8
+        refs = scatter_moments(mesh, src, k, eta, order)
         e_vec, h_vec = assemble_rhs(mesh, src, k, eta)
         assert np.array_equal(e_vec, refs[0])
         assert np.array_equal(h_vec, refs[1])
+
+    @pytest.mark.parametrize("reach, order", [(FAR_RADIUS + 0.01, 4),
+                                              (FAR_RADIUS - 0.01, 8)])
+    def test_line_source_order_at_the_far_radius(self, reach, order):
+        # a source on the outward ray through segment 0's midpoint, `reach`
+        # segment lengths from it: that midpoint is the closest one, so the
+        # source takes the far order just outside FAR_RADIUS and keeps the
+        # near order's bits just inside
+        mesh = build_mesh(Ellipse(1.0, 1.0), 64)
+        ell = mesh.segment_lengths[0]
+        mid = mesh.nodes[0] + 0.5 * ell * mesh.tangents[0]
+        src = MagneticLineSource(tuple(mid * (1.0 + reach * ell / np.linalg.norm(mid))))
+        far, near = (scatter_moments(mesh, src, 0.4, 1.0, q) for q in (4, 8))
+        assert not np.array_equal(far[0], near[0])
+        got = assemble_rhs(mesh, src, 0.4, 1.0)
+        for vec, ref in zip(got, far if order == 4 else near):
+            assert np.array_equal(vec, ref)
+
+    def test_plane_wave_takes_far_order(self):
+        src = PlaneWaveTE((0.6, 0.8))
+        got = assemble_rhs(self.mesh, src, 0.4, 1.0, quad_order=12)
+        for vec, ref in zip(got, scatter_moments(self.mesh, src, 0.4, 1.0, 6)):
+            assert np.array_equal(vec, ref)
+
+    @pytest.mark.parametrize("n", [502, 1004])
+    def test_far_order_against_order_16(self, n):
+        # the benchmark's sources: line sources on the radius-3 circle
+        # around the lobed curve (at least 28 h away), and plane waves
+        mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        sources = ([MagneticLineSource((3.0 * np.cos(t), 3.0 * np.sin(t)))
+                    for t in angles]
+                   + [PlaneWaveTE((np.cos(t), np.sin(t))) for t in angles[:4]])
+        for src in sources:
+            refs = scatter_moments(mesh, src, 0.4, 1.0, 16)
+            for vec, ref in zip(assemble_rhs(mesh, src, 0.4, 1.0), refs):
+                assert np.abs(vec - ref).max() <= 2e-15 * np.abs(ref).max()
 
     def test_small_k_plane_wave_against_higher_order_quadrature(self):
         k, eta = 1e-6, 1.0

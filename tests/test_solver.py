@@ -67,6 +67,24 @@ class TestWoodbury:
             worst = max(worst, err)
         assert worst <= 1e-11
 
+    @pytest.mark.parametrize("rank", [0, 6])
+    def test_apply_solves_nothing(self, monkeypatch, rank):
+        # the core is solved once, at factorization, for the whole gain
+        rng = np.random.default_rng(9)
+        u, v = random_skeleton(rng, 40, rank, scale=0.1)
+        inv = woodbury_factorize(0.25, (u, v))
+        assert inv.gain.shape == (rank, 40)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("core solved per right-hand side")
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        b = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        x = inv.apply(b)
+        resid = 0.25 * x + u @ (v.T @ x) - b
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
+
     def test_accepts_lowrank_factor(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal(30) + 1j * rng.standard_normal(30)

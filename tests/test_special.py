@@ -87,3 +87,31 @@ class TestHankelH11:
         # H1(x) ~ -2i/(pi x) as x -> 0
         x = 1e-9
         assert hankel_h1_1(x) * x == pytest.approx(-2j / np.pi, rel=1e-6)
+
+
+class TestArgumentCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     [1.0, np.nan], [np.inf, 2.0],
+                                     [-1.0, np.nan], [0.0, -np.inf]])
+    def test_non_finite_reported_first(self, bad):
+        # a non-finite value reports "finite" even beside a non-positive one
+        for hankel in (hankel_h1_0, hankel_h1_1):
+            with pytest.raises(ValueError, match="must be finite"):
+                hankel(bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.5, [3.0, 0.0], [1.0, -1e-300]])
+    def test_non_positive_rejected(self, bad):
+        for hankel in (hankel_h1_0, hankel_h1_1):
+            with pytest.raises(ValueError, match="must be positive"):
+                hankel(bad)
+
+    def test_empty_array_passes(self):
+        for hankel in (hankel_h1_0, hankel_h1_1):
+            out = hankel(np.empty(0))
+            assert out.shape == (0,) and out.dtype == np.complex128
+
+    def test_scalar_passes(self):
+        val = hankel_h1_0(2.0)
+        assert np.ndim(val) == 0
+        assert val == scipy.special.j0(2.0) + 1j * scipy.special.y0(2.0)
+        assert hankel_h1_1(2.0) == scipy.special.j1(2.0) + 1j * scipy.special.y1(2.0)
