@@ -16,7 +16,9 @@ compression and Woodbury solver modules.
 
 No Gram-normalized operator is stored.  The bundle keeps S G^{-1}, N and D
 raw, with the sparse banded Chebyshev G^{-1/2} of the tridiagonal G
-(:func:`assemble_operators`).  One routine reads N and D: it forms
+(:func:`assemble_operators`), and a hierarchical (HODLR) form of S G^{-1}
+certified at 1e-12 of its norm, through which each right-hand side
+reads it (:func:`normalized_rhs`).  One routine reads N and D: it forms
 w.T (first Z - second Dn) as one weighted sum of thin products with
 u = G^{-1/2} w, for the filter's modes w, and applies G^{-1/2} on the
 right once.  The dense Z, Dn and C are the same routine with the identity
@@ -37,6 +39,7 @@ import scipy.sparse.linalg
 
 from .assembly2d import (
     KERNEL_KINDS,
+    _pool_size,
     assemble_double_layer,
     assemble_helmholtz_pair,
     assemble_single_layer,
@@ -45,6 +48,7 @@ from .assembly2d import (
 )
 from .compression import ProjectedMatrix
 from .excitation2d import Source2D, assemble_rhs
+from .hodlr import HodlrMatrix, hodlr_compress
 from .mesh2d import CurveMesh
 from .spectral import (_check_filter_index, canonicalize_cut,
                        chebyshev_invsqrt, cut_cluster, pencil_modes)
@@ -78,26 +82,32 @@ class Operators2D:
     the Helmholtz kernel pass and ``dlayer`` the double layer D (None
     unless :func:`assemble_operators` was asked for it), all raw,
     read-only and N x N; ``gram_invsqrt`` is the sparse banded G^{-1/2}.
-    No Gram-normalized operator is kept: one weighted product reads N and
-    D for the filtered system and the dense routes alike.  No
-    Laplacian basis is kept either: :func:`filter_modes` computes the modes
-    a filter index needs.
+    ``slayer_ginv_hodlr`` is the HODLR form of P
+    (:func:`~filtbem.hodlr.hodlr_compress`), P itself below two leaves:
+    the right-hand sides read P through it, the filtered system and the
+    dense routes read the dense P.  No Gram-normalized operator is kept:
+    one weighted product reads N and D for the filtered system and the
+    dense routes alike.  No Laplacian basis is kept either:
+    :func:`filter_modes` computes the modes a filter index needs.
     """
 
     mesh: CurveMesh
     k: float
     gram_invsqrt: scipy.sparse.csr_array
     slayer_ginv: np.ndarray
+    slayer_ginv_hodlr: HodlrMatrix
     hyper: np.ndarray
     dlayer: Optional[np.ndarray] = None   # only with need_double_layer
     quad_order: int = 8
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the stored operators and the sparse root."""
+        """Bytes held by the stored operators, the HODLR form's own arrays
+        and the sparse root."""
         gm = self.gram_invsqrt
         return (sum(mat.nbytes for mat in (self.slayer_ginv, self.hyper,
                                            self.dlayer) if mat is not None)
+                + self.slayer_ginv_hodlr.nbytes
                 + gm.data.nbytes + gm.indices.nbytes + gm.indptr.nbytes)
 
 
@@ -134,7 +144,9 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     sparse LU factorization of the tridiagonal G.  The double layer is
     assembled only when ``need_double_layer`` asks for it; a bundle without
     it serves the efie alone.  G^{-1/2} is the banded
-    :func:`~filtbem.spectral.chebyshev_invsqrt` of G.
+    :func:`~filtbem.spectral.chebyshev_invsqrt` of G.  The HODLR form of
+    S G^{-1} is built last, after the kernel passes, so their peak does
+    not grow, on as many worker threads as the kernel pass.
     """
     if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
         raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")
@@ -148,8 +160,11 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
                                slayer)
     dlayer = (_read_only(assemble_double_layer(mesh, k, quad_order))
               if need_double_layer else None)
+    slayer_ginv = _read_only(slayer_ginv)
     return Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
-                       slayer_ginv=_read_only(slayer_ginv),
+                       slayer_ginv=slayer_ginv,
+                       slayer_ginv_hodlr=hodlr_compress(slayer_ginv,
+                                                        _pool_size()),
                        hyper=_read_only(hyper), dlayer=dlayer,
                        quad_order=quad_order)
 
@@ -336,12 +351,15 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     far order (:func:`~filtbem.excitation2d.assemble_rhs`).  The factor -ik
     against the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every
     formulation the same unknown: -h_tot, the total field's nodal values,
-    in Gram-normalized coefficients.  The stored S G^{-1} takes one
-    complex matvec; the sparse banded G^{-1/2} then multiplies the real
-    and imaginary parts of both vectors in one (N, 4) product, O(N) work.
+    in Gram-normalized coefficients.  S G^{-1} e is one matvec with its
+    HODLR form (``slayer_ginv_hodlr``), certified within 1e-12 ||P|| ||e||
+    of the dense product and reading about a quarter of its bytes at
+    N = 1004;
+    the sparse banded G^{-1/2} then multiplies the real and imaginary
+    parts of both vectors in one (N, 4) product, O(N) work.
     """
     e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order)
-    p_vec = ops.slayer_ginv @ e_vec
+    p_vec = ops.slayer_ginv_hodlr @ e_vec
     y = ops.gram_invsqrt @ np.column_stack(
         [p_vec.real, p_vec.imag, h_vec.real, h_vec.imag])
     v_e = (1j * ops.k / eta) * (y[:, 0] + 1j * y[:, 1])

@@ -16,9 +16,12 @@ versions, BLAS thread-count variables); each value is written once.  The
 ``spectra``, ``refine`` and ``table`` sidecars also list, per solved size,
 the filter cut: its relative eigen-gap and whether it split a
 near-degenerate pair that was made canonical; and under ``set_up`` the
-set-up's wall time, split into its stages (``assemble_s``, ``filter_s``,
-``compress_s``), the process's peak RSS right after it and the bytes the
-operator bundle holds (``operators_mb``).  The ``refine`` and ``table``
+set-up's wall time, split into its stages (``assemble_s``, ``hodlr_s``,
+``filter_s``, ``compress_s``), each with the process CPU time beside it
+(``*_cpu_s``), the process's peak RSS right after it, the bytes the
+operator bundle holds (``operators_mb``) and the HODLR form of S G^{-1}
+that the right-hand sides read: its size, level ranks and certified
+error.  The ``refine`` and ``table``
 sidecars add the skeleton's rank, convergence, achieved error and norm
 estimate and the Woodbury core's condition number.  A run
 is bit-reproducible for a fixed seed and BLAS thread count.
@@ -253,28 +256,40 @@ def _set_up(cfg: ExperimentConfig, n_nodes: int):
     """``(ops, system, skeleton, record)`` at one size.  Below
     ``filter_n = N`` the system holds only the filter-coordinate block, no
     N x N array.  ``record`` is the set-up's meta record: its wall time
-    ``seconds``, that of each stage, ``assemble_s`` (mesh and operators,
+    ``seconds`` and that of each stage, ``assemble_s`` (mesh and operators,
     the double layer included when the formulation weighs it),
-    ``filter_s`` (the filtered system, its modes included) and
-    ``compress_s`` (the skeleton), the process's peak RSS right after it
-    and the operator bundle's size."""
-    t0 = time.perf_counter()
+    ``hodlr_s`` (the HODLR form of S G^{-1}, built within the operators'
+    assembly and counted here only), ``filter_s`` (the filtered system,
+    its modes included) and ``compress_s`` (the skeleton), each with the
+    process CPU time ``*_cpu_s`` beside it (``cpu_s`` for the whole), so
+    that a slow set-up tells the program's work from the machine's load;
+    the process's peak RSS right after it, the operator bundle's size,
+    and the form's own size ``hodlr_mb``, level ranks ``hodlr_ranks`` and
+    certified relative error ``hodlr_error``."""
+    t0, cpu0 = time.perf_counter(), time.process_time()
     mesh = build_mesh(cfg.curve(), n_nodes)
     _, second = formulation_weights(cfg.formulation, cfg.alpha)
     ops = assemble_operators(
         mesh, cfg.k, cfg.quad_order, need_double_layer=bool(second),
         slayer_kind="yukawa" if cfg.yukawa else "helmholtz")
-    t1 = time.perf_counter()
+    t1, cpu1 = time.perf_counter(), time.process_time()
     # the impedance cancels from every normalized right-hand side
     system = build_filtered_system(mesh, cfg.k, 1.0, cfg.source_model(),
                                    cfg.formulation, cfg.filter_n, cfg.alpha,
                                    ops=ops)
-    t2 = time.perf_counter()
+    t2, cpu2 = time.perf_counter(), time.process_time()
     skeleton = lowrank_factor(system.compact, cfg.epsilon, seed=cfg.seed)
-    t3 = time.perf_counter()
-    record = {"n_nodes": n_nodes, "seconds": t3 - t0, "assemble_s": t1 - t0,
-              "filter_s": t2 - t1, "compress_s": t3 - t2,
-              "peak_rss_mb": _peak_rss_mb(), "operators_mb": ops.nbytes / 1e6}
+    t3, cpu3 = time.perf_counter(), time.process_time()
+    form = ops.slayer_ginv_hodlr
+    record = {"n_nodes": n_nodes, "seconds": t3 - t0, "cpu_s": cpu3 - cpu0,
+              "assemble_s": t1 - t0 - form.build_s,
+              "assemble_cpu_s": cpu1 - cpu0 - form.build_cpu_s,
+              "hodlr_s": form.build_s, "hodlr_cpu_s": form.build_cpu_s,
+              "filter_s": t2 - t1, "filter_cpu_s": cpu2 - cpu1,
+              "compress_s": t3 - t2, "compress_cpu_s": cpu3 - cpu2,
+              "peak_rss_mb": _peak_rss_mb(), "operators_mb": ops.nbytes / 1e6,
+              "hodlr_mb": form.nbytes / 1e6, "hodlr_ranks": form.ranks,
+              "hodlr_error": form.error}
     return ops, system, skeleton, record
 
 

@@ -389,7 +389,7 @@ class TestOperatorBundle:
         assert np.abs(v_h - ref_h).max() <= 1e-14 * np.abs(ref_h).max()
 
     def test_rhs_takes_one_root_product_and_no_gram_solve(self, monkeypatch):
-        # per right-hand side: one complex matvec with S G^{-1} and one
+        # per right-hand side: one matvec with the form of S G^{-1} and one
         # (N, 4) product with G^{-1/2}; any further sparse product or G
         # solve is paid by every source of a sweep
         import filtbem.calderon2d as calderon_mod

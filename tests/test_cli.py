@@ -588,9 +588,32 @@ def test_meta_records_each_set_up(tmp_path, command, argv, solved):
         stages = [rec["assemble_s"], rec["filter_s"], rec["compress_s"]]
         assert min(stages) >= 0 and sum(stages) <= rec["seconds"]
         # efie holds S G^{-1} and N, two complex N x N arrays, and the
-        # banded root, O(N) bytes
+        # banded root, O(N) bytes; below two leaves the HODLR form is
+        # S G^{-1} itself and owns no bytes
         n = rec["n_nodes"]
         assert 0 < rec["operators_mb"] * 1e6 - 32 * n * n < 2000 * n
+        assert (rec["hodlr_mb"], rec["hodlr_ranks"], rec["hodlr_error"]) == (0, [], 0)
+
+
+@pytest.mark.parametrize("command", ["refine", "table"])
+def test_set_up_record_reports_the_hodlr_build(command):
+    # the build is its own stage, each stage has its process CPU time
+    # beside it, and the form's size, level ranks and certificate are kept
+    import filtbem.cli as cli_mod
+    cfg = resolve_config(command, {}, {"filter_n": 21})
+    ops, _, _, rec = cli_mod._set_up(cfg, 256)
+    json.dumps(rec)   # a meta record
+    stages = ("assemble", "hodlr", "filter", "compress")
+    assert min(rec[f"{stage}_s"] for stage in stages) >= 0
+    assert min(rec[f"{stage}_cpu_s"] for stage in stages) >= 0
+    assert sum(rec[f"{stage}_s"] for stage in stages) == pytest.approx(rec["seconds"])
+    assert (sum(rec[f"{stage}_cpu_s"] for stage in stages)
+            == pytest.approx(rec["cpu_s"]))
+    form = ops.slayer_ginv_hodlr
+    assert rec["hodlr_s"] == form.build_s > 0
+    assert rec["hodlr_mb"] == form.nbytes / 1e6 > 0
+    assert rec["hodlr_ranks"] == form.ranks and len(form.ranks) == 2
+    assert 0 < rec["hodlr_error"] == form.error <= 1e-12
 
 
 class TestTable:

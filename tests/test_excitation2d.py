@@ -111,18 +111,21 @@ class TestAssembleRhs:
     @pytest.mark.parametrize("src, digests", [
         (MagneticLineSource((3.0, 0.5)),
          ("6b7520bdd474bdcf1eb783a4a420a79f404479b2bcca00d963f50d30a81266be",
-          "04ec967338839171a05ee2badb5f204c2cf6579f28bcbcd004a231900f861500")),
+          {"136ab00e2ec813cfd70e6d6e107925dd3f08a1197b56bcaca2accd2d37652f23",
+           "03d72655d1ec94481c7482a265bdd2c0b8587140b5c8636e0c7689926043d36a"})),
         (PlaneWaveTE((0.6, 0.8)),
          ("7e08a098b4b103d185f2654308fd8801a63fca000d748fe05286b52cccb68c33",
-          "4897ae486ded4cb2181e6d9ab43d8315a44402f3a51cba4ad4a5d5686c6611ed")),
+          {"ef839535abc8dd94db5e3fa64f6e2aaf05de316174ecc16061a782c1072e92b0",
+           "b214c761f5ec10fc26d11896627dad590c6d1a9c0a8006c75ba911850691ad93"})),
     ])
     def test_moments_bitwise_unchanged(self, src, digests):
-        # sha256 of (e, h) from assemble_rhs and of (v_e, v_h) from
-        # normalized_rhs, taken when both sources moved to the far Gauss
-        # order (the line source is 56 h from the curve); against the
-        # order-8 arrays before, e, h, v_e and v_h moved by at most
-        # 6.6e-16 relative (max norm); lobed curve at N = 1004, k = 0.4,
-        # eta = 1 (same at 1 and 2 BLAS threads)
+        # sha256 of (e, h) from assemble_rhs, taken when both sources moved
+        # to the far Gauss order (the line source is 56 h from the curve;
+        # same at 1 and 2 BLAS threads), and of (v_e, v_h) from
+        # normalized_rhs, taken when S G^{-1} e went through the HODLR
+        # form: one digest at 1 BLAS thread, one at 2; lobed curve at
+        # N = 1004, k = 0.4, eta = 1.  Against the dense product, v_e moved
+        # by 1.2e-15 (line source) and 1.1e-15 (plane wave) relative
         from filtbem.calderon2d import assemble_operators, normalized_rhs
 
         def digest(arrays):
@@ -133,8 +136,16 @@ class TestAssembleRhs:
 
         mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 1004)
         ops = assemble_operators(mesh, 0.4)
-        assert (digest(assemble_rhs(mesh, src, 0.4, 1.0)),
-                digest(normalized_rhs(ops, src, 1.0))) == digests
+        e_vec, h_vec = assemble_rhs(mesh, src, 0.4, 1.0)
+        assert digest((e_vec, h_vec)) == digests[0]
+        v_e, v_h = normalized_rhs(ops, src, 1.0)
+        assert digest((v_e, v_h)) in digests[1]
+        form = ops.slayer_ginv_hodlr
+        dense_p = ops.slayer_ginv @ e_vec
+        assert (np.linalg.norm(form @ e_vec - dense_p)
+                <= form.error * form.norm_estimate * np.linalg.norm(e_vec))
+        dense_v = 0.4j * (ops.gram_invsqrt @ dense_p)
+        assert np.linalg.norm(v_e - dense_v) <= 1e-14 * np.linalg.norm(dense_v)
 
     def test_constant_moments_match_gram_row_sums(self):
         # f = 1 through the quadrature path (plane wave, k -> 0 limit of
