@@ -20,7 +20,6 @@ from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
 from .compression import LowRankFactor, ProjectedMatrix, lowrank_factor
 from .excitation2d import (MagneticLineSource, PlaneWaveTE, Source2D,
                            assemble_rhs, incident_fields)
-from .hodlr import HodlrMatrix, hodlr_compress
 from .mesh2d import (CurveMesh, Ellipse, ParametricCurve, PerturbedCircle,
                      basis_eval, build_mesh)
 from .qh3d import (FilteredProjectors, Grams, IncidenceMatrices,
@@ -48,7 +47,6 @@ __all__ = [
     "LowRankFactor", "ProjectedMatrix", "lowrank_factor",
     "MagneticLineSource", "PlaneWaveTE", "Source2D", "assemble_rhs",
     "incident_fields",
-    "HodlrMatrix", "hodlr_compress",
     "CurveMesh", "Ellipse", "ParametricCurve", "PerturbedCircle",
     "basis_eval", "build_mesh",
     "FilteredProjectors", "Grams", "IncidenceMatrices", "TriangleMesh",

@@ -39,7 +39,6 @@ import scipy.sparse.linalg
 
 from .assembly2d import (
     KERNEL_KINDS,
-    _pool_size,
     assemble_double_layer,
     assemble_helmholtz_pair,
     assemble_single_layer,
@@ -146,7 +145,7 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     it serves the efie alone.  G^{-1/2} is the banded
     :func:`~filtbem.spectral.chebyshev_invsqrt` of G.  The HODLR form of
     S G^{-1} is built last, after the kernel passes, so their peak does
-    not grow, on as many worker threads as the kernel pass.
+    not grow.
     """
     if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
         raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")
@@ -163,8 +162,7 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     slayer_ginv = _read_only(slayer_ginv)
     return Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
                        slayer_ginv=slayer_ginv,
-                       slayer_ginv_hodlr=hodlr_compress(slayer_ginv,
-                                                        _pool_size()),
+                       slayer_ginv_hodlr=hodlr_compress(slayer_ginv),
                        hyper=_read_only(hyper), dlayer=dlayer,
                        quad_order=quad_order)
 

@@ -18,14 +18,13 @@ level are a permuted block diagonal, so that level's error is its largest
 block's, and the levels' errors add up; relative to a power-iteration
 estimate of ||A||_2, a lower bound, the sum bounds ||A - H||_2 / ||A||_2.
 Each block draws its sketches from a generator seeded by (level, block),
-so the form's bits do not depend on the worker count.
+so its bits do not depend on the blocks compressed before it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +144,12 @@ def _compress_block(block: np.ndarray, tol: float, width: int, rng):
     return q @ basis, basis.conj().T @ small, float(error)
 
 
-def hodlr_compress(mat: np.ndarray, workers: int = 1) -> HodlrMatrix:
+def hodlr_compress(mat: np.ndarray) -> HodlrMatrix:
     """The HODLR form of the square ``mat``, certified at about TOLERANCE
     times the number of levels, relative to ||mat||_2.
 
-    The blocks of a level are compressed on ``workers`` threads, none of
-    which outlives the call; block b of level l draws from the generator
-    seeded by (l, b), so the form is bitwise the same on any number of
-    workers.  ``mat`` is read through views, not copied.
+    Block b of level l draws from the generator seeded by (l, b).
+    ``mat`` is read through views, not copied.
     """
     t0, cpu0 = time.perf_counter(), time.process_time()
     size = mat.shape[0]
@@ -173,25 +170,20 @@ def hodlr_compress(mat: np.ndarray, workers: int = 1) -> HodlrMatrix:
         block = mat[span(index, leaf), span(index, leaf)]
         diagonal[index, :block.shape[0], :block.shape[1]] = block
     levels, error, sketch = [], 0.0, SKETCH
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for level in range(depth):
-            width = leaf << (depth - level - 1)
-
-            def compress(b, level=level, width=width, sketch=sketch):
-                rng = np.random.default_rng([level, b])
-                return _compress_block(mat[span(b, width), span(b ^ 1, width)],
-                                       tol, sketch, rng)
-
-            blocks = list(pool.map(compress, range(2 << level)))
-            rank = max(left.shape[1] for left, _, _ in blocks)
-            u = np.zeros((len(blocks), width, rank), np.complex128)
-            vh = np.zeros((len(blocks), rank, width), np.complex128)
-            for b, (left, right, _) in enumerate(blocks):
-                u[b, :left.shape[0], :left.shape[1]] = left
-                vh[b, :right.shape[0], :right.shape[1]] = right
-            levels.append((u, vh))
-            sketch = rank + OVERSAMPLE   # ranks fall level by level
-            error += max(err for _, _, err in blocks)
+    for level in range(depth):
+        width = leaf << (depth - level - 1)
+        blocks = [_compress_block(mat[span(b, width), span(b ^ 1, width)], tol,
+                                  sketch, np.random.default_rng([level, b]))
+                  for b in range(2 << level)]
+        rank = max(left.shape[1] for left, _, _ in blocks)
+        u = np.zeros((len(blocks), width, rank), np.complex128)
+        vh = np.zeros((len(blocks), rank, width), np.complex128)
+        for b, (left, right, _) in enumerate(blocks):
+            u[b, :left.shape[0], :left.shape[1]] = left
+            vh[b, :right.shape[0], :right.shape[1]] = right
+        levels.append((u, vh))
+        sketch = rank + OVERSAMPLE   # ranks fall level by level
+        error += max(err for _, _, err in blocks)
     return HodlrMatrix(size, diagonal, tuple(levels),
                        float(error / norm) if norm else 0.0, float(norm),
                        time.perf_counter() - t0, time.process_time() - cpu0)

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -83,17 +81,6 @@ class TestHodlrForm:
         norm = np.linalg.norm(mat, 2)
         assert np.linalg.norm(dense_form(form) - mat, 2) <= form.error * norm
         assert form.error <= 1e-12
-
-    def test_seeded_build_same_bits_on_one_and_two_workers(self):
-        p_mat = assemble_operators(build_mesh(BENCH_CURVES["lobed"], 502),
-                                   K).slayer_ginv
-        threads = threading.active_count()
-        one, two = (hodlr_compress(p_mat, workers) for workers in (1, 2))
-        assert threading.active_count() == threads   # no pool thread outlives it
-        assert (one.error, one.norm_estimate) == (two.error, two.norm_estimate)
-        assert np.array_equal(one.diagonal, two.diagonal)
-        for (u1, vh1), (u2, vh2) in zip(one.levels, two.levels, strict=True):
-            assert np.array_equal(u1, u2) and np.array_equal(vh1, vh2)
 
     def test_operator_bytes_count_the_form(self):
         ops = assemble_operators(build_mesh(BENCH_CURVES["lobed"], 502), K)
