@@ -9,22 +9,25 @@ Quadrature strategy
 One routine integrates every kernel, a block of hat rows at a time (see
 ``_row_block_pass``).  For hat rows [s, e) it forms the tensor-Gauss
 shape-function blocks of the test segments s-1 .. e-1 that feed them,
-against every source segment, and folds them straight into the output
-matrices; no N x N shape accumulator exists.  The hypersingular
-operator reuses the single-layer blocks of the same rows through its
-per-pair transform.  Every kernel integrates each unordered non-touching
-pair once.  A symmetric kernel (S, N) takes it as (p, q) with p < q, at
-full weight, and the same segment at half weight; the pass then adds the
-transpose in place, tile by tile, so S and N come out exactly symmetric.
-The double layer is not symmetric, but one Hankel value per Gauss pair
-serves both directions: the pair (q, p) has the negated offset, so the
-same distance, and the other normal.  Segment p takes the pairs
-(p, p + d), 2 <= d <= n/2 + 1, cyclic (O(N) pairs come twice), and the
-touching pair (p, p + 1); a row block folds their forward blocks into
-the first n/2 + 1 cells of its hat rows from the diagonal on, and their
-backward blocks into the other cells of its hat columns, below the
-diagonal.  Each cell has one writer, so the blocks, and
-then the transpose tiles, run on a thread pool with one worker
+against a window of about N/2 source segments, and writes them straight
+into the output matrices; no N x N shape accumulator exists.  The
+hypersingular operator reuses the single-layer blocks of the same rows
+through its per-pair transform.  Every kernel takes one pair order:
+segment p takes the pairs (p, p + d), 2 <= d <= n/2 + 1, cyclic, so each
+unordered non-touching pair comes once (O(N) near d = n/2 twice), and
+the touching pairs (p, p) and (p, p + 1).  One evaluation serves both
+directions of a pair.  For a symmetric kernel (S, N) the block of (q, p)
+is that of (p, q) with its shape indices swapped.  The double layer is
+not symmetric, but one Hankel value per Gauss pair serves both
+directions: the pair (q, p) has the negated offset, so the same
+distance, and the other normal.  A row block writes the first n/2 + 1
+cells of its hat rows from the diagonal on, and the other cells of its
+hat columns, below the diagonal: a symmetric kernel copies each row
+cell into its mirror cell, and the double layer folds its backward
+blocks there.  Each cell has one writer but, for even n, the antipodal
+cells (i, i + n/2), which both of their rows write; for S and N the
+pass then copies the upper one into the lower, so S and N come out
+exactly symmetric.  The blocks run on a thread pool with one worker
 per CPU of the process's affinity mask, fewer on meshes too small to give
 each worker eight row blocks (scipy's Bessel functions release the GIL).
 The pool lives only as long as the pass, and the result depends neither
@@ -103,9 +106,8 @@ KERNEL_KINDS = ("helmholtz", "yukawa")  # single-layer kernels of _kernel_full
 ROW_BLOCK = 1 << 14  # entries per row block of the kernel pass ...
 MIN_ROWS = 16        # ... which holds at least this many hat rows
 BLOCKS_PER_WORKER = 8  # fewest row blocks per worker thread of the pass
-TILE = 128           # rows per tile of the in-place transpose and the checks
+TILE = 128           # rows per strip of the symmetry and finiteness checks
 PAIR_CHUNK = 1 << 13  # kernel entries per chunk of gathered pairs
-TOUCH_SHIFTS = (0, 1, -1)  # touching pairs (p, p + shift): same, next, previous
 
 # Exact moments over the unit square: integral of n_a(x) n_b(y) ln|x-y|
 # for linear shape functions n_0 = 1-x, n_1 = x (same-segment log part).
@@ -221,15 +223,13 @@ def quadrature_rule(quad_order: int = 8) -> dict:
             "touching_order": max(3 * quad_order, 24)}
 
 
-def _pair_classes(mesh, segs, symmetric):
-    """The source segments ``cols`` of the blocks of the consecutive test
-    segments ``segs``, and their near and far pairs, each class an index
-    pair (r, c) of local rows r and columns c, sorted.
+def _pair_classes(mesh, segs):
+    """The source window ``cols`` of the consecutive test segments ``segs``
+    and their near and far pairs, each class an index pair (r, c) of local
+    rows r and columns c, sorted.
 
-    For a symmetric kernel the columns are all segments, and the pairs
-    those with segs[r] < cols[c], each unordered pair once.  For a two-way
-    kernel the columns are the len(segs) + n // 2 + 2 segments from
-    segs[0] - 1 on, cyclic, and segment p takes the pairs (p, p + d),
+    The window holds the len(segs) + n // 2 + 2 segments from segs[0] - 1
+    on, cyclic, and segment p takes the pairs (p, p + d),
     2 <= d <= n // 2 + 1, so that each unordered pair comes once, or twice
     for the O(N) with d near n / 2, in one direction or the other.  A pair
     is near when its midpoints are closer than FAR_RADIUS times the longer
@@ -238,15 +238,10 @@ def _pair_classes(mesh, segs, symmetric):
     Touching pairs belong to neither class.
     """
     n = mesh.n_nodes
-    if symmetric:
-        cols = np.arange(n)
-        taken = segs[:, None] < cols
-    else:
-        cols = (segs[0] - 1 + np.arange(len(segs) + n // 2 + 2)) % n
-        ahead = np.arange(len(cols)) - np.arange(len(segs))[:, None] - 1
-        taken = (ahead >= 2) & (ahead <= n // 2 + 1)
+    cols = (segs[0] - 1 + np.arange(len(segs) + n // 2 + 2)) % n
+    ahead = np.arange(len(cols)) - np.arange(len(segs))[:, None] - 1
     gap = (cols - segs[:, None]) % n
-    taken &= (gap > 1) & (gap < n - 1)
+    taken = (ahead >= 2) & (ahead <= n // 2 + 1) & (gap > 1) & (gap < n - 1)
     ell = mesh.segment_lengths
     mid_x, mid_y = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
     reach_sq = (FAR_RADIUS * ell) ** 2
@@ -349,19 +344,20 @@ class _PairRule:
 
     ``kernel(dx, dy, d, test, src)`` maps test-minus-source offsets and
     distances to kernel values; ``test`` and ``src`` hold the gathered
-    test and source segments along the last axis of the offsets.
-    ``symmetric`` tells how one evaluation serves both directions of an
-    unordered pair: a symmetric kernel (S, N) gives one value, and the
-    pass adds the transpose; otherwise the kernel is two-way (D) and
-    returns the values (test -> src, src -> test), and the pass folds the
-    backward blocks into hat columns.  ``far``, ``near`` and ``touch`` are
-    :func:`gauss_points` rules, one per pair class, ``touch`` at the
-    touching order.  ``singular`` holds, for the touching pairs (p, p),
-    (p, p + 1) and (p, p - 1), the analytic blocks [a, b, p] of the
-    kernel's singular part, each (2, 2, n), or None where a shift has no
-    pair; ``remainder`` (same signature as ``kernel``) is the bounded rest
-    of the kernel, which :func:`_touching_blocks` integrates for the test
-    segments of a row block.
+    test and source segments along the last axis of the offsets.  One
+    evaluation serves both directions of an unordered pair: a
+    ``symmetric`` kernel (S, N) returns one value, the block of (q, p)
+    being that of (p, q) with its shape indices swapped; otherwise the
+    kernel is two-way (D) and returns the values (test -> src,
+    src -> test).  ``far``, ``near`` and ``touch`` are :func:`gauss_points`
+    rules, one per pair class, ``touch`` at the touching order.
+    ``singular`` holds, for the touching pairs (p, p), (p, p + 1) and
+    (p, p - 1), the analytic blocks [a, b, p] of the kernel's singular
+    part, each (2, 2, n), or None where a shift has no pair or, for a
+    symmetric kernel, mirrors (p, p + 1); ``remainder`` (same signature as
+    ``kernel``) is the bounded rest of the kernel, which
+    :func:`_touching_blocks` integrates for the test segments of a row
+    block.
     """
 
     mesh: CurveMesh
@@ -387,24 +383,21 @@ def _graded_rules(mesh, k, quad_order):
 
 
 def _shape_blocks(rule: _PairRule, segs: np.ndarray):
-    """Shape-function blocks ``blk[a, b, r, c]`` of the consecutive test
-    segments ``segs[r]`` against the source segments ``cols[c]`` of
-    :func:`_pair_classes`, (2, 2, len(segs), len(cols)).
+    """``(cols, blocks, back)``: the source window ``cols`` of
+    :func:`_pair_classes` and the shape-function blocks ``blocks[a, b, r, c]``
+    of the consecutive test segments ``segs[r]`` against ``cols[c]``,
+    (2, 2, len(segs), len(cols)), zero outside the pairs taken.
 
     Near and far pairs take the near and the far rule, touching pairs
     :func:`_touching_blocks`, all through :func:`_gathered_pair_blocks`.
-    For a symmetric kernel the columns are all segments, c = q, and the
-    blocks are halves, so that the whole block of pair (p, q) is
-    blk[a, b, p, q] + blk[b, a, q, p]: pairs p < q carry their block and
-    p > q zero, the same segment carries half its block, and the adjacent
-    block sits at (p, p + 1) only.  A two-way kernel returns ``(blk,
-    back)``, zero outside the pairs taken, ``back[a, b, r, c]`` the block
-    of the pair (cols[c], segs[r]), test shape a on cols[c]; both hold the
-    touching pairs of every segment of ``segs`` in both directions.
+    ``back`` is None for a symmetric kernel; for a two-way kernel it is
+    shaped as ``blocks``, ``back[a, b, r, c]`` the block of the pair
+    (cols[c], segs[r]), test shape a on cols[c].  Both hold the touching
+    pairs of every segment of ``segs`` in both directions.
     """
     mesh = rule.mesh
     floor = 1e-12 * mesh.h
-    cols, *classes = _pair_classes(mesh, segs, rule.symmetric)
+    cols, *classes = _pair_classes(mesh, segs)
     shape = (2, 2, len(segs), len(cols))
     blocks = np.zeros(shape, np.complex128)
     back = None if rule.symmetric else np.zeros(shape, np.complex128)
@@ -416,54 +409,48 @@ def _shape_blocks(rule: _PairRule, segs: np.ndarray):
             else:
                 blocks[:, :, rows[sl], c[sl]], back[:, :, rows[sl], c[sl]] = vals
     _touching_blocks(rule, segs, blocks, back)
-    return blocks if back is None else (blocks, back)
+    return cols, blocks, back
 
 
-def _fold(blocks, dst: np.ndarray):
-    """Sum the blocks of test segments s-1 .. e-1 onto hat rows [s, e), ``dst``.
+def _fold(blocks):
+    """Hat values ``out[x, y]`` of the blocks [a, b, x, y] of test segment x
+    against source segment y: the cell of the hats at the starts of test
+    segment x + 1 and source segment y + 1, (B00[x + 1, y + 1] +
+    B10[x, y + 1]) + (B01[x + 1, y] + B11[x, y]).
 
     Local shape a on segment p is the hat of node p + a, and shape b on
-    segment q that of node q + b (cyclic).
+    segment q that of node q + b.
     """
-    np.add(blocks[0, 0, 1:], blocks[1, 0, :-1], out=dst)
-    shifted = blocks[0, 1, 1:] + blocks[1, 1, :-1]
-    dst[:, 1:] += shifted[:, :-1]
-    dst[:, 0] += shifted[:, -1]
+    out = blocks[0, 0, 1:, 1:] + blocks[1, 0, :-1, 1:]
+    out += blocks[0, 1, 1:, :-1] + blocks[1, 1, :-1, :-1]
+    return out
 
 
-def _fold_two_way(blocks, back, mat: np.ndarray, start: int, stop: int):
-    """Write the cells of ``mat`` that the row block [start, stop) of a
-    two-way kernel owns, from its blocks over the source window of
-    :func:`_pair_classes` (column t: segment start - 2 + t).
+def _write_cells(blocks, back, mat: np.ndarray, start: int):
+    """Write the cells of ``mat`` that the row block of hat rows from
+    ``start`` on owns, from its :func:`_shape_blocks`.
 
-    Hat row i takes the cells (i, i + delta), delta = 0 .. n // 2, from
-    ``blocks`` as :func:`_fold` sums them; hat column j takes the cells
-    (j + eps, j), eps = 1 .. (n - 1) // 2, from ``back`` by the same sums:
-    (B00[i, j] + B10[i-1, j]) + (B01[i, j-1] + B11[i-1, j-1]), with Bab[p, q]
-    the block of test segment p, source q.  Indices are cyclic.
+    Hat row i takes the cells (i, i + delta), delta = 0 .. n // 2, and hat
+    column j the cells (j + eps, j), eps = 1 .. (n - 1) // 2, indices
+    cyclic, so each cell has one writer but, for even n, the antipodal
+    cells (i, i + n / 2), which both rows write as theirs.  A symmetric
+    kernel's column cell takes the value of its mirror row cell; a two-way
+    kernel's is folded from ``back`` by the same sums.  Each side is one
+    flat scatter.
     """
     n = len(mat)
-    rows = np.empty((stop - start, blocks.shape[-1]), np.complex128)
-    _fold(blocks, rows)   # rows[c, t]: cell (start + c, start - 2 + t)
-    for c, i in enumerate(range(start, stop)):
-        mat[i, (i + np.arange(n // 2 + 1)) % n] = rows[c, c + 2:c + 3 + n // 2]
-    del rows
-    cols = np.add(back[0, 0, 1:, 1:], back[1, 0, 1:, :-1])   # cols[c, t - 1]: cell
-    cols += back[0, 1, :-1, 1:] + back[1, 1, :-1, :-1]     # (start - 2 + t, start + c)
-    below = (n - 1) // 2
-    for c, j in enumerate(range(start, stop)):
-        mat[(j + 1 + np.arange(below)) % n, j] = cols[c, c + 2:c + 2 + below]
-
-
-def _add_transpose(mat: np.ndarray, start: int):
-    """Set the tiles (I, J) and (J, I), J >= I, of row tile
-    I = [start, start + TILE) to those of mat + mat.T."""
-    rows = slice(start, start + TILE)
-    for col in range(start, mat.shape[0], TILE):
-        cols = slice(col, col + TILE)
-        tile = mat[rows, cols] + mat[cols, rows].T
-        mat[rows, cols] = tile
-        mat[cols, rows] = tile.T
+    flat = mat.reshape(-1)
+    c = np.arange(blocks.shape[2] - 1)[:, None]
+    i = start + c
+    ahead = np.arange(n // 2 + 1)
+    below = ahead[1:(n + 1) // 2]
+    vals = _fold(blocks)[c, c + 1 + ahead]   # _fold's [x, y]: cell (start + x, start - 1 + y)
+    flat[i * n + (i + ahead) % n] = vals
+    if back is None:
+        vals = vals[:, below]
+    else:
+        vals = _fold(back.transpose(0, 1, 3, 2))[c + 1 + below, c]
+    flat[(i + below) % n * n + i] = vals
 
 
 def _pool_size() -> int:
@@ -480,13 +467,13 @@ def _row_block_pass(rule: _PairRule, outputs):
     loaded, and their temporaries, at most about eleven blocks' worth each
     (7 to 11.3 shape-block arrays of one worker, S+N and D, N = 502 to
     2008), below 1.5 N x N arrays in all whatever the CPU count.
-    ``transform(blocks, segs)``, if not None, maps the blocks of the test
-    segments ``segs`` in place before they are folded into its matrix; the
-    outputs are formed in order from the same blocks.  A two-way rule
-    takes no transform: each block writes part of its hat rows and the
-    rest of its hat columns (:func:`_fold_two_way`), so each cell has one
-    writer.  Each matrix is checked (:func:`_check_assembled`) under its
-    name.
+    ``transform(blocks, segs, cols)``, if not None, maps the blocks of the
+    test segments ``segs`` against the source window ``cols`` in place
+    before its matrix's cells are written; the outputs are formed in order
+    from the same blocks.  Each block writes part of its hat rows and the
+    rest of its hat columns (:func:`_write_cells`).  For even n a symmetric
+    kernel's antipodal cells are then set to their upper ones.  Each
+    matrix is checked (:func:`_check_assembled`) under its name.
     """
     n = rule.mesh.n_nodes
     mats = [np.empty((n, n), np.complex128) for _ in outputs]
@@ -495,25 +482,19 @@ def _row_block_pass(rule: _PairRule, outputs):
     workers = min(_pool_size(), max(1, len(starts) // BLOCKS_PER_WORKER))
 
     def row_block(start):
-        stop = min(start + step, n)
-        segs = np.arange(start - 1, stop) % n
-        if not rule.symmetric:
-            blocks, back = _shape_blocks(rule, segs)
-            for mat in mats:
-                _fold_two_way(blocks, back, mat, start, stop)
-            return
-        blocks = _shape_blocks(rule, segs)
+        segs = np.arange(start - 1, min(start + step, n)) % n
+        cols, blocks, back = _shape_blocks(rule, segs)
         for mat, (_, transform) in zip(mats, outputs):
             if transform is not None:
-                transform(blocks, segs)
-            _fold(blocks, mat[start:stop])
+                transform(blocks, segs, cols)
+            _write_cells(blocks, back, mat, start)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(row_block, starts))
-        if rule.symmetric:
-            for mat in mats:
-                list(pool.map(functools.partial(_add_transpose, mat), range(0, n, TILE)))
     for mat, (name, _) in zip(mats, outputs):
+        if rule.symmetric and n % 2 == 0:   # the antipodal cells: both rows wrote theirs
+            half = np.arange(n // 2)
+            mat[half + n // 2, half] = mat[half, half + n // 2]
         _check_assembled(mat, name, rule.symmetric)
     return mats
 
@@ -534,54 +515,45 @@ def _duffy_geometry(lt, ls, cc, touch_order):
     return tg, tw, rho1_sq, rho2_sq
 
 
-def _touching_blocks(rule: _PairRule, segs: np.ndarray, blocks, back=None):
-    """Set the blocks of the touching pairs of the test segments ``segs``:
-    the analytic singular part (``rule.singular``) plus the tensor-Gauss
-    integral of the bounded remainder at the touching order
-    (:func:`_gathered_pair_blocks`, no distance floor).
+def _touching_blocks(rule: _PairRule, segs: np.ndarray, blocks, back):
+    """Set the blocks of the touching pairs of the test segments ``segs``,
+    in the window of :func:`_pair_classes`: the analytic singular part
+    (``rule.singular``) plus the tensor-Gauss integral of the bounded
+    remainder at the touching order (:func:`_gathered_pair_blocks`, no
+    distance floor).
 
-    A symmetric kernel sets ``blocks[:, :, r, (segs[r] + shift) % n]`` for
-    each shift of TOUCH_SHIFTS that has a singular part; its same-segment
-    remainder is taken at the Gauss pairs g <= h and mirrored, and that
-    block is halved, as :func:`_shape_blocks` describes.  A two-way kernel
-    (the double layer, zero on the same segment) takes each pair
-    (p, p + 1) of ``segs`` once for both directions, in the columns of
-    :func:`_pair_classes`: (p, p + 1) and (p, p - 1) in ``blocks``, the
-    latter for all but segs[0], and (p + 1, p) in ``back``, which is all
-    that :func:`_fold_two_way` reads of the touching pairs.
+    Segment p takes the pair (p, p + 1) once for both directions: the
+    blocks of (p, p + 1) and (p, p - 1) go in ``blocks``, the latter for
+    all p but segs[0], and that of (p + 1, p) in ``back``, which is all
+    that :func:`_write_cells` reads of the touching pairs.  A symmetric
+    kernel's (p + 1, p) block is its (p, p + 1) block with the shape
+    indices swapped.  The same segment (zero for the double layer) goes
+    in whole, its remainder taken at the Gauss pairs g <= h and mirrored.
     """
-    mesh = rule.mesh
-    n = mesh.n_nodes
+    n = rule.mesh.n_nodes
     local = np.arange(len(segs))
-    if back is None:
-        for shift, part in zip(TOUCH_SHIFTS, rule.singular):
-            if part is None:
-                continue
-            col = (segs + shift) % n
-            touch = np.empty((2, 2, len(segs)), np.complex128)
-            for sl, vals in _gathered_pair_blocks(mesh, rule.touch, rule.remainder, 0.0,
-                                                  segs, col, (local, local),
-                                                  mirror=shift == 0):
-                touch[..., sl] = vals
-            touch += part[:, :, segs]
-            if shift == 0:
-                touch *= 0.5
-            blocks[:, :, local, col] = touch
-        return
-    nxt = (segs + 1) % n
-    ahead = np.empty((2, 2, len(segs)), np.complex128)   # pair (p, p + 1)
-    behind = np.empty_like(ahead)                        # pair (p + 1, p)
-    for sl, (fwd, bwd) in _gathered_pair_blocks(mesh, rule.touch, rule.remainder, 0.0,
-                                                segs, nxt, (local, local)):
-        ahead[..., sl] = fwd
-        behind[..., sl] = bwd
-    _, next_part, prev_part = rule.singular
-    ahead += next_part[:, :, segs]
-    behind += prev_part[:, :, nxt]
+    same, next_part, prev_part = rule.singular
+
+    def remainder(src, mirror=False):
+        return np.concatenate(
+            [vals for _, vals in _gathered_pair_blocks(rule.mesh, rule.touch, rule.remainder,
+                                                       0.0, segs, src, (local, local),
+                                                       mirror)], axis=-1)
+
     # the columns run from segs[0] - 1: segs[r] - 1 is column r, segs[r] + 1 column r + 2
+    if same is not None:
+        blocks[:, :, local, local + 1] = remainder(segs, mirror=True) + same[:, :, segs]
+    nxt = (segs + 1) % n
+    if back is None:
+        ahead = remainder(nxt) + next_part[:, :, segs]
+        behind = ahead.transpose(1, 0, 2)
+    else:
+        ahead, behind = remainder(nxt)
+        ahead += next_part[:, :, segs]
+        behind += prev_part[:, :, nxt]
+        back[:, :, local, local + 2] = behind
     blocks[:, :, local, local + 2] = ahead
     blocks[:, :, local[1:], local[1:]] = behind[..., :-1]
-    back[:, :, local, local + 2] = behind
 
 
 def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
@@ -622,16 +594,16 @@ def _hypersingular_transform(mesh, k):
     The arclength derivative of local shape a on segment p is
     (2a - 1) / l_p, so the derivative part of block [a][b] is
     +-(sum of the four blocks) / (l_p l_q), positive where a == b.  The
-    map is linear and commutes with the pair transposition, so it applies
-    to the half-weighted blocks of :func:`_shape_blocks` as they are.
+    map is linear and commutes with the pair transposition, so the mirror
+    of a hypersingular block is the map of the single layer's mirror.
     """
     ell = mesh.segment_lengths
+    nx, ny = mesh.normals.T
 
-    def transform(blocks, segs):
+    def transform(blocks, segs, cols):
         winv = blocks[0, 0] + blocks[0, 1] + blocks[1, 0] + blocks[1, 1]
-        winv *= np.outer(1.0 / ell[segs], 1.0 / ell)
-        nx, ny = mesh.normals.T
-        normal_dot = nx[segs, None] * nx + ny[segs, None] * ny
+        winv *= np.outer(1.0 / ell[segs], 1.0 / ell[cols])
+        normal_dot = nx[segs, None] * nx[cols] + ny[segs, None] * ny[cols]
         for a in range(2):
             for b in range(2):
                 blk = blocks[a, b]

@@ -17,11 +17,20 @@ from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 
 
 def _single_layer_blocks(mesh, k, quad_order):
-    """Whole shape-function blocks [a][b][p, q] of the single layer, from the
-    half-weighted blocks the row-block routine forms for every test segment."""
-    half = _shape_blocks(_single_layer_rule(mesh, k, quad_order),
-                         np.arange(mesh.n_nodes))
-    return [[half[a][b] + half[b][a].T for b in range(2)] for a in range(2)]
+    """Whole shape-function blocks [a, b, p, q] of the single layer, from the
+    blocks the row-block routine forms for every test segment over its
+    source window: the pair (p, q) where the window of p holds q, its
+    mirror (q, p) with the shape indices swapped elsewhere."""
+    n = mesh.n_nodes
+    segs = np.arange(n)
+    _, blocks, _ = _shape_blocks(_single_layer_rule(mesh, k, quad_order), segs)
+    p, q = np.meshgrid(segs, segs, indexing="ij")
+    ahead = (q - p) % n   # the window of segment p holds q at column p + 1 + ahead
+    held = ahead <= n // 2 + 1
+    whole = np.empty((2, 2, n, n), np.complex128)
+    whole[:, :, held] = blocks[:, :, p[held], p[held] + 1 + ahead[held]]
+    whole[:, :, ~held] = blocks[:, :, q[~held], q[~held] + 1 + n - ahead[~held]].swapaxes(0, 1)
+    return whole
 
 
 @pytest.fixture(scope="module")
@@ -334,24 +343,29 @@ class TestRowBlockPass:
             assert all(np.array_equal(mats[0], other) for other in mats[1:])
 
     def test_row_block_size_changes_no_bit(self, monkeypatch):
-        # blocks of 16, 21 (the last one holding 4) and 64 hat rows give the
-        # entries of the default blocks (64 rows at N = 256), though the
-        # edges between the cells a block writes from its rows and those it
-        # writes from its columns move with the block size
-        mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 256)
-        n = mesh.n_nodes
-        default = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
-        for rows in (16, 21, 64):
-            monkeypatch.setattr(assembly2d, "MIN_ROWS", rows)
-            monkeypatch.setattr(assembly2d, "ROW_BLOCK", rows * n)
-            mats = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
-            assert all(np.array_equal(*pair) for pair in zip(default, mats)), rows
+        # blocks of 16, 21 (the last one holding 4 or 3) and 64 hat rows give
+        # the entries of the default blocks (64 rows at N = 255 and 256),
+        # though the edges between the cells a block writes from its rows
+        # and those it writes from its columns move with the block size; at
+        # odd N no cell has two writers, at even N the antipodal cells do
+        for n in (255, 256):
+            mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
+            monkeypatch.undo()
+            default = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
+            for rows in (16, 21, 64):
+                monkeypatch.setattr(assembly2d, "MIN_ROWS", rows)
+                monkeypatch.setattr(assembly2d, "ROW_BLOCK", rows * n)
+                mats = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
+                assert all(np.array_equal(*pair) for pair in zip(default, mats)), (n, rows)
 
     def test_symmetric_kernels_exactly_symmetric(self, lobed768):
-        s, nh = assemble_helmholtz_pair(lobed768, 0.4)
-        yukawa = assemble_single_layer(lobed768, 0.4, kind="yukawa")
-        for mat in (s, nh, yukawa):
-            assert np.array_equal(mat, mat.T)
+        # each row block writes its mirror cells from its row cells; at even
+        # N the antipodal cells, which both rows write, are made equal
+        for mesh in (build_mesh(PerturbedCircle(2.0, 0.2, 8), 255), lobed768):
+            s, nh = assemble_helmholtz_pair(mesh, 0.4)
+            yukawa = assemble_single_layer(mesh, 0.4, kind="yukawa")
+            for mat in (s, nh, yukawa):
+                assert np.array_equal(mat, mat.T), mesh.n_nodes
 
     @pytest.mark.parametrize("make_rule", [assembly2d._single_layer_rule,
                                            assembly2d._double_layer_rule])
@@ -373,25 +387,28 @@ class TestRowBlockPass:
 
     def test_pair_chunks_change_no_bit(self, monkeypatch):
         # chunks of 62 far pairs, of 15 near pairs and of one touching pair
-        # give the entries that the default chunks give
-        mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 96)
-        runs = []
-        for chunk in (assembly2d.PAIR_CHUNK, 1000):
-            monkeypatch.setattr(assembly2d, "PAIR_CHUNK", chunk)
-            runs.append((*assemble_helmholtz_pair(mesh, 0.4),
-                         assemble_double_layer(mesh, 0.4)))
-        assert all(np.array_equal(*mats) for mats in zip(*runs))
+        # give the entries that the default chunks give, at odd and even N
+        for n in (95, 96):
+            mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
+            runs = []
+            for chunk in (assembly2d.PAIR_CHUNK, 1000):
+                monkeypatch.setattr(assembly2d, "PAIR_CHUNK", chunk)
+                runs.append((*assemble_helmholtz_pair(mesh, 0.4),
+                             assemble_double_layer(mesh, 0.4)))
+            assert all(np.array_equal(*mats) for mats in zip(*runs)), n
 
     @pytest.mark.parametrize("assemble, bound", [(assemble_helmholtz_pair, 16.2),
                                                  (assemble_double_layer, 15.2)],
                              ids=["S+N", "D"])
     def test_hankel_values_per_pass(self, monkeypatch, assemble, bound):
         # every kernel takes each unordered non-touching pair once, far pairs
-        # included, and D's touching pairs once for both directions; S's
-        # same-segment remainder is taken at the Gauss pairs g <= h only.
-        # Measured 15.78 N^2 (S+N) and 14.83 N^2 (D), against 16.9 and 29.5
-        # with D's ordered pairs and S's whole same-segment grid, and 20.5
-        # and 32.6 with the far pairs on a broadcast Gauss-pair grid
+        # included (the O(N) near N/2 apart twice), and its touching pairs
+        # once for both directions; S's same-segment remainder is taken at
+        # the Gauss pairs g <= h only.  Measured 15.93 N^2 (S+N) and 14.83
+        # N^2 (D), against 15.78 (S+N) with the pairs p < q over all
+        # columns, 16.9 and 29.5 with D's ordered pairs and S's whole
+        # same-segment grid, and 20.5 and 32.6 with the far pairs on a
+        # broadcast Gauss-pair grid
         mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 256)
         values = []
         for name in ("hankel_h1_0", "hankel_h1_1"):
@@ -402,14 +419,16 @@ class TestRowBlockPass:
         assert sum(values) <= bound * mesh.n_nodes ** 2
 
     @pytest.mark.parametrize("n, digests", [
-        (256, ("537d158e7b128392", "a6ec9b52a2964aa4", "d9f950c8fcaa656c")),
-        (768, ("5b8e8706669961c4", "0981b54a2d21b954", "7885a5f423149e15")),
+        (256, ("75bea51cb031fbb4", "f9276726ebd4b0c9", "d9f950c8fcaa656c")),
+        (768, ("92491660b1a104dc", "455d0b516882b9c1", "7885a5f423149e15")),
     ])
     def test_operators_bitwise_unchanged(self, n, digests):
-        # sha256 prefixes of S, N and D on the lobed curve, taken when the
-        # far pairs joined the gathered pair routine (at most 6e-16 relative,
-        # max norm, from the broadcast far grid); the near and touching
-        # pairs kept their bits
+        # sha256 prefixes of S, N and D on the lobed curve.  D's were taken
+        # when the far pairs joined the gathered pair routine; S's and N's
+        # when S and N took D's half window and cell writer (S within
+        # 2.1e-16 and N within 7.9e-16 relative, max norm, of the sums of
+        # half-weighted blocks and their transpose), the same at one and
+        # two BLAS threads
         mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
         mats = (*assemble_helmholtz_pair(mesh, 0.4), assemble_double_layer(mesh, 0.4))
         assert tuple(hashlib.sha256(mat.tobytes()).hexdigest()[:16]
