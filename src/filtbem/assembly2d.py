@@ -24,15 +24,16 @@ distance, and the other normal.  A row block writes the first n/2 + 1
 cells of its hat rows from the diagonal on, and the other cells of its
 hat columns, below the diagonal: a symmetric kernel copies each row
 cell into its mirror cell, and the double layer folds its backward
-blocks there.  Each cell has one writer but, for even n, the antipodal
-cells (i, i + n/2), which both of their rows write; for S and N the
-pass then copies the upper one into the lower, so S and N come out
-exactly symmetric.  The blocks run on a thread pool with one worker
-per CPU of the process's affinity mask, fewer on meshes too small to give
-each worker eight row blocks (scipy's Bessel functions release the GIL).
-The pool lives only as long as the pass, and the result depends neither
-on its size nor on the block size.  The symmetry and finiteness checks
-read the matrices in strips, adding no N x N temporary.
+blocks there, so each cell has one writer.  For even n the pair
+(i, i + n/2) lies in both rows' windows, so the cells (i, i + n/2) and
+(i + n/2, i) come from two evaluations; for S and N the pass then copies
+the upper into the lower, so S and N come out exactly symmetric.  The
+blocks run on a thread pool with one worker per CPU of the process's
+affinity mask, fewer on meshes too small to give each worker eight row
+blocks (scipy's Bessel functions release the GIL).  The pool lives only
+as long as the pass, and the result depends neither on its size nor on
+the block size.  The symmetry and finiteness checks read the matrices in
+strips, adding no N x N temporary.
 
 Every segment pair goes through one routine, ``_gathered_pair_blocks``:
 tensor Gauss-Legendre on gathered index arrays, at the order of the pair's
@@ -432,11 +433,11 @@ def _write_cells(blocks, back, mat: np.ndarray, start: int):
 
     Hat row i takes the cells (i, i + delta), delta = 0 .. n // 2, and hat
     column j the cells (j + eps, j), eps = 1 .. (n - 1) // 2, indices
-    cyclic, so each cell has one writer but, for even n, the antipodal
-    cells (i, i + n / 2), which both rows write as theirs.  A symmetric
-    kernel's column cell takes the value of its mirror row cell; a two-way
-    kernel's is folded from ``back`` by the same sums.  Each side is one
-    flat scatter.
+    cyclic, so each cell has one writer.  For even n the antipodal cells
+    (i, i + n / 2) and (i + n / 2, i) are both row cells, each written from
+    its own row's evaluation of the pair.  A symmetric kernel's column cell
+    takes the value of its mirror row cell; a two-way kernel's is folded
+    from ``back`` by the same sums.  Each side is one flat scatter.
     """
     n = len(mat)
     flat = mat.reshape(-1)
@@ -492,7 +493,7 @@ def _row_block_pass(rule: _PairRule, outputs):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(row_block, starts))
     for mat, (name, _) in zip(mats, outputs):
-        if rule.symmetric and n % 2 == 0:   # the antipodal cells: both rows wrote theirs
+        if rule.symmetric and n % 2 == 0:   # antipodal cells: two evaluations of one pair
             half = np.arange(n // 2)
             mat[half + n // 2, half] = mat[half, half + n // 2]
         _check_assembled(mat, name, rule.symmetric)

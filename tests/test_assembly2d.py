@@ -347,7 +347,8 @@ class TestRowBlockPass:
         # the entries of the default blocks (64 rows at N = 255 and 256),
         # though the edges between the cells a block writes from its rows
         # and those it writes from its columns move with the block size; at
-        # odd N no cell has two writers, at even N the antipodal cells do
+        # even N the antipodal cells (i, i + N/2) and (i + N/2, i) come from
+        # two evaluations of one pair, at odd N every pair is evaluated once
         for n in (255, 256):
             mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
             monkeypatch.undo()
@@ -360,7 +361,7 @@ class TestRowBlockPass:
 
     def test_symmetric_kernels_exactly_symmetric(self, lobed768):
         # each row block writes its mirror cells from its row cells; at even
-        # N the antipodal cells, which both rows write, are made equal
+        # N the antipodal cells, two evaluations of one pair, are made equal
         for mesh in (build_mesh(PerturbedCircle(2.0, 0.2, 8), 255), lobed768):
             s, nh = assemble_helmholtz_pair(mesh, 0.4)
             yukawa = assemble_single_layer(mesh, 0.4, kind="yukawa")
@@ -388,10 +389,11 @@ class TestRowBlockPass:
     def test_pair_chunks_change_no_bit(self, monkeypatch):
         # chunks of 62 far pairs, of 15 near pairs and of one touching pair
         # give the entries that the default chunks give, at odd and even N
+        default_chunk = assembly2d.PAIR_CHUNK
         for n in (95, 96):
             mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
             runs = []
-            for chunk in (assembly2d.PAIR_CHUNK, 1000):
+            for chunk in (default_chunk, 1000):
                 monkeypatch.setattr(assembly2d, "PAIR_CHUNK", chunk)
                 runs.append((*assemble_helmholtz_pair(mesh, 0.4),
                              assemble_double_layer(mesh, 0.4)))
