@@ -14,17 +14,17 @@ Writing it as  beta I + C  (:func:`second_kind_split`) and low-pass
 filtering the compact block C yields the structured form consumed by the
 compression and Woodbury solver modules.
 
-No Gram-normalized operator is stored.  The bundle keeps S G^{-1}, N and D
-raw, with the sparse banded Chebyshev G^{-1/2} of the tridiagonal G
-(:func:`assemble_operators`), and a hierarchical (HODLR) form of S G^{-1}
-certified at 1e-12 of its norm, through which each right-hand side
-reads it (:func:`normalized_rhs`).  One routine reads N and D: it forms
-w.T (first Z - second Dn) as one weighted sum of thin products with
-u = G^{-1/2} w, for the filter's modes w, and applies G^{-1/2} on the
-right once.  The dense Z, Dn and C are the same routine with the identity
-as basis.  No dense eigendecomposition runs here: the filter's
-modes are the lowest ones of the sparse pencil (L, G), computed when a
-filter index is first known (:func:`filter_modes`).
+No Gram-normalized operator is stored.  The bundle keeps N and D raw,
+S G^{-1} only in its hierarchical (HODLR) form, certified at 1e-12 of its
+norm, and the sparse banded Chebyshev G^{-1/2} of the tridiagonal G
+(:func:`assemble_operators`).  Each right-hand side reads S G^{-1} as one
+matvec with the form (:func:`normalized_rhs`).  One routine reads the
+form, N and D: it forms w.T (first Z - second Dn) as one weighted sum of
+thin products with u = G^{-1/2} w, for the filter's modes w, and applies
+G^{-1/2} on the right once.  The dense Z, Dn and C are the same routine
+with the identity as basis.  No dense eigendecomposition runs here: the
+filter's modes are the lowest ones of the sparse pencil (L, G), computed
+when a filter index is first known (:func:`filter_modes`).
 """
 
 from __future__ import annotations
@@ -77,23 +77,22 @@ _ROW_BLOCK = 64   # rows per block of an in-place right factor
 class Operators2D:
     """Operator bundle over one mesh and wavenumber, fixed once assembled.
 
-    ``slayer_ginv`` holds P = S G^{-1}, ``hyper`` the hypersingular N of
-    the Helmholtz kernel pass and ``dlayer`` the double layer D (None
-    unless :func:`assemble_operators` was asked for it), all raw,
-    read-only and N x N; ``gram_invsqrt`` is the sparse banded G^{-1/2}.
-    ``slayer_ginv_hodlr`` is the HODLR form of P
-    (:func:`~filtbem.hodlr.hodlr_compress`), P itself below two leaves:
-    the right-hand sides read P through it, the filtered system and the
-    dense routes read the dense P.  No Gram-normalized operator is kept:
-    one weighted product reads N and D for the filtered system and the
-    dense routes alike.  No Laplacian basis is kept either:
+    ``slayer_ginv_hodlr`` is the one copy of P = S G^{-1}: its HODLR form
+    (:func:`~filtbem.hodlr.hodlr_compress`), P itself below two leaves,
+    through which the right-hand sides, the filtered system and the dense
+    routes read P.  ``hyper`` holds the hypersingular N of the Helmholtz
+    kernel pass and ``dlayer`` the double layer D (None unless
+    :func:`assemble_operators` was asked for it), both raw and N x N;
+    ``gram_invsqrt`` is the sparse banded G^{-1/2}.  Every stored array,
+    the form's included, is read-only.  No Gram-normalized operator is
+    kept: one weighted product reads the form, N and D for the filtered
+    system and the dense routes alike.  No Laplacian basis is kept either:
     :func:`filter_modes` computes the modes a filter index needs.
     """
 
     mesh: CurveMesh
     k: float
     gram_invsqrt: scipy.sparse.csr_array
-    slayer_ginv: np.ndarray
     slayer_ginv_hodlr: HodlrMatrix
     hyper: np.ndarray
     dlayer: Optional[np.ndarray] = None   # only with need_double_layer
@@ -101,13 +100,11 @@ class Operators2D:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the stored operators, the HODLR form's own arrays
-        and the sparse root."""
+        """Bytes held by N, D, the HODLR form of P and the sparse root."""
         gm = self.gram_invsqrt
-        return (sum(mat.nbytes for mat in (self.slayer_ginv, self.hyper,
-                                           self.dlayer) if mat is not None)
-                + self.slayer_ginv_hodlr.nbytes
-                + gm.data.nbytes + gm.indices.nbytes + gm.indptr.nbytes)
+        return sum(arr.nbytes for arr in (self.slayer_ginv_hodlr, self.hyper,
+                                          self.dlayer, gm.data, gm.indices,
+                                          gm.indptr) if arr is not None)
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -145,7 +142,8 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     it serves the efie alone.  G^{-1/2} is the banded
     :func:`~filtbem.spectral.chebyshev_invsqrt` of G.  The HODLR form of
     S G^{-1} is built last, after the kernel passes, so their peak does
-    not grow.
+    not grow, and the dense S G^{-1} is dropped on return: above two
+    leaves only the form holds P.
     """
     if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
         raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")
@@ -155,13 +153,11 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
         slayer = assemble_single_layer(mesh, k, quad_order, kind=slayer_kind)
     gram = sparse_gram(mesh)
     # G is symmetric, so a row block of S G^{-1} is (G^{-1} block^T)^T
-    slayer_ginv = _times_right(scipy.sparse.linalg.splu(gram.tocsc()).solve,
-                               slayer)
+    slayer_ginv = _read_only(_times_right(
+        scipy.sparse.linalg.splu(gram.tocsc()).solve, slayer))
     dlayer = (_read_only(assemble_double_layer(mesh, k, quad_order))
               if need_double_layer else None)
-    slayer_ginv = _read_only(slayer_ginv)
     return Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
-                       slayer_ginv=slayer_ginv,
                        slayer_ginv_hodlr=hodlr_compress(slayer_ginv),
                        hyper=_read_only(hyper), dlayer=dlayer,
                        quad_order=quad_order)
@@ -302,7 +298,10 @@ def _operator_rows(ops: Operators2D, first: float, second: float,
 
     Evaluated as (first ((u.T P) N) / (ik) - second (u.T D)) G^{-1/2} with
     u = G^{-1/2} w and P = S G^{-1}, so G^{-1/2} acts on the right once;
-    O(N^2 r) work for r columns of w.  A zero weight skips its operator.
+    O(N^2 r) work for r columns of w.  P is read through its HODLR form
+    alone: u.T P as (P^T u)^T with the form's transpose, and, when ``w``
+    is None, G^{-1/2} P N as G^{-1/2} (P N).  A zero weight skips its
+    operator.
     The one reader of N and D: a nonzero ``second`` on a bundle without D
     raises ``ValueError`` before any product runs.
     """
@@ -311,7 +310,9 @@ def _operator_rows(ops: Operators2D, first: float, second: float,
                          "assemble it with need_double_layer=True")
     rows = 0.0
     if first:
-        rows = _left_rows(ops, w, ops.slayer_ginv) @ ops.hyper
+        form = ops.slayer_ginv_hodlr
+        rows = (_left_rows(ops, None, form @ ops.hyper) if w is None
+                else (form.T @ (ops.gram_invsqrt @ w)).T @ ops.hyper)
         rows /= 1j * ops.k / first
     if second:
         term = _left_rows(ops, w, ops.dlayer)
@@ -350,9 +351,9 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     against the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every
     formulation the same unknown: -h_tot, the total field's nodal values,
     in Gram-normalized coefficients.  S G^{-1} e is one matvec with its
-    HODLR form (``slayer_ginv_hodlr``), certified within 1e-12 ||P|| ||e||
-    of the dense product and reading about a quarter of its bytes at
-    N = 1004;
+    HODLR form (``slayer_ginv_hodlr``, the bundle's only copy of
+    S G^{-1}), certified within 1e-12 ||P|| ||e|| of the dense product and
+    reading about a quarter of its bytes at N = 1004;
     the sparse banded G^{-1/2} then multiplies the real and imaginary
     parts of both vectors in one (N, 4) product, O(N) work.
     """
@@ -368,11 +369,12 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
 def formulation_weights(formulation: str, alpha: float):
     """``(first, second)``: the formulation's system is
     first Z + second (I/2 - Dn).  Raises ``ValueError`` for an unknown
-    formulation or a combined-field coupling alpha <= 0."""
+    formulation or a combined-field coupling alpha that is not a finite
+    positive number."""
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
-    if formulation == "cfie" and alpha <= 0:
-        raise ValueError("combined-field coupling alpha must be positive")
+    if formulation == "cfie" and not 0 < alpha < np.inf:   # NaN fails too
+        raise ValueError("coupling alpha must be finite and positive")
     return {"efie": (1.0, 0.0), "mfie": (0.0, 1.0),
             "cfie": (1.0, alpha)}[formulation]
 

@@ -19,8 +19,8 @@ near-degenerate pair that was made canonical; and under ``set_up`` the
 set-up's wall time, split into its stages (``assemble_s``, ``hodlr_s``,
 ``filter_s``, ``compress_s``), each with the process CPU time beside it
 (``*_cpu_s``), the process's peak RSS right after it, the bytes the
-operator bundle holds (``operators_mb``) and the HODLR form of S G^{-1}
-that the right-hand sides read: its size, level ranks and certified
+operator bundle holds (``operators_mb``) and the HODLR form of S G^{-1},
+the bundle's only copy of it: its size, level ranks and certified
 error.  The ``refine`` and ``table``
 sidecars add the skeleton's rank, convergence, achieved error and norm
 estimate and the Woodbury core's condition number.  A run
@@ -264,8 +264,9 @@ def _set_up(cfg: ExperimentConfig, n_nodes: int):
     process CPU time ``*_cpu_s`` beside it (``cpu_s`` for the whole), so
     that a slow set-up tells the program's work from the machine's load;
     the process's peak RSS right after it, the operator bundle's size,
-    and the form's own size ``hodlr_mb``, level ranks ``hodlr_ranks`` and
-    certified relative error ``hodlr_error``."""
+    and the form's size ``hodlr_mb`` (that of S G^{-1} itself below two
+    leaves), level ranks ``hodlr_ranks`` and certified relative error
+    ``hodlr_error``."""
     t0, cpu0 = time.perf_counter(), time.process_time()
     mesh = build_mesh(cfg.curve(), n_nodes)
     _, second = formulation_weights(cfg.formulation, cfg.alpha)

@@ -10,7 +10,12 @@ every other block is a product U V^H truncated at TOLERANCE ||A||_2,
 found by a seeded Gaussian range finder and a small SVD (Halko,
 Martinsson & Tropp, SIAM Rev. 53, 2011).  Each level is stored as stacked
 arrays, its ranks padded with zero columns to the level's largest, so a
-matvec is one batched leaf product plus two batched products per level.
+product with a vector or an (N, m) block is one batched leaf product plus
+two batched products per level, and the transpose is a view of the same
+arrays.  The form of S G^{-1} is the operator bundle's only copy of it
+(:class:`~filtbem.calderon2d.Operators2D`): every reader of S G^{-1}, the
+right-hand sides, the filtered block and the dense routes, goes through
+these products.
 
 The error is certified after the fact, block by block, with fresh
 Gaussian probes (:func:`_compress_block`).  The off-diagonal blocks of one
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,19 +49,22 @@ NORM_ITERS = 3       # power iterations of the norm estimate
 
 @dataclass(frozen=True)
 class HodlrMatrix:
-    """A square matrix in HODLR form, applied to vectors by ``@``.
+    """A square matrix in HODLR form, applied by ``@`` to vectors and to
+    (N, m) blocks, with its transpose ``T``.
 
     ``diagonal`` holds the (2^L, n, n) leaf blocks, n <= LEAF, zero-padded
     past the matrix's ``size``; ``levels`` holds per level, top first, the
     pair ``(u, vh)`` of shapes (2^(l+1), m, r) and (2^(l+1), r, m), m =
-    n 2^(L-l-1): block b of the level couples its rows b with its columns
-    b xor 1 as ``u[b] @ vh[b]``, complex as the sketches that found it
-    (a real matrix gets a complex form).  Below two leaves ``levels`` is
-    empty and ``diagonal`` is the matrix itself, not a copy.  ``error`` is
-    the certified ||A - H||_2 / ||A||_2 (0 for the matrix itself),
-    ``norm_estimate`` the power-iteration estimate of ||A||_2 it is
-    relative to.  ``build_s`` and ``build_cpu_s`` are the build's wall and
-    process CPU times.
+    n 2^(L-l-1) (viewed as (2^l, 2, m, r) and (2^l, 2, r, m) in ``T``):
+    block b of the level couples its rows b with its columns b xor 1 as
+    ``u[b] @ vh[b]``, complex as the sketches that found it (a real
+    matrix gets a complex form).  The arrays are read-only.  Below two
+    leaves ``levels`` is empty and ``diagonal`` is the matrix itself, not
+    a copy.  The form has no ``__array__``: numpy would turn it into a
+    dense N x N array in any product.  ``error`` is the certified
+    ||A - H||_2 / ||A||_2 (0 for the matrix itself), ``norm_estimate`` the
+    power-iteration estimate of ||A||_2 it is relative to.  ``build_s``
+    and ``build_cpu_s`` are the build's wall and process CPU times.
     """
 
     size: int
@@ -70,30 +78,52 @@ class HodlrMatrix:
     @property
     def ranks(self) -> list:
         """The padded rank of each level, top first."""
-        return [u.shape[2] for u, _ in self.levels]
+        return [u.shape[-1] for u, _ in self.levels]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the form owns: none when it is the matrix."""
-        if not self.levels:
-            return 0
+        """Bytes of the form's arrays, the matrix's below two leaves."""
         return self.diagonal.nbytes + sum(u.nbytes + vh.nbytes
                                           for u, vh in self.levels)
 
+    @property
+    def T(self) -> "HodlrMatrix":
+        """The transposed form, made of views of this form's arrays.
+
+        The leaf blocks are transposed; block b of a level, which couples
+        rows b with columns b xor 1, becomes block b xor 1 of the
+        transpose as (vh[b]^T, u[b]^T), so each level's pairs are swapped
+        into sibling order, viewed as (2^l, 2, ...) arrays.
+        """
+        def swapped(arr):
+            return _pairs(arr)[:, ::-1].swapaxes(-1, -2)
+
+        return replace(self, diagonal=self.diagonal.swapaxes(-1, -2),
+                       levels=tuple((swapped(vh), swapped(u))
+                                    for u, vh in self.levels))
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H x for a vector x of length ``size``, as a new array."""
+        """H x for a vector or an (N, m) block x of ``size`` rows, as a new
+        array."""
         if not self.levels:
             return self.diagonal @ x
-        leaves, leaf, _ = self.diagonal.shape
-        padded = np.zeros(leaves * leaf, np.result_type(
+        block = x.reshape(self.size, -1)
+        leaves, leaf = self.diagonal.shape[:2]
+        padded = np.zeros((leaves * leaf, block.shape[1]), np.result_type(
             x, self.diagonal, self.levels[0][0]))
-        padded[:self.size] = x
-        out = (self.diagonal @ padded.reshape(leaves, leaf, 1)).reshape(-1)
+        padded[:self.size] = block
+        out = self.diagonal @ padded.reshape(leaves, leaf, -1)
         for u, vh in self.levels:
-            # block b reads the columns of its sibling b xor 1
-            sibling = padded.reshape(-1, 2, u.shape[1])[:, ::-1]
-            out += (u @ (vh @ sibling.reshape(u.shape[0], -1, 1))).reshape(-1)
-        return out[:self.size]
+            # block b reads the rows of x at its sibling b xor 1
+            halves = out.reshape(-1, 2, u.shape[-2], block.shape[1])
+            halves += _pairs(u) @ (
+                _pairs(vh) @ padded.reshape(halves.shape)[:, ::-1])
+        return out.reshape(-1, block.shape[1])[:self.size].reshape(x.shape)
+
+
+def _pairs(arr: np.ndarray) -> np.ndarray:
+    """The stacked blocks of ``arr`` viewed as (2^l, 2, ...) sibling pairs."""
+    return arr.reshape(-1, 2, *arr.shape[-2:])
 
 
 def _depth(size: int) -> int:
@@ -169,6 +199,7 @@ def hodlr_compress(mat: np.ndarray) -> HodlrMatrix:
     for index in range(1 << depth):
         block = mat[span(index, leaf), span(index, leaf)]
         diagonal[index, :block.shape[0], :block.shape[1]] = block
+    diagonal.flags.writeable = False
     levels, error, sketch = [], 0.0, SKETCH
     for level in range(depth):
         width = leaf << (depth - level - 1)
@@ -181,6 +212,7 @@ def hodlr_compress(mat: np.ndarray) -> HodlrMatrix:
         for b, (left, right, _) in enumerate(blocks):
             u[b, :left.shape[0], :left.shape[1]] = left
             vh[b, :right.shape[0], :right.shape[1]] = right
+        u.flags.writeable = vh.flags.writeable = False
         levels.append((u, vh))
         sketch = rank + OVERSAMPLE   # ranks fall level by level
         error += max(err for _, _, err in blocks)

@@ -87,16 +87,17 @@ def woodbury_factorize(beta: float,
 
     Parameters
     ----------
-    beta : float, nonzero
+    beta : float, finite and nonzero
     skeleton : LowRankFactor or (U, V) tuple
         Low-rank factors; the represented matrix is U @ V.T.
 
     Raises
     ------
     ValueError
-        For beta = 0, and as its subclass ``np.linalg.LinAlgError`` for a
-        numerically singular core (condition number above 1e12), which
-        signals -beta is an eigenvalue of U V^T.
+        For beta = 0, inf or NaN, and as its subclass
+        ``np.linalg.LinAlgError`` for a numerically singular core
+        (condition number above 1e12), which signals -beta is an
+        eigenvalue of U V^T.
 
     Warns
     -----
@@ -104,8 +105,8 @@ def woodbury_factorize(beta: float,
         For a near-singular core (condition number above 1e8): the solve
         still runs, but may lose up to log10(condition number) digits.
     """
-    if beta == 0.0:
-        raise ValueError("beta must be nonzero")
+    if beta == 0.0 or not np.isfinite(beta):
+        raise ValueError("beta must be finite and nonzero")
     if isinstance(skeleton, LowRankFactor):
         left, right = skeleton.left, skeleton.right
     else:

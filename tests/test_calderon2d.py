@@ -17,7 +17,8 @@ from filtbem.assembly2d import (_row_block_pass, _single_layer_rule,
                                 sparse_gram)
 from filtbem.calderon2d import (FORMULATIONS, assemble_operators,
                                 build_calderon_matrix, build_filtered_system,
-                                canonical_modes, filter_modes, lowest_modes,
+                                canonical_modes, filter_modes,
+                                formulation_weights, lowest_modes,
                                 normalized_double_layer, normalized_rhs,
                                 second_kind_split)
 from filtbem.compression import lowrank_factor
@@ -114,8 +115,9 @@ class TestCalderonMatrix:
 
 class TestOperatorBundle:
     def test_operators_stored_raw_and_read_only(self):
-        # the bundle keeps P = S G^{-1}, N and D, not their Gram-normalized
-        # forms; those are made on demand, against the independent dense
+        # the bundle keeps N and D raw and P = S G^{-1} once, in its HODLR
+        # form, which below two leaves is P itself; no Gram-normalized form
+        # is kept: those are made on demand, against the independent dense
         # root to rounding (the banded root agrees with it, not bit for bit)
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
         ops = assemble_operators(mesh, K, need_double_layer=True)
@@ -127,11 +129,13 @@ class TestOperatorBundle:
         dn = normalized_double_layer(ops)
         assert normalized_double_layer(ops) is not dn   # nothing cached
         ref_p = np.linalg.solve(gram, slayer.T).T       # G is symmetric
-        assert (np.abs(ops.slayer_ginv - ref_p).max()
+        form = ops.slayer_ginv_hodlr
+        assert form.levels == ()
+        assert (np.abs(form.diagonal - ref_p).max()
                 <= 1e-14 * np.abs(ref_p).max())
         assert np.array_equal(ops.hyper, hyper)
         assert np.array_equal(ops.dlayer, dlayer)
-        for stored in (ops.slayer_ginv, ops.hyper, ops.dlayer):
+        for stored in (form.diagonal, ops.hyper, ops.dlayer):
             assert not stored.flags.writeable
         assert ops.nbytes == (3 * 16 * 96 ** 2 + ops.gram_invsqrt.data.nbytes
                               + ops.gram_invsqrt.indices.nbytes
@@ -140,6 +144,36 @@ class TestOperatorBundle:
         for made, ref in ((build_calderon_matrix(mesh, K, ops=ops), zref),
                           (dn, gm @ dlayer @ gm)):
             assert np.abs(made - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("need_double_layer", [False, True])
+    def test_no_dense_p_outlives_assembly(self, need_double_layer):
+        # above two leaves the only N x N arrays left are N (and D): the
+        # bundle holds P in its HODLR form alone, every array of which is
+        # read-only, and nothing else keeps the dense P alive once
+        # assemble_operators returns
+        mesh = build_mesh(BENCH_CURVES["lobed"], 256)
+        n = mesh.n_nodes
+        tracemalloc.start()
+        try:
+            ops = assemble_operators(mesh, K,
+                                     need_double_layer=need_double_layer)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        form, gm = ops.slayer_ginv_hodlr, ops.gram_invsqrt
+        squares = [value for value in vars(ops).values()
+                   if isinstance(value, np.ndarray) and value.shape == (n, n)]
+        assert squares == [ops.hyper] + [ops.dlayer] * need_double_layer
+        assert form.levels and form.diagonal.shape[1:] != (n, n)
+        arrays = squares + [form.diagonal] + [arr for pair in form.levels
+                                              for arr in pair]
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert ops.nbytes == ((1 + need_double_layer) * 16 * n * n
+                              + form.nbytes + gm.data.nbytes
+                              + gm.indices.nbytes + gm.indptr.nbytes)
+        # measured: 0.05 N x N above ops.nbytes without D, 0.02 with it; a
+        # dense P kept anywhere would add 1
+        assert live <= ops.nbytes + 0.25 * 16 * n * n
 
     def test_bundle_is_frozen_and_d_is_asked_for(self):
         # D has one producer, assemble_operators(need_double_layer=True):
@@ -460,6 +494,20 @@ class TestOperatorBundle:
         with pytest.raises(ValueError):
             second_kind_split(ops, "cfie", alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected(self, alpha):
+        # a NaN or infinite alpha would pass an alpha <= 0 check and give a
+        # non-finite system; it is refused before any product
+        mesh = build_mesh(Ellipse(1.0, 1.0), 64)
+        ops = assemble_operators(mesh, K, need_double_layer=True)
+        with pytest.raises(ValueError, match="finite"):
+            formulation_weights("cfie", alpha)
+        with pytest.raises(ValueError, match="finite"):
+            second_kind_split(ops, "cfie", alpha=alpha)
+        with pytest.raises(ValueError, match="finite"):
+            build_filtered_system(mesh, K, ETA, SRC, "cfie", 21, alpha=alpha,
+                                  ops=ops)
+
 
 class TestCompactPart:
     def test_diagonal_difference_is_exact_quarter(self, circle_ops):
@@ -635,9 +683,8 @@ class TestFilteredSystem:
     def test_cfie_block_bitwise_unchanged(self):
         # sha256 prefixes of B and its basis for the cfie of the benchmark
         # (lobed curve, N = 502, filter_n 200, alpha 0.5); B was taken when
-        # S and N took the half window and cell writer of the kernel pass
-        # (1.9e-13 relative, max norm, from the sums of half-weighted
-        # blocks), the basis when the far segment pairs joined the gathered
+        # it read S G^{-1} through its HODLR form (2.3e-11 relative, max
+        # norm), the basis when the far segment pairs joined the gathered
         # pair routine of the kernel pass; B rounds differently at one and
         # at two BLAS threads, the basis does not
         mesh = build_mesh(BENCH_CURVES["lobed"], 502)
@@ -647,7 +694,7 @@ class TestFilteredSystem:
         coeffs, basis = (
             hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
             for arr in (system.compact.coeffs, system.compact.basis))
-        assert coeffs in {"e88481d75f085d17", "d2cdc056bf7df22f"}
+        assert coeffs in {"54bb10715cbb986b", "f42eb15bf8a95e1a"}
         assert basis == "23db29959037b356"
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))

@@ -587,12 +587,13 @@ def test_meta_records_each_set_up(tmp_path, command, argv, solved):
         assert rec["seconds"] > 0 and rec["peak_rss_mb"] > 0
         stages = [rec["assemble_s"], rec["filter_s"], rec["compress_s"]]
         assert min(stages) >= 0 and sum(stages) <= rec["seconds"]
-        # efie holds S G^{-1} and N, two complex N x N arrays, and the
-        # banded root, O(N) bytes; below two leaves the HODLR form is
-        # S G^{-1} itself and owns no bytes
+        # efie holds N and the HODLR form of S G^{-1}, which below two
+        # leaves is S G^{-1} itself: two complex N x N arrays, and the
+        # banded root, O(N) bytes
         n = rec["n_nodes"]
         assert 0 < rec["operators_mb"] * 1e6 - 32 * n * n < 2000 * n
-        assert (rec["hodlr_mb"], rec["hodlr_ranks"], rec["hodlr_error"]) == (0, [], 0)
+        assert ((rec["hodlr_mb"], rec["hodlr_ranks"], rec["hodlr_error"])
+                == (16 * n * n / 1e6, [], 0))
 
 
 @pytest.mark.parametrize("command", ["refine", "table"])

@@ -2,8 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from filtbem.assembly2d import FAR_RADIUS, assemble_gram
+from filtbem.assembly2d import (FAR_RADIUS, assemble_gram,
+                                assemble_helmholtz_pair, sparse_gram)
 from filtbem.excitation2d import (MagneticLineSource, PlaneWaveTE,
                                   assemble_rhs, incident_fields)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
@@ -143,7 +145,10 @@ class TestAssembleRhs:
         v_e, v_h = normalized_rhs(ops, src, 1.0)
         assert digest((v_e, v_h)) in digests[1]
         form = ops.slayer_ginv_hodlr
-        dense_p = ops.slayer_ginv @ e_vec
+        # the exact S G^{-1} e, from the S+N pass and a Gram solve
+        slayer = assemble_helmholtz_pair(mesh, 0.4)[0]
+        dense_p = slayer @ scipy.sparse.linalg.spsolve(
+            sparse_gram(mesh).tocsc(), e_vec)
         assert (np.linalg.norm(form @ e_vec - dense_p)
                 <= form.error * form.norm_estimate * np.linalg.norm(e_vec))
         dense_v = 0.4j * (ops.gram_invsqrt @ dense_p)

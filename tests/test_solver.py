@@ -101,6 +101,15 @@ class TestWoodbury:
         with pytest.raises(ValueError):
             woodbury_factorize(0.0, (u, v))
 
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_beta_rejected(self, rank, beta):
+        # an infinite beta would give a solver that returns 0 for every
+        # rhs, a NaN one NaN: both are refused before any factorization
+        u, v = random_skeleton(np.random.default_rng(7), 8, rank, scale=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            woodbury_factorize(beta, (u, v))
+
     def test_near_singular_core_warns(self):
         # core diag(1e-10, 2): condition 2e10, between the warning (1e8)
         # and the rejection (1e12) thresholds
