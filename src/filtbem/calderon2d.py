@@ -16,15 +16,18 @@ compression and Woodbury solver modules.
 
 No Gram-normalized operator is stored.  The bundle keeps N and D raw,
 S G^{-1} only in its hierarchical (HODLR) form, certified at 1e-12 of its
-norm, and the sparse banded Chebyshev G^{-1/2} of the tridiagonal G
-(:func:`assemble_operators`).  Each right-hand side reads S G^{-1} as one
-matvec with the form (:func:`normalized_rhs`).  One routine reads the
-form, N and D: it forms w.T (first Z - second Dn) as one weighted sum of
-thin products with u = G^{-1/2} w, for the filter's modes w, and applies
-G^{-1/2} on the right once.  The dense Z, Dn and C are the same routine
-with the identity as basis.  No dense eigendecomposition runs here: the
-filter's modes are the lowest ones of the sparse pencil (L, G), computed
-when a filter index is first known (:func:`filter_modes`).
+norm, the banded Chebyshev G^{-1/2} of the tridiagonal G as dense cyclic
+row strips, and the right-hand sides' Gauss rules
+(:func:`assemble_operators`).  Each right-hand side is its moments, one
+matvec with the form and one batched product with the strips
+(:func:`normalized_rhs`).  One routine reads the form, N and D: it forms
+w.T (first Z - second Dn) as one weighted sum of thin products with
+u = G^{-1/2} w, for the filter's modes w, and applies G^{-1/2} on the
+right once.  The dense Z, Dn and C are the same routine with the identity
+as basis, made one block of columns at a time.  No dense
+eigendecomposition runs here: the filter's modes are the lowest ones of
+the sparse pencil (L, G), computed when a filter index is first known
+(:func:`filter_modes`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly2d import (
@@ -46,11 +48,12 @@ from .assembly2d import (
     sparse_laplacian,
 )
 from .compression import ProjectedMatrix
-from .excitation2d import Source2D, assemble_rhs
+from .excitation2d import MomentRule, Source2D, assemble_rhs, moment_rule
 from .hodlr import HodlrMatrix, hodlr_compress
 from .mesh2d import CurveMesh
-from .spectral import (_check_filter_index, canonicalize_cut,
-                       chebyshev_invsqrt, cut_cluster, pencil_modes)
+from .spectral import (CyclicStrips, _check_filter_index, canonicalize_cut,
+                       chebyshev_invsqrt, cut_cluster, cyclic_strips,
+                       pencil_modes)
 
 __all__ = [
     "Operators2D",
@@ -70,7 +73,7 @@ __all__ = [
 ]
 
 FORMULATIONS = ("efie", "mfie", "cfie")
-_ROW_BLOCK = 64   # rows per block of an in-place right factor
+_BLOCK = 64   # rows of a right-factor block, columns of a dense-route block
 
 
 @dataclass(frozen=True)
@@ -83,28 +86,33 @@ class Operators2D:
     routes read P.  ``hyper`` holds the hypersingular N of the Helmholtz
     kernel pass and ``dlayer`` the double layer D (None unless
     :func:`assemble_operators` was asked for it), both raw and N x N;
-    ``gram_invsqrt`` is the sparse banded G^{-1/2}.  Every stored array,
-    the form's included, is read-only.  No Gram-normalized operator is
-    kept: one weighted product reads the form, N and D for the filtered
-    system and the dense routes alike.  No Laplacian basis is kept either:
-    :func:`filter_modes` computes the modes a filter index needs.
+    ``gram_invsqrt`` is the banded G^{-1/2} as dense cyclic row strips
+    (:func:`~filtbem.spectral.cyclic_strips`), its only form, and
+    ``moment_rule`` the per-mesh part of every right-hand side
+    (:func:`~filtbem.excitation2d.moment_rule`).  Every stored array, the
+    form's, the strips' and the rule's included, is read-only.  No
+    Gram-normalized operator is kept: one weighted product reads the form,
+    N and D for the filtered system and the dense routes alike.  No
+    Laplacian basis is kept either: :func:`filter_modes` computes the modes
+    a filter index needs.
     """
 
     mesh: CurveMesh
     k: float
-    gram_invsqrt: scipy.sparse.csr_array
+    gram_invsqrt: CyclicStrips
     slayer_ginv_hodlr: HodlrMatrix
     hyper: np.ndarray
+    moment_rule: MomentRule
     dlayer: Optional[np.ndarray] = None   # only with need_double_layer
     quad_order: int = 8
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by N, D, the HODLR form of P and the sparse root."""
-        gm = self.gram_invsqrt
+        """Bytes held by N, D, the HODLR form of P and the strips of
+        G^{-1/2}; the moment rule's O(N quad_order) are not counted."""
         return sum(arr.nbytes for arr in (self.slayer_ginv_hodlr, self.hyper,
-                                          self.dlayer, gm.data, gm.indices,
-                                          gm.indptr) if arr is not None)
+                                          self.dlayer, self.gram_invsqrt)
+                   if arr is not None)
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -120,9 +128,9 @@ def _times_right(apply, mat: np.ndarray) -> np.ndarray:
     real and imaginary parts, so no complex product runs and no temporary
     larger than one block is made.
     """
-    for start in range(0, mat.shape[0], _ROW_BLOCK):
-        rows = np.ascontiguousarray(mat[start:start + _ROW_BLOCK].T)
-        mat[start:start + _ROW_BLOCK] = np.ascontiguousarray(
+    for start in range(0, mat.shape[0], _BLOCK):
+        rows = np.ascontiguousarray(mat[start:start + _BLOCK].T)
+        mat[start:start + _BLOCK] = np.ascontiguousarray(
             apply(rows.view(np.float64))).view(np.complex128).T
     return mat
 
@@ -140,10 +148,12 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     sparse LU factorization of the tridiagonal G.  The double layer is
     assembled only when ``need_double_layer`` asks for it; a bundle without
     it serves the efie alone.  G^{-1/2} is the banded
-    :func:`~filtbem.spectral.chebyshev_invsqrt` of G.  The HODLR form of
-    S G^{-1} is built last, after the kernel passes, so their peak does
-    not grow, and the dense S G^{-1} is dropped on return: above two
-    leaves only the form holds P.
+    :func:`~filtbem.spectral.chebyshev_invsqrt` of G, kept as its cyclic
+    row strips, and the right-hand sides' Gauss rules are built here at
+    ``quad_order`` (:func:`~filtbem.excitation2d.moment_rule`).  The HODLR
+    form of S G^{-1} is built last, after the kernel passes, so their
+    peak does not grow, and the dense S G^{-1} is dropped on return: above
+    two leaves only the form holds P.
     """
     if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
         raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")
@@ -157,10 +167,12 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
         scipy.sparse.linalg.splu(gram.tocsc()).solve, slayer))
     dlayer = (_read_only(assemble_double_layer(mesh, k, quad_order))
               if need_double_layer else None)
-    return Operators2D(mesh=mesh, k=k, gram_invsqrt=chebyshev_invsqrt(gram),
+    return Operators2D(mesh=mesh, k=k,
+                       gram_invsqrt=cyclic_strips(chebyshev_invsqrt(gram)),
                        slayer_ginv_hodlr=hodlr_compress(slayer_ginv),
-                       hyper=_read_only(hyper), dlayer=dlayer,
-                       quad_order=quad_order)
+                       hyper=_read_only(hyper),
+                       moment_rule=moment_rule(mesh, quad_order),
+                       dlayer=dlayer, quad_order=quad_order)
 
 
 @dataclass(frozen=True)
@@ -181,7 +193,8 @@ class FilterModes:
 
 
 def _gram_root_apply(ops: Operators2D, x: np.ndarray) -> np.ndarray:
-    """G^{1/2} x, evaluated as G (G^{-1/2} x) with the sparse G and root."""
+    """G^{1/2} x, evaluated as G (G^{-1/2} x) with the sparse G and the
+    strips of the root."""
     return sparse_gram(ops.mesh) @ (ops.gram_invsqrt @ x)
 
 
@@ -281,13 +294,33 @@ def _operators_for(mesh: CurveMesh, k: float, ops: Optional[Operators2D],
     return ops
 
 
-def _left_rows(ops: Operators2D, w: Optional[np.ndarray],
+def _left_rows(ops: Operators2D, u: Optional[np.ndarray],
                mat: np.ndarray) -> np.ndarray:
-    """u.T mat for u = G^{-1/2} w, as a new array, or G^{-1/2} mat when
-    ``w`` is None (w = I).  The real left factor acts on mat viewed as
-    interleaved real and imaginary parts, so no complex product runs."""
-    left = ops.gram_invsqrt if w is None else (ops.gram_invsqrt @ w).T
+    """u.T mat as a new array, or G^{-1/2} mat when ``u`` is None.  The
+    real left factor acts on mat viewed as interleaved real and imaginary
+    parts, so no complex product runs."""
+    left = ops.gram_invsqrt if u is None else u.T
     return (left @ mat.view(np.float64)).view(np.complex128)
+
+
+def _weighted_rows(ops: Operators2D, first: float, second: float,
+                   u: Optional[np.ndarray], cols: slice) -> np.ndarray:
+    """The columns ``cols`` of u.T (first P N / (ik) - second D), or of
+    G^{-1/2} (first P N / (ik) - second D) when ``u`` is None, as a new
+    array; P = S G^{-1} is read through its HODLR form alone, u.T P as
+    (P^T u)^T with the form's transpose.  A zero weight skips its
+    operator."""
+    rows = 0.0
+    if first:
+        form, hyper = ops.slayer_ginv_hodlr, ops.hyper[:, cols]
+        rows = (_left_rows(ops, None, form @ hyper) if u is None
+                else (form.T @ u).T @ hyper)
+        rows /= 1j * ops.k / first
+    if second:
+        term = _left_rows(ops, u, ops.dlayer[:, cols])
+        term *= -second
+        rows = np.add(rows, term, out=term) if first else term
+    return rows
 
 
 def _operator_rows(ops: Operators2D, first: float, second: float,
@@ -297,27 +330,26 @@ def _operator_rows(ops: Operators2D, first: float, second: float,
     and Dn = G^{-1/2} D G^{-1/2}.
 
     Evaluated as (first ((u.T P) N) / (ik) - second (u.T D)) G^{-1/2} with
-    u = G^{-1/2} w and P = S G^{-1}, so G^{-1/2} acts on the right once;
-    O(N^2 r) work for r columns of w.  P is read through its HODLR form
-    alone: u.T P as (P^T u)^T with the form's transpose, and, when ``w``
-    is None, G^{-1/2} P N as G^{-1/2} (P N).  A zero weight skips its
-    operator.
+    u = G^{-1/2} w and P = S G^{-1} (:func:`_weighted_rows`), so G^{-1/2}
+    acts on the right once; O(N^2 r) work for r columns of w.  When ``w``
+    is None the left factor is G^{-1/2} itself, and the rows are made one
+    block of columns at a time, G^{-1/2} (P N) included, so no N x N
+    array is held besides the result.
     The one reader of N and D: a nonzero ``second`` on a bundle without D
     raises ``ValueError`` before any product runs.
     """
     if second and ops.dlayer is None:
         raise ValueError("the operator bundle holds no double layer: "
                          "assemble it with need_double_layer=True")
-    rows = 0.0
-    if first:
-        form = ops.slayer_ginv_hodlr
-        rows = (_left_rows(ops, None, form @ ops.hyper) if w is None
-                else (form.T @ (ops.gram_invsqrt @ w)).T @ ops.hyper)
-        rows /= 1j * ops.k / first
-    if second:
-        term = _left_rows(ops, w, ops.dlayer)
-        term *= -second
-        rows = np.add(rows, term, out=term) if first else term
+    if w is None:
+        size = ops.mesh.n_nodes
+        rows = np.empty((size, size), np.complex128)
+        for start in range(0, size, _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            rows[:, cols] = _weighted_rows(ops, first, second, None, cols)
+    else:
+        rows = _weighted_rows(ops, first, second, ops.gram_invsqrt @ w,
+                              slice(None))
     return _times_right(ops.gram_invsqrt.__matmul__, rows)
 
 
@@ -350,14 +382,17 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     far order (:func:`~filtbem.excitation2d.assemble_rhs`).  The factor -ik
     against the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every
     formulation the same unknown: -h_tot, the total field's nodal values,
-    in Gram-normalized coefficients.  S G^{-1} e is one matvec with its
-    HODLR form (``slayer_ginv_hodlr``, the bundle's only copy of
-    S G^{-1}), certified within 1e-12 ||P|| ||e|| of the dense product and
-    reading about a quarter of its bytes at N = 1004;
-    the sparse banded G^{-1/2} then multiplies the real and imaginary
-    parts of both vectors in one (N, 4) product, O(N) work.
+    in Gram-normalized coefficients.  The moments read the bundle's
+    Gauss rules (``moment_rule``), so no per-mesh work runs per source.
+    S G^{-1} e is one matvec with its HODLR form (``slayer_ginv_hodlr``,
+    the bundle's only copy of S G^{-1}), certified within
+    1e-12 ||P|| ||e|| of the dense product and reading about a quarter of
+    its bytes at N = 1004; the strips of the banded G^{-1/2} then
+    multiply the real and imaginary parts of both vectors in one (N, 4)
+    batched product, O(N) work.
     """
-    e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order)
+    e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order,
+                                rule=ops.moment_rule)
     p_vec = ops.slayer_ginv_hodlr @ e_vec
     y = ops.gram_invsqrt @ np.column_stack(
         [p_vec.real, p_vec.imag, h_vec.real, h_vec.imag])

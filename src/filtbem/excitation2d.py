@@ -13,13 +13,15 @@ benchmark curve (N = 502 and 1004, k = 0.4), the far-order moments of
 line sources on the radius-3 circle (at least 28 h away) differ by at most
 1.2e-15 relative (max norm) from an order-16 rule, those of a plane wave
 by 4.4e-16; at order 4 a line source 12 h away would err 1.0e-14 and one
-3 h away 3.5e-13, hence the radius.
+3 h away 3.5e-13, hence the radius.  The per-mesh part, the two Gauss
+rules and the test's midpoints and radii, is built once per mesh and
+order (:func:`moment_rule`), so a further source pays only for its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,6 +35,8 @@ __all__ = [
     "Source2D",
     "incident_fields",
     "assemble_rhs",
+    "MomentRule",
+    "moment_rule",
 ]
 
 
@@ -127,24 +131,54 @@ def incident_fields(src: Source2D, k: float, eta: float, pts, tangents):
     return e_t[()], h[()]    # [()]: a 0-d result becomes a scalar
 
 
-def _gauss_order(mesh: CurveMesh, src: Source2D, quad_order: int) -> int:
-    """The order of :func:`quadrature_rule` that the moments of ``src`` take:
-    far when every segment midpoint lies at least ``far_radius`` times that
-    segment's length from a line source, or always for a plane wave; near
-    otherwise.  The test is that of the kernel pass's far pairs."""
+@dataclass(frozen=True)
+class MomentRule:
+    """The per-mesh part of :func:`assemble_rhs` at one ``quad_order``,
+    built once by :func:`moment_rule` for every source on ``mesh``.
+
+    ``far`` and ``near`` are the :func:`~filtbem.assembly2d.gauss_points`
+    rules at the far and near orders of :func:`quadrature_rule`;
+    ``midpoints`` (x and y rows) and ``reach_sq`` = (far_radius ell)^2 are
+    the segment midpoints and squared radii of the far-order test.
+    """
+
+    mesh: CurveMesh
+    quad_order: int
+    far: tuple
+    near: tuple
+    midpoints: np.ndarray
+    reach_sq: np.ndarray
+
+    def gauss_for(self, src: Source2D) -> tuple:
+        """The rule the moments of ``src`` take: far when every segment
+        midpoint lies at least ``far_radius`` times that segment's length
+        from a line source, or always for a plane wave; near otherwise.
+        The test is that of the kernel pass's far pairs."""
+        if isinstance(src, MagneticLineSource):
+            src_x, src_y = np.asarray(src.position, float)
+            dist_sq = ((self.midpoints[0] - src_x) ** 2
+                       + (self.midpoints[1] - src_y) ** 2)
+            if np.any(dist_sq < self.reach_sq):
+                return self.near
+        return self.far
+
+
+def moment_rule(mesh: CurveMesh, quad_order: int = 8) -> MomentRule:
+    """The :class:`MomentRule` of ``mesh`` at ``quad_order``, its arrays
+    read-only."""
     rule = quadrature_rule(quad_order)
-    if isinstance(src, MagneticLineSource):
-        ell = mesh.segment_lengths
-        mid_x, mid_y = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
-        src_x, src_y = np.asarray(src.position, float)
-        dist_sq = (mid_x - src_x) ** 2 + (mid_y - src_y) ** 2
-        if np.any(dist_sq < (rule["far_radius"] * ell) ** 2):
-            return rule["near_order"]
-    return rule["far_order"]
+    far = gauss_points(mesh, rule["far_order"])
+    near = gauss_points(mesh, rule["near_order"])
+    ell = mesh.segment_lengths
+    midpoints = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
+    reach_sq = (rule["far_radius"] * ell) ** 2
+    for arr in (*far, *near, midpoints, reach_sq):
+        arr.flags.writeable = False
+    return MomentRule(mesh, quad_order, far, near, midpoints, reach_sq)
 
 
 def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
-                 quad_order: int = 8):
+                 quad_order: int = 8, rule: Optional[MomentRule] = None):
     """Galerkin moments of the incident traces against the hat functions.
 
     ``quad_order`` is the near order of :func:`quadrature_rule`: a line
@@ -153,7 +187,9 @@ def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
     every segment; a farther line source and a plane wave take the far
     order max(2, ceil(quad_order / 2)), within 2e-15 relative of order 16
     for the benchmark's sources.  A source that the h/2 check rejects is
-    always near.
+    always near.  ``rule``, the :func:`moment_rule` of ``mesh`` at
+    ``quad_order``, is built here when not given; a sweep over sources
+    builds it once (the operator bundle's ``moment_rule``).
 
     Returns
     -------
@@ -163,9 +199,14 @@ def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
     Raises
     ------
     ValueError
-        If a line source sits closer than h/2 to the curve.
+        If a line source sits closer than h/2 to the curve, or ``rule``
+        was built for another mesh or order.
     """
-    pts, w, shapes = gauss_points(mesh, _gauss_order(mesh, src, quad_order))
+    if rule is None:
+        rule = moment_rule(mesh, quad_order)
+    elif rule.mesh is not mesh or rule.quad_order != quad_order:
+        raise ValueError("rule was built for another mesh or quad_order")
+    pts, w, shapes = rule.gauss_for(src)
     traces = _traces(src, k, eta, pts, mesh.tangents, 0.5 * mesh.h)
     ell = mesh.segment_lengths
 

@@ -104,7 +104,10 @@ class HodlrMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """H x for a vector or an (N, m) block x of ``size`` rows, as a new
-        array."""
+        array; ``ValueError`` for any other number of rows."""
+        if x.shape[0] != self.size:
+            raise ValueError(f"operand has {x.shape[0]} rows, "
+                             f"not {self.size}")
         if not self.levels:
             return self.diagonal @ x
         block = x.reshape(self.size, -1)

@@ -11,7 +11,8 @@ calls neither.
 
 The curve pipeline needs no dense eigendecomposition: the inverse square
 root of a sparse, well-conditioned SPD matrix is a banded Chebyshev
-polynomial in it (:func:`chebyshev_invsqrt`), and only the lowest modes of
+polynomial in it (:func:`chebyshev_invsqrt`), stored and applied as dense
+cyclic row strips (:func:`cyclic_strips`), and only the lowest modes of
 the sparse Laplacian pencil are computed (:func:`pencil_modes`).  A cut
 through a cluster of near-degenerate modes (:func:`cut_cluster`) is made
 canonical by :func:`canonicalize_cut`, so the kept span does not depend on
@@ -34,6 +35,8 @@ __all__ = [
     "LaplacianFilter",
     "sym_sqrt_and_invsqrt",
     "chebyshev_invsqrt",
+    "CyclicStrips",
+    "cyclic_strips",
     "laplacian_modes",
     "pencil_modes",
     "cut_cluster",
@@ -44,6 +47,7 @@ __all__ = [
 
 DEFAULT_NULL_TOL = 1e-10  # relative nullspace threshold
 INVSQRT_TOL = 1e-15       # Chebyshev error bound of chebyshev_invsqrt, relative
+STRIP = 64                # rows per strip of a CyclicStrips form
 # Relative eigen-gap below which a cut splits a cluster.  Left alone, a cut
 # depends on the eigensolver by about c u / gap (u the unit roundoff): over
 # every cut of four curves at N = 8-101 (19,740 cuts) the ARPACK and dense
@@ -150,6 +154,86 @@ def chebyshev_invsqrt(spd) -> scipy.sparse.csr_array:
         b1, b2 = 2.0 * (shifted @ b1) - b2 + c * eye, b1
     root = shifted @ b1 - b2 + coef[0] * eye
     return scipy.sparse.csr_array(0.5 * (root + root.T))
+
+
+@dataclass(frozen=True)
+class CyclicStrips:
+    """A real square matrix, banded up to cyclic wrap-around, as dense row
+    strips; ``@`` applies it to vectors and (N, m) blocks, real or complex.
+
+    Row r's nonzeros lie in the cyclic columns r - ``band`` .. r + ``band``.
+    Strip i is rows i STRIP .. (i + 1) STRIP - 1 of the read-only ``rows``,
+    (N, STRIP + 2 band): its row t holds the columns i STRIP + t - band ..
+    i STRIP + t + band at positions t .. t + 2 band, so the product of the
+    strip with X reads the STRIP + 2 band rows of X, padded cyclically by
+    ``band`` rows, that start at row i STRIP.  The whole strips are one
+    batched product with overlapping views of the padded X, no gathered
+    copy; a last, shorter strip is one more.  When N <= STRIP + 2 band,
+    ``rows`` is the dense matrix.
+    """
+
+    size: int
+    band: int
+    rows: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of ``rows``."""
+        return self.rows.nbytes
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector or an (N, m) block x, as a new array.
+
+        A complex x is taken as its interleaved real and imaginary parts,
+        so the real strips are not promoted to complex."""
+        if x.shape[0] != self.size:
+            raise ValueError(f"operand has {x.shape[0]} rows, "
+                             f"not {self.size}")
+        size, band = self.size, self.band
+        block = x.reshape(size, -1)
+        if np.iscomplexobj(x):
+            real = np.ascontiguousarray(block, np.complex128).view(np.float64)
+            return (self @ real).view(np.complex128).reshape(x.shape)
+        if size <= STRIP + 2 * band:
+            return self.rows @ x
+        padded = np.empty((size + 2 * band, block.shape[1]))
+        padded[:band] = block[size - band:]
+        padded[band:size + band] = block
+        padded[size + band:] = block[:band]
+        whole = size // STRIP
+        # window i: rows i STRIP .. i STRIP + STRIP + 2 band - 1 of padded
+        step = padded.strides[0]
+        windows = np.lib.stride_tricks.as_strided(
+            padded, (whole, STRIP + 2 * band, block.shape[1]),
+            (STRIP * step, step, padded.strides[1]), writeable=False)
+        out = np.empty((size, block.shape[1]))
+        split = whole * STRIP
+        np.matmul(self.rows[:split].reshape(whole, STRIP, -1), windows,
+                  out=out[:split].reshape(whole, STRIP, -1))
+        if split < size:   # a last strip of fewer rows reads fewer columns
+            np.matmul(self.rows[split:, :size - split + 2 * band],
+                      padded[split:], out=out[split:])
+        return out.reshape(x.shape)
+
+
+def cyclic_strips(mat) -> CyclicStrips:
+    """The :class:`CyclicStrips` form of a real sparse square matrix, such
+    as the banded output of :func:`chebyshev_invsqrt`, in O(N band)
+    memory; ``band`` is the largest cyclic distance |i - j| of a stored
+    entry (i, j)."""
+    mat = scipy.sparse.csr_array(mat)
+    mat.sum_duplicates()   # at once for a canonical CSR input
+    size = mat.shape[0]
+    row = np.repeat(np.arange(size), np.diff(mat.indptr))
+    offset = (mat.indices - row) % size
+    band = int(np.minimum(offset, size - offset).max(initial=0))
+    if size <= STRIP + 2 * band:
+        rows = mat.toarray()
+    else:
+        rows = np.zeros((size, STRIP + 2 * band))
+        rows[row, row % STRIP + (offset + band) % size] = mat.data
+    rows.flags.writeable = False
+    return CyclicStrips(size, band, rows)
 
 
 def laplacian_modes(lap_norm: np.ndarray):

@@ -25,7 +25,8 @@ from filtbem.compression import lowrank_factor
 from filtbem.excitation2d import MagneticLineSource, PlaneWaveTE, assemble_rhs
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.solver import dense_solve, woodbury_factorize
-from filtbem.spectral import (chebyshev_invsqrt, laplacian_filter,
+from filtbem.spectral import (STRIP, CyclicStrips, chebyshev_invsqrt,
+                              cyclic_strips, laplacian_filter,
                               laplacian_modes, sym_sqrt_and_invsqrt)
 
 K = 0.4
@@ -47,6 +48,13 @@ def gram_root_and_laplacian(mesh):
     root, gm = sym_sqrt_and_invsqrt(assemble_gram(mesh))
     lap_norm = gm @ assemble_laplacian(mesh) @ gm
     return root, 0.5 * (lap_norm + lap_norm.T)
+
+
+def cyclic_band(mat):
+    """The largest cyclic distance |i - j| of a stored entry (i, j)."""
+    coo = scipy.sparse.coo_array(mat)
+    offset = (coo.col - coo.row) % mat.shape[0]
+    return int(np.minimum(offset, mat.shape[0] - offset).max())
 
 
 def refined_invsqrt(gram):
@@ -137,9 +145,7 @@ class TestOperatorBundle:
         assert np.array_equal(ops.dlayer, dlayer)
         for stored in (form.diagonal, ops.hyper, ops.dlayer):
             assert not stored.flags.writeable
-        assert ops.nbytes == (3 * 16 * 96 ** 2 + ops.gram_invsqrt.data.nbytes
-                              + ops.gram_invsqrt.indices.nbytes
-                              + ops.gram_invsqrt.indptr.nbytes)
+        assert ops.nbytes == 3 * 16 * 96 ** 2 + ops.gram_invsqrt.nbytes
         zref = gm @ slayer @ np.linalg.inv(gram) @ hyper @ gm / (1j * K)
         for made, ref in ((build_calderon_matrix(mesh, K, ops=ops), zref),
                           (dn, gm @ dlayer @ gm)):
@@ -165,12 +171,13 @@ class TestOperatorBundle:
                    if isinstance(value, np.ndarray) and value.shape == (n, n)]
         assert squares == [ops.hyper] + [ops.dlayer] * need_double_layer
         assert form.levels and form.diagonal.shape[1:] != (n, n)
-        arrays = squares + [form.diagonal] + [arr for pair in form.levels
-                                              for arr in pair]
+        rule = ops.moment_rule
+        arrays = (squares + [form.diagonal, gm.rows, rule.midpoints,
+                             rule.reach_sq, *rule.far, *rule.near]
+                  + [arr for pair in form.levels for arr in pair])
         assert not any(arr.flags.writeable for arr in arrays)
         assert ops.nbytes == ((1 + need_double_layer) * 16 * n * n
-                              + form.nbytes + gm.data.nbytes
-                              + gm.indices.nbytes + gm.indptr.nbytes)
+                              + form.nbytes + gm.nbytes)
         # measured: 0.05 N x N above ops.nbytes without D, 0.02 with it; a
         # dense P kept anywhere would add 1
         assert live <= ops.nbytes + 0.25 * 16 * n * n
@@ -252,6 +259,49 @@ class TestOperatorBundle:
         assert np.abs(ref @ gram @ ref - np.eye(n)).max() <= 2e-15
         assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
         assert gm.nnz <= 80 * n    # half-bandwidth = Chebyshev degree <= 39
+
+    @pytest.mark.parametrize("n", [8, 16, 96, 127, 128, 1004, 1030])
+    def test_strips_match_the_banded_root(self, n):
+        # one dense strip up to N = STRIP + 2 b (b = 36-37 from N = 96), whole
+        # strips and a shorter last one above.  The bound is relative to
+        # max |G^{-1/2}| |X|, the scale of both products' rounding: against
+        # max |G^{-1/2} X| some draws of X reach 1.2e-15
+        mesh = build_mesh(BENCH_CURVES["lobed"], n)
+        csr = chebyshev_invsqrt(sparse_gram(mesh))
+        strips = cyclic_strips(csr)
+        band = cyclic_band(csr)
+        assert strips.size == n and strips.band == band
+        assert not strips.rows.flags.writeable
+        assert strips.nbytes <= 8 * n * (STRIP + 2 * band)
+        assert (strips.rows.shape == (n, n)) == (n <= STRIP + 2 * band)
+        rng = np.random.default_rng(0)
+        for shape in ((n,), (n, 1), (n, 4), (n, 2 * n)):
+            for x in (rng.standard_normal(shape),
+                      rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape)):
+                got = strips @ x
+                assert got.shape == shape and got.dtype == x.dtype
+                assert (np.abs(got - csr @ x).max()
+                        <= 1e-15 * (abs(csr) @ np.abs(x)).max())
+        for shape in ((n + 1,), (2 * n, 4), (n // 2, 2)):
+            with pytest.raises(ValueError):
+                strips @ np.ones(shape)
+
+    def test_strips_of_a_matrix_with_repeated_entries(self):
+        # a cyclically banded CSR input whose entries repeat, as sparse
+        # sums can leave them, is summed before it is laid into strips
+        n, rng = 300, np.random.default_rng(4)
+        row = np.sort(rng.integers(0, n, 4000))
+        col = (row + rng.integers(-9, 10, 4000)) % n
+        mat = scipy.sparse.csr_array(
+            (rng.standard_normal(4000), col,
+             np.searchsorted(row, np.arange(n + 1))), shape=(n, n))
+        assert not mat.has_canonical_format
+        strips = cyclic_strips(mat)
+        assert strips.band == 9 and strips.rows.shape == (n, STRIP + 18)
+        x = rng.standard_normal((n, 3))
+        ref = mat.toarray() @ x
+        assert np.abs(strips @ x - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("scale", [4.0, 7e5, 1e-300])
     def test_chebyshev_root_of_a_multiple_of_identity(self, scale):
@@ -366,7 +416,9 @@ class TestOperatorBundle:
 
     def test_set_up_runs_no_dense_eigensolver(self, monkeypatch):
         # neither the operator bundle nor the filtered system needs a dense
-        # eigendecomposition, and neither holds a dense root or an N x N basis
+        # eigendecomposition, and neither holds an N x N basis; the root's
+        # strips hold at most 8 N (STRIP + 2 b) bytes for the half-bandwidth
+        # b of the banded root, which stays at most 39 (80 entries a row)
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigh called")
 
@@ -374,8 +426,9 @@ class TestOperatorBundle:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         mesh = build_mesh(BENCH_CURVES["lobed"], 128)
         ops = assemble_operators(mesh, K, need_double_layer=True)
-        assert scipy.sparse.issparse(ops.gram_invsqrt)
-        assert ops.gram_invsqrt.nnz <= 80 * mesh.n_nodes
+        band = cyclic_band(chebyshev_invsqrt(sparse_gram(mesh)))
+        assert ops.gram_invsqrt.band == band and 2 * band + 1 <= 80
+        assert ops.gram_invsqrt.nbytes <= 8 * 128 * (STRIP + 2 * band)
         assert not hasattr(ops, "modes")
         for formulation in ("efie", "cfie"):
             system = build_filtered_system(mesh, K, ETA, SRC, formulation, 64,
@@ -410,6 +463,26 @@ class TestOperatorBundle:
         assert skeleton.left.shape[0] == n
         assert peak < 16 * n * n
 
+    @pytest.mark.parametrize("formulation", ["efie", "cfie"])
+    def test_dense_route_holds_no_square_temporary(self, formulation):
+        # the dense route makes G^{-1/2} (P N / (ik) - alpha D) one block of
+        # columns at a time into its result, so besides the result it holds
+        # O(N) columns, not the three N x N arrays of one form product with
+        # all of N (measured: 1.41 N x N here, 3.30 before)
+        mesh = build_mesh(BENCH_CURVES["lobed"], 512)
+        n = mesh.n_nodes
+        ops = assemble_operators(mesh, K, need_double_layer=True)
+        route = ((lambda: build_calderon_matrix(mesh, K, ops=ops))
+                 if formulation == "efie"
+                 else (lambda: second_kind_split(ops, formulation)[1]))
+        tracemalloc.start()
+        try:
+            route()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * n * n
+
     def test_rhs_matches_unnormalized_formula(self):
         # v_e carries the factor -ik that gives it the unknown of v_h
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
@@ -426,28 +499,40 @@ class TestOperatorBundle:
 
     def test_rhs_takes_one_root_product_and_no_gram_solve(self, monkeypatch):
         # per right-hand side: one matvec with the form of S G^{-1} and one
-        # (N, 4) product with G^{-1/2}; any further sparse product or G
-        # solve is paid by every source of a sweep
+        # (N, 4) product with the strips of G^{-1/2}; any further root
+        # product, G solve or per-mesh rule is paid by every source of a
+        # sweep.  The three sources take the far, the near and the plane
+        # wave's rule.
         import filtbem.calderon2d as calderon_mod
+        import filtbem.excitation2d as excitation_mod
 
-        class CountingMatrix(scipy.sparse.csr_array):
+        products = []
+
+        class CountingStrips(CyclicStrips):
             def __matmul__(self, other):
-                self.products.append(np.shape(other))
+                products.append(np.shape(other))
                 return super().__matmul__(other)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("G factorized or solved per right-hand side")
+            raise AssertionError("G or a Gauss rule made per right-hand side")
 
-        mesh = build_mesh(Ellipse(1.42, 1.32), 96)
+        mesh = build_mesh(Ellipse(1.42, 1.32), 400)
         ops = assemble_operators(mesh, K)
-        counting = CountingMatrix(ops.gram_invsqrt)
-        counting.products = []
-        ops = dataclasses.replace(ops, gram_invsqrt=counting)
+        sources = [SRC, MagneticLineSource((1.5, 0.0)),
+                   PlaneWaveTE((0.6, 0.8))]
+        expected = [normalized_rhs(ops, src, ETA)[0] for src in sources]
+        ops = dataclasses.replace(
+            ops, gram_invsqrt=CountingStrips(**vars(ops.gram_invsqrt)))
         for name in ("splu", "spsolve", "factorized"):
             monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
         monkeypatch.setattr(calderon_mod, "sparse_gram", refuse)
-        normalized_rhs(ops, SRC, ETA)
-        assert counting.products == [(96, 4)]
+        monkeypatch.setattr(calderon_mod, "moment_rule", refuse)
+        for name in ("gauss_points", "quadrature_rule", "moment_rule"):
+            monkeypatch.setattr(excitation_mod, name, refuse)
+        for src, v_e in zip(sources, expected):
+            products.clear()
+            assert np.array_equal(normalized_rhs(ops, src, ETA)[0], v_e)
+            assert products == [(400, 4)]
 
     def test_rhs_allocates_no_dense_temporary(self, circle_ops):
         # G^{-1/2} is real: promoting it to complex would allocate 16 N^2 bytes
@@ -650,7 +735,7 @@ class TestFilteredSystem:
         w = system.compact.basis
         slayer, hyper = assemble_helmholtz_pair(mesh, K)
         with mpmath.workdps(50):
-            root = to_mp(ops.gram_invsqrt.toarray())
+            root = to_mp(ops.gram_invsqrt @ np.eye(mesh.n_nodes))
             rows = (to_mp(w.T) * root * to_mp(slayer)
                     * mpmath.inverse(to_mp(assemble_gram(mesh)))
                     * to_mp(hyper) * root) / (1j * mpmath.mpf(K))
@@ -682,11 +767,11 @@ class TestFilteredSystem:
 
     def test_cfie_block_bitwise_unchanged(self):
         # sha256 prefixes of B and its basis for the cfie of the benchmark
-        # (lobed curve, N = 502, filter_n 200, alpha 0.5); B was taken when
-        # it read S G^{-1} through its HODLR form (2.3e-11 relative, max
-        # norm), the basis when the far segment pairs joined the gathered
-        # pair routine of the kernel pass; B rounds differently at one and
-        # at two BLAS threads, the basis does not
+        # (lobed curve, N = 502, filter_n 200, alpha 0.5), taken when
+        # G^{-1/2} became dense cyclic strips (relative, max norm: B moved
+        # by 5.3e-14, 5.5e-14 at two threads, the basis by 8.3e-16); both
+        # round differently at one and at two BLAS threads, the basis
+        # since its G^{1/2} product runs through threaded GEMMs
         mesh = build_mesh(BENCH_CURVES["lobed"], 502)
         ops = assemble_operators(mesh, K, need_double_layer=True)
         system = build_filtered_system(mesh, K, ETA, SRC, "cfie", 200,
@@ -694,8 +779,8 @@ class TestFilteredSystem:
         coeffs, basis = (
             hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
             for arr in (system.compact.coeffs, system.compact.basis))
-        assert coeffs in {"54bb10715cbb986b", "f42eb15bf8a95e1a"}
-        assert basis == "23db29959037b356"
+        assert coeffs in {"2bf7789a2d07fefa", "2e0745b3ce249eaa"}
+        assert basis in {"2522136f3b5c997d", "df6ac1949b650b28"}
 
     @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
     @pytest.mark.parametrize("filter_n", [21, 200])

@@ -283,21 +283,22 @@ class TestRowSpaceCertifier:
         mat = gaussian(np.random.default_rng(0), 12, 12)
         assert _row_space_factor(mat) is mat
 
-    # sha256 prefixes of left and right, taken when the filtered block read
-    # S G^{-1} through its HODLR form (B moved by 2.2e-11 on refine and
-    # 1.4e-11 on table relative, max norm, the skeletons' products by at
-    # most 6.3e-11 and 2.4e-10, the ranks and achieved errors not at all);
-    # the filtered block rounds differently at one and at two BLAS
-    # threads, so each case lists both digests
+    # sha256 prefixes of left and right, taken when G^{-1/2} became dense
+    # cyclic strips (relative, max norm: B moved by 7.7e-14 on refine and
+    # 3.3e-14 on table, the basis by 1.1e-15 and 8.3e-16, the skeletons'
+    # products by at most 1.4e-13 and 1.7e-10, the ranks not at all and
+    # the achieved errors by about 1e-11 of themselves); the filtered block
+    # rounds differently at one and at two BLAS threads, so each case
+    # lists both digests
     FACTOR_DIGESTS = {
-        ("refine", 0): {"40172b58401794da", "cd6aa6f387f18297"},
-        ("refine", 1): {"7e9b969efd804f3e", "f8cf5566921e8439"},
-        ("refine", 2): {"a6a92335e91f439e", "f57373c40096db88"},
-        ("refine", 3): {"96b40301ebc54212", "99df5332f1a2a822"},
-        ("table", 0): {"2ee95791adb56e98", "7b8b043fc668dd47"},
-        ("table", 1): {"614b89fa581c8361", "b1b9da472229a515"},
-        ("table", 2): {"d98784dbb845b4fc", "508bf4366ab97ffe"},
-        ("table", 3): {"a5d00a574dbf3f49", "fd96a7928ece171a"},
+        ("refine", 0): {"dbc76c99cf966557", "b6a5d1febdaebb2f"},
+        ("refine", 1): {"6c709e53a31e3c99", "8798e4f22fdb0c59"},
+        ("refine", 2): {"6d88be837ee047ab", "29ae9da0c198ee53"},
+        ("refine", 3): {"ee2de9aef4e45e10", "481365c8571793d8"},
+        ("table", 0): {"3072ef33010e7a4e", "610f3368d09ae564"},
+        ("table", 1): {"ed73653f346f3e42", "cde8398c0b292664"},
+        ("table", 2): {"79c5a110337b101e", "17436a4edc63b9d6"},
+        ("table", 3): {"1a90db2946dbfc95", "71eb8a0abf204025"},
     }
 
     @pytest.mark.parametrize("seed", range(4))

@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from filtbem.assembly2d import (FAR_RADIUS, assemble_gram,
                                 assemble_helmholtz_pair, sparse_gram)
 from filtbem.excitation2d import (MagneticLineSource, PlaneWaveTE,
-                                  assemble_rhs, incident_fields)
+                                  assemble_rhs, incident_fields, moment_rule)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.special import hankel_h1_0
 
@@ -113,12 +113,12 @@ class TestAssembleRhs:
     @pytest.mark.parametrize("src, digests", [
         (MagneticLineSource((3.0, 0.5)),
          ("6b7520bdd474bdcf1eb783a4a420a79f404479b2bcca00d963f50d30a81266be",
-          {"c7003cab87d215fdda7336800c3aa5cd4a15acd3be134259b668b8f93a303dde",
-           "f4ceac282d5e7b9ff2fa0d47c4d8deee1590c18dd1b6c27d31ce215864437273"})),
+          {"6332952e011e8ec1e1de19dc8ce95b3a8cda0a8998da25d69b125289f33d7797",
+           "b79587fb7c60cc70857ec93dc2354e31cca36a81b736af216d13f580b76d0e27"})),
         (PlaneWaveTE((0.6, 0.8)),
          ("7e08a098b4b103d185f2654308fd8801a63fca000d748fe05286b52cccb68c33",
-          {"7938e11905bc7618134f9d146846a802c8331a2ac12dafd03a08f2aa1f6893b7",
-           "3f68c445deb6b46866361ff88038e104864676f626820e6c314fb391aa459c5e"})),
+          {"d2ffcd12451d6b15308be84a4911e7be451e59d158aa2d0598e1274626898185",
+           "10d2e3fb2a2ae430ca82637de621b79130c5bc9b4149583df8eb2936c06a6be3"})),
     ])
     def test_moments_bitwise_unchanged(self, src, digests):
         # sha256 of (e, h) from assemble_rhs, taken when both sources moved
@@ -129,7 +129,11 @@ class TestAssembleRhs:
         # relative, max norm, v_h not at all): one digest at 1 BLAS thread,
         # one at 2; lobed curve at N = 1004, k = 0.4, eta = 1.  When S G^{-1} e
         # went through the HODLR form, v_e moved by 1.2e-15 (line source) and
-        # 1.1e-15 (plane wave) relative against the dense product
+        # 1.1e-15 (plane wave) relative against the dense product.  (v_e, v_h)
+        # were taken again when G^{-1/2} became dense cyclic strips: v_e
+        # moved by 6.2e-16 and 6.7e-16, v_h by 5.8e-16 and 6.6e-16 (line,
+        # plane; 6.6e-16 for the line source's v_e at 2 threads); (e, h)
+        # kept every bit
         from filtbem.calderon2d import assemble_operators, normalized_rhs
 
         def digest(arrays):
@@ -153,6 +157,28 @@ class TestAssembleRhs:
                 <= form.error * form.norm_estimate * np.linalg.norm(e_vec))
         dense_v = 0.4j * (ops.gram_invsqrt @ dense_p)
         assert np.linalg.norm(v_e - dense_v) <= 1e-14 * np.linalg.norm(dense_v)
+
+    def test_moment_rule_is_built_once_and_changes_no_bit(self):
+        # a sweep passes the per-mesh rule built once; the far line source,
+        # the near one and the plane wave keep every bit, and a rule of
+        # another mesh or order is refused
+        rule = moment_rule(self.mesh, 8)
+        assert not any(arr.flags.writeable for arr in (
+            *rule.far, *rule.near, rule.midpoints, rule.reach_sq))
+        for src in (MagneticLineSource((8.0, 0.5)),
+                    MagneticLineSource((1.6, 0.0)), PlaneWaveTE((0.6, 0.8))):
+            for got, ref in zip(assemble_rhs(self.mesh, src, 0.4, 1.0,
+                                             rule=rule),
+                                assemble_rhs(self.mesh, src, 0.4, 1.0)):
+                assert np.array_equal(got, ref)
+        assert rule.gauss_for(MagneticLineSource((1.6, 0.0))) is rule.near
+        assert rule.gauss_for(MagneticLineSource((8.0, 0.5))) is rule.far
+        with pytest.raises(ValueError):
+            assemble_rhs(self.mesh, PlaneWaveTE((1.0, 0.0)), 0.4, 1.0,
+                         quad_order=12, rule=rule)
+        with pytest.raises(ValueError):
+            assemble_rhs(build_mesh(Ellipse(1.42, 1.32), 64),
+                         PlaneWaveTE((1.0, 0.0)), 0.4, 1.0, rule=rule)
 
     def test_constant_moments_match_gram_row_sums(self):
         # f = 1 through the quadrature path (plane wave, k -> 0 limit of

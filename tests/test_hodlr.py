@@ -134,5 +134,18 @@ class TestHodlrForm:
         form, gm = ops.slayer_ginv_hodlr, ops.gram_invsqrt
         assert form.nbytes == form.diagonal.nbytes + sum(
             u.nbytes + vh.nbytes for u, vh in form.levels)
-        assert ops.nbytes == (16 * 502 ** 2 + form.nbytes + gm.data.nbytes
-                              + gm.indices.nbytes + gm.indptr.nbytes)
+        assert ops.nbytes == 16 * 502 ** 2 + form.nbytes + gm.nbytes
+
+    @pytest.mark.parametrize("size", [100, 200])
+    def test_operand_of_another_length_is_refused(self, size):
+        # a 2N vector used to be reshaped to (N, 2) and returned as a wrong
+        # (2N,) product; at 100 the form is the matrix itself, at 200 it
+        # has levels
+        form = hodlr_compress(np.random.default_rng(1).standard_normal(
+            (size, size)))
+        assert bool(form.levels) == (size >= 2 * LEAF)
+        for shape in ((2 * size,), (2 * size, 3), (size - 1,), (size // 2, 2)):
+            with pytest.raises(ValueError):
+                form @ np.ones(shape)
+            with pytest.raises(ValueError):
+                form.T @ np.ones(shape)
