@@ -11,7 +11,8 @@ and filtered projectors on closed triangle meshes in 3D.
 
 from .assembly2d import (assemble_double_layer, assemble_gram,
                          assemble_helmholtz_pair, assemble_laplacian,
-                         assemble_single_layer, sparse_gram, sparse_laplacian)
+                         assemble_single_layer, segment_rule, sparse_gram,
+                         sparse_laplacian)
 from .calderon2d import (FilteredSystem, FilterModes, Operators2D,
                          assemble_operators, build_calderon_matrix,
                          build_filtered_system, canonical_modes,
@@ -39,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "assemble_double_layer", "assemble_gram",
     "assemble_helmholtz_pair", "assemble_laplacian", "assemble_single_layer",
-    "sparse_gram", "sparse_laplacian",
+    "sparse_gram", "sparse_laplacian", "segment_rule",
     "FilteredSystem", "FilterModes", "Operators2D", "assemble_operators",
     "build_calderon_matrix", "build_filtered_system", "canonical_modes",
     "filter_modes", "lowest_modes",

@@ -37,9 +37,13 @@ strips, adding no N x N temporary.
 
 Every segment pair goes through one routine, ``_gathered_pair_blocks``:
 tensor Gauss-Legendre on gathered index arrays, at the order of the pair's
-class.  Each non-touching pair of a row block is classified once by its
-midpoint distance, graded by admissibility (Sauter & Schwab, *Boundary
-Element Methods*, Springer 2011, ch. 5), see ``quadrature_rule``:
+class, in one loop over a table of classes per row block
+(``_pair_classes``).  The Gauss rules of every class and the midpoints and
+radii of the far test are built once per mesh and order, as a
+``SegmentRule``, which the right-hand sides' moments use too.  Each
+non-touching pair of a row block is classified once by its midpoint
+distance, graded by admissibility (Sauter & Schwab, *Boundary Element
+Methods*, Springer 2011, ch. 5), see ``quadrature_rule``:
 
 * far pairs, whose midpoints are at least FAR_RADIUS = 20 times the longer
   segment apart, take order max(2, ceil(q/2)); their integrand is nearly
@@ -54,9 +58,10 @@ norm) at q = 8 while k times the longest segment stays <= 0.2.  The far
 error grows about as (k h)^8 (1e-12 at k h = 0.38), still far below the
 O((k h)^2) discretization error of linear elements.  On touching pairs
 the kernel's singular part is integrated analytically for the whole mesh
-when the rule is built; the bounded remainder is integrated by the same
-routine at the touching order, with no distance floor, for the test
-segments of each row block inside the pass (``_touching_blocks``):
+when the rule is built; the bounded remainder is integrated in the same
+loop, as two more classes, the adjacent and the same-segment pairs of a
+row block's test segments, at the touching order with no distance floor,
+and the singular part is added after it (``_shape_blocks``):
 
 * same segment: the single layer's log part has a closed form for linear
   shape functions, and its remainder is symmetric in the two Gauss points,
@@ -98,6 +103,8 @@ __all__ = [
     "assert_symmetric",
     "quadrature_rule",
     "gauss_points",
+    "SegmentRule",
+    "segment_rule",
 ]
 
 LOG_COEF = -1.0 / (2.0 * np.pi)  # strength of the ln|r-r'| part of the kernel
@@ -224,33 +231,6 @@ def quadrature_rule(quad_order: int = 8) -> dict:
             "touching_order": max(3 * quad_order, 24)}
 
 
-def _pair_classes(mesh, segs):
-    """The source window ``cols`` of the consecutive test segments ``segs``
-    and their near and far pairs, each class an index pair (r, c) of local
-    rows r and columns c, sorted.
-
-    The window holds the len(segs) + n // 2 + 2 segments from segs[0] - 1
-    on, cyclic, and segment p takes the pairs (p, p + d),
-    2 <= d <= n // 2 + 1, so that each unordered pair comes once, or twice
-    for the O(N) with d near n / 2, in one direction or the other.  A pair
-    is near when its midpoints are closer than FAR_RADIUS times the longer
-    of the two segments, far otherwise.  The test is geometric, so a curve
-    that folds back on itself gets its close but index-distant pairs.
-    Touching pairs belong to neither class.
-    """
-    n = mesh.n_nodes
-    cols = (segs[0] - 1 + np.arange(len(segs) + n // 2 + 2)) % n
-    ahead = np.arange(len(cols)) - np.arange(len(segs))[:, None] - 1
-    gap = (cols - segs[:, None]) % n
-    taken = (ahead >= 2) & (ahead <= n // 2 + 1) & (gap > 1) & (gap < n - 1)
-    ell = mesh.segment_lengths
-    mid_x, mid_y = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
-    reach_sq = (FAR_RADIUS * ell) ** 2
-    dist_sq = (mid_x[segs, None] - mid_x[cols]) ** 2 + (mid_y[segs, None] - mid_y[cols]) ** 2
-    near = dist_sq < np.maximum(reach_sq[segs, None], reach_sq[cols])
-    return cols, np.nonzero(taken & near), np.nonzero(taken & ~near)
-
-
 def gauss_points(mesh: CurveMesh, order: int):
     """Segment rule of every integral over the curve: the Gauss points on
     every segment, (g, n, 2), the weights on [0, 1] and the hat shapes at
@@ -260,6 +240,43 @@ def gauss_points(mesh: CurveMesh, order: int):
     chords = mesh.tangents * mesh.segment_lengths[:, None]
     pts = mesh.nodes[None, :, :] + x[:, None, None] * chords[None, :, :]
     return pts, w, np.stack([1.0 - x, x])
+
+
+@dataclass(frozen=True)
+class SegmentRule:
+    """Every Gauss rule over the segments of ``mesh`` at ``quad_order``, and
+    the far test, for the kernel passes and the right-hand sides alike.
+
+    ``far``, ``near`` and ``touch`` are the :func:`gauss_points` rules at
+    the far, near and touching orders of :func:`quadrature_rule`.
+    ``midpoints`` (x and y rows) and ``reach_sq`` = (FAR_RADIUS ell)^2 are
+    the segment midpoints and squared radii of the far test: a segment
+    pair, or a segment and a line source, is far when the midpoints, or
+    the midpoint and the source, lie at least FAR_RADIUS times the longer
+    segment apart.  Built by :func:`segment_rule`; every array is
+    read-only.
+    """
+
+    mesh: CurveMesh
+    quad_order: int
+    far: tuple
+    near: tuple
+    touch: tuple
+    midpoints: np.ndarray
+    reach_sq: np.ndarray
+
+
+def segment_rule(mesh: CurveMesh, quad_order: int = 8) -> SegmentRule:
+    """The :class:`SegmentRule` of ``mesh`` at ``quad_order`` (>= 2)."""
+    orders = quadrature_rule(quad_order)
+    far, near, touch = (gauss_points(mesh, orders[key]) for key in
+                        ("far_order", "near_order", "touching_order"))
+    ell = mesh.segment_lengths
+    midpoints = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
+    reach_sq = (FAR_RADIUS * ell) ** 2
+    for arr in (*far, *near, *touch, midpoints, reach_sq):
+        arr.flags.writeable = False
+    return SegmentRule(mesh, quad_order, far, near, touch, midpoints, reach_sq)
 
 
 def _kernel_at(kernel, test, source, p, q, floor, mirror=False):
@@ -350,37 +367,60 @@ class _PairRule:
     ``symmetric`` kernel (S, N) returns one value, the block of (q, p)
     being that of (p, q) with its shape indices swapped; otherwise the
     kernel is two-way (D) and returns the values (test -> src,
-    src -> test).  ``far``, ``near`` and ``touch`` are :func:`gauss_points`
-    rules, one per pair class, ``touch`` at the touching order.
-    ``singular`` holds, for the touching pairs (p, p), (p, p + 1) and
-    (p, p - 1), the analytic blocks [a, b, p] of the kernel's singular
-    part, each (2, 2, n), or None where a shift has no pair or, for a
-    symmetric kernel, mirrors (p, p + 1); ``remainder`` (same signature as
-    ``kernel``) is the bounded rest of the kernel, which
-    :func:`_touching_blocks` integrates for the test segments of a row
-    block.
+    src -> test).  ``seg_rule`` is the mesh's :class:`SegmentRule`, whose
+    far, near and touching Gauss rules serve the pair classes of
+    :func:`_pair_classes`.  ``singular`` holds, for the touching pairs
+    (p, p), (p, p + 1) and (p, p - 1), the analytic blocks [a, b, p] of
+    the kernel's singular part, each (2, 2, n), or None where a shift has
+    no pair or, for a symmetric kernel, mirrors (p, p + 1); ``remainder``
+    (same signature as ``kernel``) is the bounded rest of the kernel,
+    which the touching classes integrate.
     """
 
-    mesh: CurveMesh
+    seg_rule: SegmentRule
     kernel: Callable
     symmetric: bool
-    far: tuple
-    near: tuple
-    touch: tuple
     remainder: Callable
     singular: tuple
 
 
-def _graded_rules(mesh, k, quad_order):
-    """Far, near and touching Gauss rules and the touching order, arguments
-    checked."""
-    rule = quadrature_rule(quad_order)
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
-    touch_order = rule["touching_order"]
-    return (gauss_points(mesh, rule["far_order"]),
-            gauss_points(mesh, rule["near_order"]),
-            gauss_points(mesh, touch_order), touch_order)
+def _pair_classes(rule: _PairRule, segs):
+    """``(cols, table)``: the source window ``cols`` of the consecutive
+    test segments ``segs`` and the table of their pair classes, each a row
+    ``(gauss, kernel, floor, mirror, pairs)`` of :func:`_gathered_pair_blocks`
+    arguments, ``pairs`` an index pair (r, c) of local rows r and columns c.
+
+    The window holds the len(segs) + n // 2 + 2 segments from segs[0] - 1
+    on, cyclic, so column r + 1 + d holds segs[r] + d, and segment p takes
+    the pairs (p, p + d), 0 <= d <= n // 2 + 1: the same segment (d = 0),
+    the adjacent pair (d = 1) and the rest, so that each unordered pair
+    comes once, or twice for the O(N) with d near n / 2, in one direction
+    or the other; a mesh has at least 8 segments, so d = n // 2 + 1 never
+    reaches the touching pair (p, p - 1).  A non-touching pair is near when its midpoints are
+    closer than FAR_RADIUS times the longer of the two segments, far
+    otherwise (:class:`SegmentRule`); the test is geometric, so a curve
+    that folds back on itself gets its close but index-distant pairs.
+    Near and far pairs take the kernel at the near and the far order, with
+    a distance floor; the touching pairs take the remainder at the
+    touching order, with none.  The same-segment class, mirrored, comes
+    only for a kernel with a same-segment singular part.
+    """
+    seg_rule = rule.seg_rule
+    n = seg_rule.mesh.n_nodes
+    cols = (segs[0] - 1 + np.arange(len(segs) + n // 2 + 2)) % n
+    ahead = np.arange(len(cols)) - np.arange(len(segs))[:, None] - 1
+    taken = (ahead >= 2) & (ahead <= n // 2 + 1)
+    (mid_x, mid_y), reach_sq = seg_rule.midpoints, seg_rule.reach_sq
+    dist_sq = (mid_x[segs, None] - mid_x[cols]) ** 2 + (mid_y[segs, None] - mid_y[cols]) ** 2
+    near = dist_sq < np.maximum(reach_sq[segs, None], reach_sq[cols])
+    floor = 1e-12 * seg_rule.mesh.h
+    local = np.arange(len(segs))
+    table = [(seg_rule.near, rule.kernel, floor, False, np.nonzero(taken & near)),
+             (seg_rule.far, rule.kernel, floor, False, np.nonzero(taken & ~near)),
+             (seg_rule.touch, rule.remainder, 0.0, False, (local, local + 2))]
+    if rule.singular[0] is not None:
+        table.append((seg_rule.touch, rule.remainder, 0.0, True, (local, local + 1)))
+    return cols, table
 
 
 def _shape_blocks(rule: _PairRule, segs: np.ndarray):
@@ -389,27 +429,41 @@ def _shape_blocks(rule: _PairRule, segs: np.ndarray):
     of the consecutive test segments ``segs[r]`` against ``cols[c]``,
     (2, 2, len(segs), len(cols)), zero outside the pairs taken.
 
-    Near and far pairs take the near and the far rule, touching pairs
-    :func:`_touching_blocks`, all through :func:`_gathered_pair_blocks`.
-    ``back`` is None for a symmetric kernel; for a two-way kernel it is
-    shaped as ``blocks``, ``back[a, b, r, c]`` the block of the pair
-    (cols[c], segs[r]), test shape a on cols[c].  Both hold the touching
-    pairs of every segment of ``segs`` in both directions.
+    Every class of the table goes through :func:`_gathered_pair_blocks`
+    in one loop.  The touching blocks then take the analytic singular part
+    (``rule.singular``) on top of their remainder, and each (p, p - 1)
+    block, for all p but segs[0], is copied from the backward block of
+    (p - 1, p), or for a symmetric kernel from its (p - 1, p) block with
+    the shape indices swapped.  ``back`` is None for a symmetric kernel;
+    for a two-way kernel it is shaped as ``blocks``, ``back[a, b, r, c]``
+    the block of the pair (cols[c], segs[r]), test shape a on cols[c].
+    Both hold the touching pairs of every segment of ``segs`` in both
+    directions, which is all that :func:`_write_cells` reads of them.
     """
-    mesh = rule.mesh
-    floor = 1e-12 * mesh.h
-    cols, *classes = _pair_classes(mesh, segs)
+    seg_rule = rule.seg_rule
+    cols, table = _pair_classes(rule, segs)
     shape = (2, 2, len(segs), len(cols))
     blocks = np.zeros(shape, np.complex128)
     back = None if rule.symmetric else np.zeros(shape, np.complex128)
-    for gauss, (rows, c) in zip((rule.near, rule.far), classes):
-        for sl, vals in _gathered_pair_blocks(mesh, gauss, rule.kernel, floor,
-                                              segs, cols, (rows, c)):
+    for gauss, kernel, floor, mirror, (rows, c) in table:
+        for sl, vals in _gathered_pair_blocks(seg_rule.mesh, gauss, kernel, floor,
+                                              segs, cols, (rows, c), mirror):
             if back is None:
                 blocks[:, :, rows[sl], c[sl]] = vals
             else:
                 blocks[:, :, rows[sl], c[sl]], back[:, :, rows[sl], c[sl]] = vals
-    _touching_blocks(rule, segs, blocks, back)
+    same, next_part, prev_part = rule.singular
+    local = np.arange(len(segs))
+    if same is not None:
+        blocks[:, :, local, local + 1] += same[:, :, segs]
+    blocks[:, :, local, local + 2] += next_part[:, :, segs]
+    if back is None:
+        behind = blocks.swapaxes(0, 1)
+    else:
+        back[:, :, local, local + 2] += prev_part[:, :, (segs + 1) % seg_rule.mesh.n_nodes]
+        behind = back
+    # segs[r] - 1 is column r, segs[r] + 1 column r + 2
+    blocks[:, :, local[1:], local[1:]] = behind[:, :, local[:-1], local[:-1] + 2]
     return cols, blocks, back
 
 
@@ -476,7 +530,7 @@ def _row_block_pass(rule: _PairRule, outputs):
     kernel's antipodal cells are then set to their upper ones.  Each
     matrix is checked (:func:`_check_assembled`) under its name.
     """
-    n = rule.mesh.n_nodes
+    n = rule.seg_rule.mesh.n_nodes
     mats = [np.empty((n, n), np.complex128) for _ in outputs]
     step = max(MIN_ROWS, ROW_BLOCK // n)
     starts = range(0, n, step)
@@ -500,61 +554,22 @@ def _row_block_pass(rule: _PairRule, outputs):
     return mats
 
 
-def _duffy_geometry(lt, ls, cc, touch_order):
+def _duffy_geometry(lt, ls, cc, touch):
     """Gauss rule and angular factors for every adjacent segment pair.
 
     Both local coordinates run away from the shared node v: test point
     r = v + u lt e_T, source r' = v + s ls e_S, ``cc = e_T . e_S``, so
-    |r - r'|^2 = (u lt)^2 + (s ls)^2 - 2 u s lt ls cc.  Returns the rule
-    (tg, tw) and the angular factors ``rho1_sq`` (u = 1, s = t) and
-    ``rho2_sq`` (s = 1, u = t) of the two Duffy triangles, each (n, g).
+    |r - r'|^2 = (u lt)^2 + (s ls)^2 - 2 u s lt ls cc.  Returns the nodes
+    and weights (tg, tw) on [0, 1] of ``touch``, the touching
+    :func:`gauss_points` rule, and the angular factors ``rho1_sq``
+    (u = 1, s = t) and ``rho2_sq`` (s = 1, u = t) of the two Duffy
+    triangles, each (n, g).
     """
-    tg, tw = _gauss01(touch_order)
+    _, tw, (_, tg) = touch
     cross = 2.0 * (lt * ls)[:, None] * tg * cc[:, None]
     rho1_sq = lt[:, None] ** 2 + (ls[:, None] * tg) ** 2 - cross
     rho2_sq = ls[:, None] ** 2 + (lt[:, None] * tg) ** 2 - cross
     return tg, tw, rho1_sq, rho2_sq
-
-
-def _touching_blocks(rule: _PairRule, segs: np.ndarray, blocks, back):
-    """Set the blocks of the touching pairs of the test segments ``segs``,
-    in the window of :func:`_pair_classes`: the analytic singular part
-    (``rule.singular``) plus the tensor-Gauss integral of the bounded
-    remainder at the touching order (:func:`_gathered_pair_blocks`, no
-    distance floor).
-
-    Segment p takes the pair (p, p + 1) once for both directions: the
-    blocks of (p, p + 1) and (p, p - 1) go in ``blocks``, the latter for
-    all p but segs[0], and that of (p + 1, p) in ``back``, which is all
-    that :func:`_write_cells` reads of the touching pairs.  A symmetric
-    kernel's (p + 1, p) block is its (p, p + 1) block with the shape
-    indices swapped.  The same segment (zero for the double layer) goes
-    in whole, its remainder taken at the Gauss pairs g <= h and mirrored.
-    """
-    n = rule.mesh.n_nodes
-    local = np.arange(len(segs))
-    same, next_part, prev_part = rule.singular
-
-    def remainder(src, mirror=False):
-        return np.concatenate(
-            [vals for _, vals in _gathered_pair_blocks(rule.mesh, rule.touch, rule.remainder,
-                                                       0.0, segs, src, (local, local),
-                                                       mirror)], axis=-1)
-
-    # the columns run from segs[0] - 1: segs[r] - 1 is column r, segs[r] + 1 column r + 2
-    if same is not None:
-        blocks[:, :, local, local + 1] = remainder(segs, mirror=True) + same[:, :, segs]
-    nxt = (segs + 1) % n
-    if back is None:
-        ahead = remainder(nxt) + next_part[:, :, segs]
-        behind = ahead.transpose(1, 0, 2)
-    else:
-        ahead, behind = remainder(nxt)
-        ahead += next_part[:, :, segs]
-        behind += prev_part[:, :, nxt]
-        back[:, :, local, local + 2] = behind
-    blocks[:, :, local, local + 2] = ahead
-    blocks[:, :, local[1:], local[1:]] = behind[..., :-1]
 
 
 def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
@@ -565,11 +580,13 @@ def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
     shared node: backward on segment p (so shape a = 1, the shared node,
     is 1 - x) and forward on segment p + 1.
     """
-    far, near, touch, touch_order = _graded_rules(mesh, k, quad_order)
+    seg_rule = segment_rule(mesh, quad_order)
+    if k <= 0:
+        raise ValueError("wavenumber must be positive")
     lp = mesh.segment_lengths
     lq = np.roll(lp, -1)
     cc = -np.sum(mesh.tangents * np.roll(mesh.tangents, -1, axis=0), axis=1)
-    tg, tw, rho1_sq, rho2_sq = _duffy_geometry(lp, lq, cc, touch_order)
+    tg, tw, rho1_sq, rho2_sq = _duffy_geometry(lp, lq, cc, seg_rule.touch)
     t0_1 = 0.5 * (np.log(rho1_sq) @ tw)
     t1_1 = 0.5 * (np.log(rho1_sq) @ (tw * tg))
     t0_2 = 0.5 * (np.log(rho2_sq) @ tw)
@@ -583,9 +600,8 @@ def _single_layer_rule(mesh, k, quad_order, kind="helmholtz") -> _PairRule:
                 + _ADJ_GAMMA_T1["g0"][a, b] * t0_1 + _ADJ_GAMMA_T1["g1"][a, b] * t1_1 \
                 + _ADJ_GAMMA_T2["g0"][a, b] * t0_2 + _ADJ_GAMMA_T2["g1"][a, b] * t1_2
             adjacent[a][b] = lp * lq * (LOG_COEF * logpart)
-    return _PairRule(mesh, lambda dx, dy, d, test, src: _kernel_full(k, d, kind),
-                     True, far, near, touch,
-                     lambda dx, dy, d, test, src: _kernel_smooth(k, d, kind),
+    return _PairRule(seg_rule, lambda dx, dy, d, test, src: _kernel_full(k, d, kind),
+                     True, lambda dx, dy, d, test, src: _kernel_smooth(k, d, kind),
                      (np.array(same), np.array(adjacent), None))
 
 
@@ -714,7 +730,7 @@ def assemble_helmholtz_pair(mesh: CurveMesh, k: float, quad_order: int = 8):
 # ---------------------------------------------------------------------------
 # Double layer
 # ---------------------------------------------------------------------------
-def _dlayer_static_blocks(lt, ls, cc, wc, touch_order):
+def _dlayer_static_blocks(lt, ls, cc, wc, touch):
     """Static part wdot / (2 pi d^2) of the double-layer blocks for ordered
     adjacent pairs sharing a node.
 
@@ -727,7 +743,7 @@ def _dlayer_static_blocks(lt, ls, cc, wc, touch_order):
     the shared node (1 - coordinate), index 1 the far one.  Returns
     blocks[a_hat][b_hat], each of shape (n,).
     """
-    tg, tw, rho1_sq, rho2_sq = _duffy_geometry(lt, ls, cc, touch_order)
+    tg, tw, rho1_sq, rho2_sq = _duffy_geometry(lt, ls, cc, touch)
 
     # int psi_a(x) psi_b(x t) dx on the first triangle and
     # int psi_a(y t) psi_b(y) dy on the second, as polynomials in t
@@ -748,7 +764,9 @@ def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
     each direction's values carry the bits the pair alone would give,
     since the distance of the negated offset is the same.
     """
-    far, near, touch, touch_order = _graded_rules(mesh, k, quad_order)
+    seg_rule = segment_rule(mesh, quad_order)
+    if k <= 0:
+        raise ValueError("wavenumber must be positive")
     nx = mesh.normals[:, 0]
     ny = mesh.normals[:, 1]
 
@@ -774,13 +792,13 @@ def _double_layer_rule(mesh, k, quad_order) -> _PairRule:
 
     # ordered pair (p, p+1): test = p (shared node local 1), source = p+1
     fwd = _dlayer_static_blocks(
-        ell, ell_next, cc, -np.sum(tang * np.roll(nrm, -1, axis=0), axis=1), touch_order)
+        ell, ell_next, cc, -np.sum(tang * np.roll(nrm, -1, axis=0), axis=1), seg_rule.touch)
     # ordered pair (p+1, p): test = p+1 (shared local 0), source = p
     bwd = _dlayer_static_blocks(
-        ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1), touch_order)
+        ell_next, ell, cc, np.sum(np.roll(tang, -1, axis=0) * nrm, axis=1), seg_rule.touch)
     singular = (None, np.array([[fwd[1 - a][b] for b in range(2)] for a in range(2)]),
                 np.array([[np.roll(bwd[a][1 - b], 1) for b in range(2)] for a in range(2)]))
-    return _PairRule(mesh, kernel, False, far, near, touch, remainder, singular)
+    return _PairRule(seg_rule, kernel, False, remainder, singular)
 
 
 def assemble_double_layer(mesh: CurveMesh, k: float, quad_order: int = 8) -> np.ndarray:

@@ -17,7 +17,7 @@ compression and Woodbury solver modules.
 No Gram-normalized operator is stored.  The bundle keeps N and D raw,
 S G^{-1} only in its hierarchical (HODLR) form, certified at 1e-12 of its
 norm, the banded Chebyshev G^{-1/2} of the tridiagonal G as dense cyclic
-row strips, and the right-hand sides' Gauss rules
+row strips, and the segment rule of the right-hand sides' moments
 (:func:`assemble_operators`).  Each right-hand side is its moments, one
 matvec with the form and one batched product with the strips
 (:func:`normalized_rhs`).  One routine reads the form, N and D: it forms
@@ -41,14 +41,16 @@ import scipy.sparse.linalg
 
 from .assembly2d import (
     KERNEL_KINDS,
+    SegmentRule,
     assemble_double_layer,
     assemble_helmholtz_pair,
     assemble_single_layer,
+    segment_rule,
     sparse_gram,
     sparse_laplacian,
 )
 from .compression import ProjectedMatrix
-from .excitation2d import MomentRule, Source2D, assemble_rhs, moment_rule
+from .excitation2d import Source2D, assemble_rhs
 from .hodlr import HodlrMatrix, hodlr_compress
 from .mesh2d import CurveMesh
 from .spectral import (CyclicStrips, _check_filter_index, canonicalize_cut,
@@ -88,9 +90,10 @@ class Operators2D:
     :func:`assemble_operators` was asked for it), both raw and N x N;
     ``gram_invsqrt`` is the banded G^{-1/2} as dense cyclic row strips
     (:func:`~filtbem.spectral.cyclic_strips`), its only form, and
-    ``moment_rule`` the per-mesh part of every right-hand side
-    (:func:`~filtbem.excitation2d.moment_rule`).  Every stored array, the
-    form's, the strips' and the rule's included, is read-only.  No
+    ``rule`` the :func:`~filtbem.assembly2d.segment_rule` of the mesh at
+    the operators' quadrature order (``rule.quad_order``), the per-mesh
+    part of every right-hand side.  Every stored array, the form's, the
+    strips' and the rule's included, is read-only.  No
     Gram-normalized operator is kept: one weighted product reads the form,
     N and D for the filtered system and the dense routes alike.  No
     Laplacian basis is kept either: :func:`filter_modes` computes the modes
@@ -102,14 +105,13 @@ class Operators2D:
     gram_invsqrt: CyclicStrips
     slayer_ginv_hodlr: HodlrMatrix
     hyper: np.ndarray
-    moment_rule: MomentRule
+    rule: SegmentRule
     dlayer: Optional[np.ndarray] = None   # only with need_double_layer
-    quad_order: int = 8
 
     @property
     def nbytes(self) -> int:
         """Bytes held by N, D, the HODLR form of P and the strips of
-        G^{-1/2}; the moment rule's O(N quad_order) are not counted."""
+        G^{-1/2}; the segment rule's O(N quad_order) are not counted."""
         return sum(arr.nbytes for arr in (self.slayer_ginv_hodlr, self.hyper,
                                           self.dlayer, self.gram_invsqrt)
                    if arr is not None)
@@ -149,11 +151,11 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     assembled only when ``need_double_layer`` asks for it; a bundle without
     it serves the efie alone.  G^{-1/2} is the banded
     :func:`~filtbem.spectral.chebyshev_invsqrt` of G, kept as its cyclic
-    row strips, and the right-hand sides' Gauss rules are built here at
-    ``quad_order`` (:func:`~filtbem.excitation2d.moment_rule`).  The HODLR
-    form of S G^{-1} is built last, after the kernel passes, so their
-    peak does not grow, and the dense S G^{-1} is dropped on return: above
-    two leaves only the form holds P.
+    row strips, and the segment rule of the right-hand sides is built
+    here at ``quad_order`` (:func:`~filtbem.assembly2d.segment_rule`).
+    The HODLR form of S G^{-1} is built last, after the kernel passes, so
+    their peak does not grow, and the dense S G^{-1} is dropped on return:
+    above two leaves only the form holds P.
     """
     if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
         raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")
@@ -171,8 +173,7 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
                        gram_invsqrt=cyclic_strips(chebyshev_invsqrt(gram)),
                        slayer_ginv_hodlr=hodlr_compress(slayer_ginv),
                        hyper=_read_only(hyper),
-                       moment_rule=moment_rule(mesh, quad_order),
-                       dlayer=dlayer, quad_order=quad_order)
+                       rule=segment_rule(mesh, quad_order), dlayer=dlayer)
 
 
 @dataclass(frozen=True)
@@ -376,23 +377,22 @@ def normalized_rhs(ops: Operators2D, src: Source2D, eta: float):
     """Normalized electric and magnetic right-hand sides.
 
     v_e = (ik / eta) G^{-1/2} S G^{-1} e  and  v_h = -G^{-1/2} h, where e,
-    h are the Galerkin moments of the incident traces, taken at the
-    bundle's ``quad_order`` as the near order: a plane wave, or a line
-    source at least the far radius from the curve, takes the kernel pass's
-    far order (:func:`~filtbem.excitation2d.assemble_rhs`).  The factor -ik
-    against the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every
-    formulation the same unknown: -h_tot, the total field's nodal values,
-    in Gram-normalized coefficients.  The moments read the bundle's
-    Gauss rules (``moment_rule``), so no per-mesh work runs per source.
-    S G^{-1} e is one matvec with its HODLR form (``slayer_ginv_hodlr``,
-    the bundle's only copy of S G^{-1}), certified within
-    1e-12 ||P|| ||e|| of the dense product and reading about a quarter of
-    its bytes at N = 1004; the strips of the banded G^{-1/2} then
-    multiply the real and imaginary parts of both vectors in one (N, 4)
-    batched product, O(N) work.
+    h are the Galerkin moments of the incident traces, taken on the
+    bundle's segment rule (``rule``), whose order is the near order: a
+    plane wave, or a line source at least the far radius from the curve,
+    takes the kernel pass's far order
+    (:func:`~filtbem.excitation2d.assemble_rhs`).  The factor -ik against
+    the plain -eta^{-1} G^{-1/2} S G^{-1} e gives every formulation the
+    same unknown: -h_tot, the total field's nodal values, in
+    Gram-normalized coefficients.  The moments read the bundle's rule, so
+    no per-mesh work runs per source.  S G^{-1} e is one matvec with its
+    HODLR form (``slayer_ginv_hodlr``, the bundle's only copy of
+    S G^{-1}), certified within 1e-12 ||P|| ||e|| of the dense product
+    and reading about a quarter of its bytes at N = 1004; the strips of
+    the banded G^{-1/2} then multiply the real and imaginary parts of both
+    vectors in one (N, 4) batched product, O(N) work.
     """
-    e_vec, h_vec = assemble_rhs(ops.mesh, src, ops.k, eta, ops.quad_order,
-                                rule=ops.moment_rule)
+    e_vec, h_vec = assemble_rhs(ops.rule, src, ops.k, eta)
     p_vec = ops.slayer_ginv_hodlr @ e_vec
     y = ops.gram_invsqrt @ np.column_stack(
         [p_vec.real, p_vec.imag, h_vec.real, h_vec.imag])

@@ -51,7 +51,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assembly2d import quadrature_rule
+from .assembly2d import quadrature_rule, segment_rule
 from .calderon2d import (assemble_operators, build_filtered_system,
                          canonical_modes, formulation_weights, lowest_modes,
                          second_kind_split)
@@ -194,7 +194,8 @@ def resolve_config(command: str, file_values: dict, cli_values: dict) -> Experim
     if solved and cfg.filter_n > min(solved):
         raise ValueError(f"filter_n {cfg.filter_n} exceeds mesh size {min(solved)}")
     for size in solved:
-        assemble_rhs(build_mesh(curve, size), src, cfg.k, 1.0, cfg.quad_order)
+        assemble_rhs(segment_rule(build_mesh(curve, size), cfg.quad_order),
+                     src, cfg.k, 1.0)
     return cfg
 
 

@@ -3,9 +3,8 @@
 Sources produce the out-of-plane magnetic field h_z and the in-plane
 electric field E = (eta / (i k)) (grad h_z x z_hat); the tangential trace
 of E and the trace of h_z are tested against the nodal hat functions on
-the kernel pass's segment Gauss rule (:func:`~filtbem.assembly2d.gauss_points`),
-graded by the kernel pass's admissibility test
-(:func:`~filtbem.assembly2d.quadrature_rule`): a line source at least
+the kernel passes' segment Gauss rules, graded by their admissibility
+test (:class:`~filtbem.assembly2d.SegmentRule`): a line source at least
 ``far_radius`` times each segment's length from that segment's midpoint,
 and a plane wave, which has no singularity, take the far order; a line
 source closer to some segment keeps the near order.  On the lobed
@@ -13,20 +12,21 @@ benchmark curve (N = 502 and 1004, k = 0.4), the far-order moments of
 line sources on the radius-3 circle (at least 28 h away) differ by at most
 1.2e-15 relative (max norm) from an order-16 rule, those of a plane wave
 by 4.4e-16; at order 4 a line source 12 h away would err 1.0e-14 and one
-3 h away 3.5e-13, hence the radius.  The per-mesh part, the two Gauss
-rules and the test's midpoints and radii, is built once per mesh and
-order (:func:`moment_rule`), so a further source pays only for its fields.
+3 h away 3.5e-13, hence the radius.  The per-mesh part, the Gauss rules
+and the test's midpoints and radii, is that segment rule, which a sweep
+builds once per mesh and order
+(:func:`~filtbem.assembly2d.segment_rule`), so a further source pays only
+for its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .assembly2d import gauss_points, quadrature_rule
-from .mesh2d import CurveMesh
+from .assembly2d import SegmentRule
 from .special import hankel_h1_0, hankel_h1_1
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "Source2D",
     "incident_fields",
     "assemble_rhs",
-    "MomentRule",
-    "moment_rule",
 ]
 
 
@@ -51,6 +49,8 @@ class MagneticLineSource:
         pos = np.asarray(self.position, float)
         if pos.shape != (2,):
             raise ValueError("source position must be a 2D point")
+        if not (np.all(np.isfinite(pos)) and np.isfinite(self.amplitude)):
+            raise ValueError("line-source position and amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,8 @@ class PlaneWaveTE:
         d = np.asarray(self.direction, float)
         if d.shape != (2,) or not np.isclose(np.linalg.norm(d), 1.0, atol=1e-12):
             raise ValueError("plane-wave direction must be a 2D unit vector")
+        if not np.isfinite(self.amplitude):
+            raise ValueError("plane-wave amplitude must be finite")
 
 
 Source2D = Union[MagneticLineSource, PlaneWaveTE]
@@ -78,8 +80,10 @@ def _traces(src: Source2D, k: float, eta: float, pts: np.ndarray,
     test only reads a line source's position).  A line source's one array
     of distances serves the field and both rejections: points closer than
     ``clearance`` (h/2 of the curve the moments are taken on) and points
-    at the source itself.
+    at the source itself.  k and eta must be finite and positive.
     """
+    if not (0 < k < np.inf and 0 < eta < np.inf):   # NaN fails too
+        raise ValueError(f"k and eta must be finite and positive, got {k}, {eta}")
     shape, pts = pts.shape[:-1], pts.reshape(-1, 2)
     if isinstance(src, MagneticLineSource):
         diff = pts - np.asarray(src.position, float)
@@ -117,7 +121,7 @@ def incident_fields(src: Source2D, k: float, eta: float, pts, tangents):
     ----------
     src : Source2D
     k, eta : float
-        Wavenumber (rad/m) and impedance (ohm).
+        Wavenumber (rad/m) and impedance (ohm), finite and positive.
     pts : (m, 2) or (2,) array
         Evaluation points, off the source position.
     tangents : matching array of unit tangents.
@@ -131,65 +135,18 @@ def incident_fields(src: Source2D, k: float, eta: float, pts, tangents):
     return e_t[()], h[()]    # [()]: a 0-d result becomes a scalar
 
 
-@dataclass(frozen=True)
-class MomentRule:
-    """The per-mesh part of :func:`assemble_rhs` at one ``quad_order``,
-    built once by :func:`moment_rule` for every source on ``mesh``.
+def assemble_rhs(rule: SegmentRule, src: Source2D, k: float, eta: float):
+    """Galerkin moments of the incident traces against the hat functions,
+    on the mesh and at the order of ``rule``, the
+    :func:`~filtbem.assembly2d.segment_rule` that a sweep over sources
+    builds once (the operator bundle's ``rule``).
 
-    ``far`` and ``near`` are the :func:`~filtbem.assembly2d.gauss_points`
-    rules at the far and near orders of :func:`quadrature_rule`;
-    ``midpoints`` (x and y rows) and ``reach_sq`` = (far_radius ell)^2 are
-    the segment midpoints and squared radii of the far-order test.
-    """
-
-    mesh: CurveMesh
-    quad_order: int
-    far: tuple
-    near: tuple
-    midpoints: np.ndarray
-    reach_sq: np.ndarray
-
-    def gauss_for(self, src: Source2D) -> tuple:
-        """The rule the moments of ``src`` take: far when every segment
-        midpoint lies at least ``far_radius`` times that segment's length
-        from a line source, or always for a plane wave; near otherwise.
-        The test is that of the kernel pass's far pairs."""
-        if isinstance(src, MagneticLineSource):
-            src_x, src_y = np.asarray(src.position, float)
-            dist_sq = ((self.midpoints[0] - src_x) ** 2
-                       + (self.midpoints[1] - src_y) ** 2)
-            if np.any(dist_sq < self.reach_sq):
-                return self.near
-        return self.far
-
-
-def moment_rule(mesh: CurveMesh, quad_order: int = 8) -> MomentRule:
-    """The :class:`MomentRule` of ``mesh`` at ``quad_order``, its arrays
-    read-only."""
-    rule = quadrature_rule(quad_order)
-    far = gauss_points(mesh, rule["far_order"])
-    near = gauss_points(mesh, rule["near_order"])
-    ell = mesh.segment_lengths
-    midpoints = (mesh.nodes + 0.5 * mesh.tangents * ell[:, None]).T
-    reach_sq = (rule["far_radius"] * ell) ** 2
-    for arr in (*far, *near, midpoints, reach_sq):
-        arr.flags.writeable = False
-    return MomentRule(mesh, quad_order, far, near, midpoints, reach_sq)
-
-
-def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
-                 quad_order: int = 8, rule: Optional[MomentRule] = None):
-    """Galerkin moments of the incident traces against the hat functions.
-
-    ``quad_order`` is the near order of :func:`quadrature_rule`: a line
-    source closer than ``far_radius`` segment lengths to some segment
-    midpoint takes it, with the bits of an order-``quad_order`` rule on
-    every segment; a farther line source and a plane wave take the far
-    order max(2, ceil(quad_order / 2)), within 2e-15 relative of order 16
-    for the benchmark's sources.  A source that the h/2 check rejects is
-    always near.  ``rule``, the :func:`moment_rule` of ``mesh`` at
-    ``quad_order``, is built here when not given; a sweep over sources
-    builds it once (the operator bundle's ``moment_rule``).
+    A line source closer than ``far_radius`` segment lengths to some
+    segment midpoint takes the near order (``rule.quad_order``), with the
+    bits of an order-``quad_order`` rule on every segment; a farther line
+    source and a plane wave take the far order max(2, ceil(quad_order / 2)),
+    within 2e-15 relative of order 16 for the benchmark's sources.  A
+    source that the h/2 check rejects is always near.
 
     Returns
     -------
@@ -199,14 +156,16 @@ def assemble_rhs(mesh: CurveMesh, src: Source2D, k: float, eta: float,
     Raises
     ------
     ValueError
-        If a line source sits closer than h/2 to the curve, or ``rule``
-        was built for another mesh or order.
+        If a line source sits closer than h/2 to the curve, or k or eta is
+        not finite and positive.
     """
-    if rule is None:
-        rule = moment_rule(mesh, quad_order)
-    elif rule.mesh is not mesh or rule.quad_order != quad_order:
-        raise ValueError("rule was built for another mesh or quad_order")
-    pts, w, shapes = rule.gauss_for(src)
+    mesh = rule.mesh
+    pts, w, shapes = rule.far
+    if isinstance(src, MagneticLineSource):   # the far test of the kernel pass
+        src_x, src_y = np.asarray(src.position, float)
+        dist_sq = (rule.midpoints[0] - src_x) ** 2 + (rule.midpoints[1] - src_y) ** 2
+        if np.any(dist_sq < rule.reach_sq):
+            pts, w, shapes = rule.near
     traces = _traces(src, k, eta, pts, mesh.tangents, 0.5 * mesh.h)
     ell = mesh.segment_lengths
 

@@ -12,7 +12,8 @@ from filtbem import assembly2d
 from filtbem.assembly2d import (assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_laplacian,
                                 assemble_single_layer, quadrature_rule,
-                                _shape_blocks, _single_layer_rule)
+                                _pair_classes, _shape_blocks,
+                                _single_layer_rule)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 
 
@@ -398,6 +399,26 @@ class TestRowBlockPass:
                 runs.append((*assemble_helmholtz_pair(mesh, 0.4),
                              assemble_double_layer(mesh, 0.4)))
             assert all(np.array_equal(*mats) for mats in zip(*runs)), n
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 255, 256])
+    def test_pair_classes_cover_the_window_once(self, n):
+        # one row block over the whole mesh, as the pass takes it: for each
+        # test row r the near, far, adjacent and same-segment classes take
+        # the window columns r + 1 .. r + n // 2 + 2, each exactly once, and
+        # column r + 1 + d holds segment segs[r] + d; D has no same-segment
+        # class, so its rows start at r + 2.  At N = 8 and 9 the window
+        # wraps past the mesh
+        mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), n)
+        segs = np.arange(-1, n) % n
+        for make_rule, first in ((_single_layer_rule, 1),
+                                 (assembly2d._double_layer_rule, 2)):
+            cols, table = _pair_classes(make_rule(mesh, 0.4, 8), segs)
+            rows = np.concatenate([pairs[0] for *_, pairs in table])
+            taken = np.concatenate([pairs[1] for *_, pairs in table])
+            assert sorted(zip(rows.tolist(), taken.tolist())) == [
+                (r, c) for r in range(len(segs))
+                for c in range(r + first, r + n // 2 + 3)]
+            assert np.array_equal(cols[taken], (segs[rows] + taken - rows - 1) % n)
 
     @pytest.mark.parametrize("assemble, bound", [(assemble_helmholtz_pair, 16.2),
                                                  (assemble_double_layer, 15.2)],

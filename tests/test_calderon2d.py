@@ -14,7 +14,7 @@ from filtbem import calderon2d
 from filtbem.assembly2d import (_row_block_pass, _single_layer_rule,
                                 assemble_double_layer, assemble_gram,
                                 assemble_helmholtz_pair, assemble_laplacian,
-                                sparse_gram)
+                                segment_rule, sparse_gram)
 from filtbem.calderon2d import (FORMULATIONS, assemble_operators,
                                 build_calderon_matrix, build_filtered_system,
                                 canonical_modes, filter_modes,
@@ -171,9 +171,9 @@ class TestOperatorBundle:
                    if isinstance(value, np.ndarray) and value.shape == (n, n)]
         assert squares == [ops.hyper] + [ops.dlayer] * need_double_layer
         assert form.levels and form.diagonal.shape[1:] != (n, n)
-        rule = ops.moment_rule
+        rule = ops.rule
         arrays = (squares + [form.diagonal, gm.rows, rule.midpoints,
-                             rule.reach_sq, *rule.far, *rule.near]
+                             rule.reach_sq, *rule.far, *rule.near, *rule.touch]
                   + [arr for pair in form.levels for arr in pair])
         assert not any(arr.flags.writeable for arr in arrays)
         assert ops.nbytes == ((1 + need_double_layer) * 16 * n * n
@@ -489,7 +489,7 @@ class TestOperatorBundle:
         ops = assemble_operators(mesh, K)
         gm = ops.gram_invsqrt
         slayer, _ = assemble_helmholtz_pair(mesh, K)
-        e_vec, h_vec = assemble_rhs(mesh, SRC, K, ETA)
+        e_vec, h_vec = assemble_rhs(segment_rule(mesh), SRC, K, ETA)
         v_e, v_h = normalized_rhs(ops, SRC, ETA)
         ref = (1j * K / ETA) * (gm @ (slayer @ np.linalg.solve(
             assemble_gram(mesh), e_vec)))
@@ -503,8 +503,8 @@ class TestOperatorBundle:
         # product, G solve or per-mesh rule is paid by every source of a
         # sweep.  The three sources take the far, the near and the plane
         # wave's rule.
+        import filtbem.assembly2d as assembly_mod
         import filtbem.calderon2d as calderon_mod
-        import filtbem.excitation2d as excitation_mod
 
         products = []
 
@@ -526,9 +526,9 @@ class TestOperatorBundle:
         for name in ("splu", "spsolve", "factorized"):
             monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
         monkeypatch.setattr(calderon_mod, "sparse_gram", refuse)
-        monkeypatch.setattr(calderon_mod, "moment_rule", refuse)
-        for name in ("gauss_points", "quadrature_rule", "moment_rule"):
-            monkeypatch.setattr(excitation_mod, name, refuse)
+        monkeypatch.setattr(calderon_mod, "segment_rule", refuse)
+        for name in ("gauss_points", "quadrature_rule", "segment_rule"):
+            monkeypatch.setattr(assembly_mod, name, refuse)
         for src, v_e in zip(sources, expected):
             products.clear()
             assert np.array_equal(normalized_rhs(ops, src, ETA)[0], v_e)

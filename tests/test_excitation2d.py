@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse.linalg
 
 from filtbem.assembly2d import (FAR_RADIUS, assemble_gram,
-                                assemble_helmholtz_pair, sparse_gram)
+                                assemble_helmholtz_pair, segment_rule,
+                                sparse_gram)
 from filtbem.excitation2d import (MagneticLineSource, PlaneWaveTE,
-                                  assemble_rhs, incident_fields, moment_rule)
+                                  assemble_rhs, incident_fields)
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.special import hankel_h1_0
 
@@ -87,7 +88,7 @@ class TestAssembleRhs:
 
     def test_zero_amplitude(self):
         src = MagneticLineSource((3.0, 0.0), amplitude=0.0j)
-        e_vec, h_vec = assemble_rhs(self.mesh, src, 0.4, 1.0)
+        e_vec, h_vec = assemble_rhs(segment_rule(self.mesh), src, 0.4, 1.0)
         assert np.abs(e_vec).max() == 0.0
         assert np.abs(h_vec).max() == 0.0
 
@@ -95,20 +96,44 @@ class TestAssembleRhs:
         node = self.mesh.nodes[0]
         src = MagneticLineSource(tuple(node + 0.1 * self.mesh.h))
         with pytest.raises(ValueError):
-            assemble_rhs(self.mesh, src, 0.4, 1.0)
+            assemble_rhs(segment_rule(self.mesh), src, 0.4, 1.0)
 
     def test_rejections_keep_their_messages(self):
         node = self.mesh.nodes[0]
         with pytest.raises(ValueError, match=r"from the curve is below h/2 = "):
-            assemble_rhs(self.mesh, MagneticLineSource(tuple(node)), 0.4, 1.0)
+            assemble_rhs(segment_rule(self.mesh), MagneticLineSource(tuple(node)),
+                         0.4, 1.0)
         with pytest.raises(ValueError, match="at the line-source position"):
             incident_fields(MagneticLineSource(tuple(node)), 0.4, 1.0, node,
                             np.array([1.0, 0.0]))
         with pytest.raises(TypeError, match="unknown source type tuple"):
-            assemble_rhs(self.mesh, (3.0, 0.0), 0.4, 1.0)
+            assemble_rhs(segment_rule(self.mesh), (3.0, 0.0), 0.4, 1.0)
         with pytest.raises(ValueError, match="quadrature order"):
-            assemble_rhs(self.mesh, PlaneWaveTE((1.0, 0.0)), 0.4, 1.0,
-                         quad_order=1)
+            assemble_rhs(segment_rule(self.mesh, 1), PlaneWaveTE((1.0, 0.0)),
+                         0.4, 1.0)
+
+    @pytest.mark.parametrize("kind, fields, k, eta", [
+        ("line", {"amplitude": np.nan}, 0.4, 1.0),
+        ("line", {"amplitude": np.inf}, 0.4, 1.0),
+        ("line", {"position": (np.nan, 0.0)}, 0.4, 1.0),
+        ("line", {"position": (3.0, -np.inf)}, 0.4, 1.0),
+        ("plane", {"amplitude": complex(1.0, np.nan)}, 0.4, 1.0),
+        ("plane", {}, 0.4, 0.0),
+        ("plane", {}, 0.4, np.nan),
+        ("line", {}, 0.4, -1.0),
+        ("line", {}, np.inf, 1.0),
+        ("plane", {}, np.nan, 1.0),
+        ("plane", {}, 0.0, 1.0),
+    ])
+    def test_non_finite_source_data_rejected(self, kind, fields, k, eta):
+        # a source with a non-finite amplitude or position, or a k or eta
+        # that is not finite and positive, raises rather than giving
+        # non-finite moments (or, at eta = 0, a division by zero later)
+        with pytest.raises(ValueError, match="finite"):
+            src = (MagneticLineSource(**{"position": (3.0, 0.0), **fields})
+                   if kind == "line"
+                   else PlaneWaveTE(**{"direction": (1.0, 0.0), **fields}))
+            assemble_rhs(segment_rule(self.mesh), src, k, eta)
 
     @pytest.mark.parametrize("src, digests", [
         (MagneticLineSource((3.0, 0.5)),
@@ -144,7 +169,7 @@ class TestAssembleRhs:
 
         mesh = build_mesh(PerturbedCircle(2.0, 0.2, 8), 1004)
         ops = assemble_operators(mesh, 0.4)
-        e_vec, h_vec = assemble_rhs(mesh, src, 0.4, 1.0)
+        e_vec, h_vec = assemble_rhs(segment_rule(mesh), src, 0.4, 1.0)
         assert digest((e_vec, h_vec)) == digests[0]
         v_e, v_h = normalized_rhs(ops, src, 1.0)
         assert digest((v_e, v_h)) in digests[1]
@@ -158,34 +183,29 @@ class TestAssembleRhs:
         dense_v = 0.4j * (ops.gram_invsqrt @ dense_p)
         assert np.linalg.norm(v_e - dense_v) <= 1e-14 * np.linalg.norm(dense_v)
 
-    def test_moment_rule_is_built_once_and_changes_no_bit(self):
-        # a sweep passes the per-mesh rule built once; the far line source,
-        # the near one and the plane wave keep every bit, and a rule of
-        # another mesh or order is refused
-        rule = moment_rule(self.mesh, 8)
+    def test_bundle_rule_is_read_only_and_changes_no_bit(self):
+        # a sweep reads the segment rule the bundle built once; its arrays
+        # are read-only, and the far line source, the near one and the
+        # plane wave get the bits of a fresh rule
+        from filtbem.calderon2d import assemble_operators
+
+        rule = assemble_operators(self.mesh, 0.4).rule
+        assert rule.mesh is self.mesh and rule.quad_order == 8
         assert not any(arr.flags.writeable for arr in (
-            *rule.far, *rule.near, rule.midpoints, rule.reach_sq))
+            *rule.far, *rule.near, *rule.touch, rule.midpoints, rule.reach_sq))
         for src in (MagneticLineSource((8.0, 0.5)),
                     MagneticLineSource((1.6, 0.0)), PlaneWaveTE((0.6, 0.8))):
-            for got, ref in zip(assemble_rhs(self.mesh, src, 0.4, 1.0,
-                                             rule=rule),
-                                assemble_rhs(self.mesh, src, 0.4, 1.0)):
+            for got, ref in zip(assemble_rhs(rule, src, 0.4, 1.0),
+                                assemble_rhs(segment_rule(self.mesh, 8), src,
+                                             0.4, 1.0)):
                 assert np.array_equal(got, ref)
-        assert rule.gauss_for(MagneticLineSource((1.6, 0.0))) is rule.near
-        assert rule.gauss_for(MagneticLineSource((8.0, 0.5))) is rule.far
-        with pytest.raises(ValueError):
-            assemble_rhs(self.mesh, PlaneWaveTE((1.0, 0.0)), 0.4, 1.0,
-                         quad_order=12, rule=rule)
-        with pytest.raises(ValueError):
-            assemble_rhs(build_mesh(Ellipse(1.42, 1.32), 64),
-                         PlaneWaveTE((1.0, 0.0)), 0.4, 1.0, rule=rule)
 
     def test_constant_moments_match_gram_row_sums(self):
         # f = 1 through the quadrature path (plane wave, k -> 0 limit of
         # h_z) must reproduce the analytic Gram row sums
         gram_rows = assemble_gram(self.mesh).sum(axis=1)
         src = PlaneWaveTE((1.0, 0.0))
-        _, h_vec = assemble_rhs(self.mesh, src, 1e-12, 1.0)
+        _, h_vec = assemble_rhs(segment_rule(self.mesh), src, 1e-12, 1.0)
         # residual phase k * |r| ~ 3e-12 bounds the agreement
         assert np.abs(h_vec - gram_rows).max() <= 1e-11 * gram_rows.max()
 
@@ -199,7 +219,7 @@ class TestAssembleRhs:
         mesh, k, eta = self.mesh, 0.4, 1.0
         order = 4 if isinstance(src, PlaneWaveTE) else 8
         refs = scatter_moments(mesh, src, k, eta, order)
-        e_vec, h_vec = assemble_rhs(mesh, src, k, eta)
+        e_vec, h_vec = assemble_rhs(segment_rule(mesh), src, k, eta)
         assert np.array_equal(e_vec, refs[0])
         assert np.array_equal(h_vec, refs[1])
 
@@ -216,13 +236,13 @@ class TestAssembleRhs:
         src = MagneticLineSource(tuple(mid * (1.0 + reach * ell / np.linalg.norm(mid))))
         far, near = (scatter_moments(mesh, src, 0.4, 1.0, q) for q in (4, 8))
         assert not np.array_equal(far[0], near[0])
-        got = assemble_rhs(mesh, src, 0.4, 1.0)
+        got = assemble_rhs(segment_rule(mesh), src, 0.4, 1.0)
         for vec, ref in zip(got, far if order == 4 else near):
             assert np.array_equal(vec, ref)
 
     def test_plane_wave_takes_far_order(self):
         src = PlaneWaveTE((0.6, 0.8))
-        got = assemble_rhs(self.mesh, src, 0.4, 1.0, quad_order=12)
+        got = assemble_rhs(segment_rule(self.mesh, 12), src, 0.4, 1.0)
         for vec, ref in zip(got, scatter_moments(self.mesh, src, 0.4, 1.0, 6)):
             assert np.array_equal(vec, ref)
 
@@ -235,16 +255,17 @@ class TestAssembleRhs:
         sources = ([MagneticLineSource((3.0 * np.cos(t), 3.0 * np.sin(t)))
                     for t in angles]
                    + [PlaneWaveTE((np.cos(t), np.sin(t))) for t in angles[:4]])
+        rule = segment_rule(mesh)
         for src in sources:
             refs = scatter_moments(mesh, src, 0.4, 1.0, 16)
-            for vec, ref in zip(assemble_rhs(mesh, src, 0.4, 1.0), refs):
+            for vec, ref in zip(assemble_rhs(rule, src, 0.4, 1.0), refs):
                 assert np.abs(vec - ref).max() <= 2e-15 * np.abs(ref).max()
 
     def test_small_k_plane_wave_against_higher_order_quadrature(self):
         k, eta = 1e-6, 1.0
         src = PlaneWaveTE((0.8, 0.6))
-        e8, _ = assemble_rhs(self.mesh, src, k, eta, quad_order=8)
-        e16, _ = assemble_rhs(self.mesh, src, k, eta, quad_order=16)
+        e8, _ = assemble_rhs(segment_rule(self.mesh, 8), src, k, eta)
+        e16, _ = assemble_rhs(segment_rule(self.mesh, 16), src, k, eta)
         assert np.abs(e8 - e16).max() <= 1e-10 * np.abs(e16).max()
 
     def test_band_limited_in_laplacian_basis(self):
