@@ -561,6 +561,7 @@ def main(argv=None) -> int:
     try:
         file_values = (parse_config_file(args.config) if args.config else {})
         cfg = resolve_config(args.command, file_values, cli_values)
+        _outdir(cfg)   # an --out that cannot be a directory fails here
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

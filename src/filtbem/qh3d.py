@@ -113,6 +113,8 @@ def make_mesh(vertices, triangles) -> TriangleMesh:
         raise ValueError("vertices must be (V, 3)")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError("triangles must be (F, 3)")
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertex coordinates must be finite")
     if triangles.min() < 0 or triangles.max() >= len(vertices):
         raise ValueError("triangle vertex index out of range")
     edges, edge_tri = _build_edges(vertices, triangles)
@@ -159,26 +161,21 @@ def icosphere(subdivisions: int = 1) -> TriangleMesh:
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ])
-    verts = [tuple(p) for p in v]
-    faces = f.tolist()
     for _ in range(subdivisions):
-        cache = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                p = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
-                p /= np.linalg.norm(p)
-                verts.append(tuple(p))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = new_faces
-    return make_mesh(np.array(verts), np.array(faces))
+        # edges ab, bc, ca of each face; each midpoint is numbered in the
+        # order the faces first meet its edge
+        pairs = np.stack([f, np.roll(f, -1, axis=1)], axis=-1).reshape(-1, 2)
+        _, first, edge = np.unique(np.sort(pairs, axis=1), axis=0,
+                                   return_index=True, return_inverse=True)
+        ab, bc, ca = (len(v) + np.argsort(np.argsort(first))[edge]).reshape(-1, 3).T
+        ends = pairs[np.sort(first)]
+        m = 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])
+        # a batched row product rounds as np.linalg.norm of each vector
+        v = np.vstack([v, m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]])
+        a, b, c = f.T
+        f = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                     axis=1).reshape(-1, 3)
+    return make_mesh(v, f)
 
 
 def torus_mesh(n_major: int = 12, n_minor: int = 8, major_radius: float = 2.0,
@@ -193,15 +190,13 @@ def torus_mesh(n_major: int = 12, n_minor: int = 8, major_radius: float = 2.0,
     verts = np.stack([ring * np.cos(uu), ring * np.sin(uu),
                       minor_radius * np.sin(ww)], axis=-1).reshape(-1, 3)
 
-    def vid(i, j):
-        return (i % n_major) * n_minor + (j % n_minor)
-
-    faces = []
-    for i in range(n_major):
-        for j in range(n_minor):
-            faces.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            faces.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return make_mesh(verts, np.array(faces))
+    # vertex (i, j) of the grid is i * n_minor + j; each cell makes two faces
+    i, j = np.meshgrid(np.arange(n_major), np.arange(n_minor), indexing="ij")
+    i_next, j_next = (i + 1) % n_major * n_minor, (j + 1) % n_minor
+    v00, v10 = i * n_minor + j, i_next + j
+    v11, v01 = i_next + j_next, i * n_minor + j_next
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=-1)
+    return make_mesh(verts, faces.reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +225,11 @@ def read_off(path) -> TriangleMesh:
                          f"{body - 3 * nv} of {4 * nf} tokens")
     verts = np.array(tokens[pos:pos + 3 * nv], float).reshape(nv, 3)
     pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValueError(f"non-triangular face with {cnt} vertices")
-        faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]),
-                      int(tokens[pos + 3])])
-        pos += 4
-    return make_mesh(verts, np.array(faces, np.int64))
+    faces = np.array(tokens[pos:pos + 4 * nf], np.int64).reshape(nf, 4)
+    counts = faces[faces[:, 0] != 3, 0]
+    if counts.size:
+        raise ValueError(f"non-triangular face with {counts[0]} vertices")
+    return make_mesh(verts, faces[:, 1:])
 
 
 def write_off(mesh: TriangleMesh, path) -> None:
@@ -290,6 +281,14 @@ class Grams:
     pyramid: np.ndarray  # (V, V) surface hat mass matrix
 
 
+def _scatter(size, index, local):
+    """Sum the per-face (F, 3, 3) blocks ``local`` into a (size, size)
+    matrix at rows and columns ``index`` (F, 3), in face order."""
+    out = np.zeros((size, size))
+    np.add.at(out, (index[:, :, None], index[:, None, :]), local)
+    return out
+
+
 def build_grams(mesh: TriangleMesh) -> Grams:
     """Assemble the three Gram matrices (all integrals exact).
 
@@ -299,44 +298,26 @@ def build_grams(mesh: TriangleMesh) -> Grams:
     Patch functions are indicator 1 per triangle; vertex functions are the
     linear surface hats.
     """
-    v = mesh.vertices
-    tris = mesh.triangles
+    v, tris, nv = mesh.vertices, mesh.triangles, mesh.n_vertices
     areas = mesh.triangle_areas()
-    nv, ne, nf = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
-
-    g_patch = np.diag(areas)
-
-    g_pyr = np.zeros((nv, nv))
-    for f, tri in enumerate(tris):
-        a = areas[f]
-        for i in range(3):
-            for j in range(3):
-                g_pyr[tri[i], tri[j]] += a / 6.0 if i == j else a / 12.0
-
-    # edge basis bookkeeping: for each edge and its two triangles find the
-    # opposite vertex and sign
-    edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(mesh.edges)}
-    g_rwg = np.zeros((ne, ne))
-    for f, tri in enumerate(tris):
-        a = areas[f]
-        corners = v[tri]
-        mids = 0.5 * (corners + np.roll(corners, -1, axis=0))  # edge midpoints
-        # local edges (tri[i], tri[i+1]) opposite vertex tri[i+2]
-        locals_ = []
-        for i in range(3):
-            p, q = int(tri[i]), int(tri[(i + 1) % 3])
-            opp = v[int(tri[(i + 2) % 3])]
-            edge = edge_index[(min(p, q), max(p, q))]
-            sign = 1.0 if mesh.edge_tri[edge, 0] == f else -1.0
-            length = np.linalg.norm(v[q] - v[p])
-            locals_.append((edge, sign * length / (2.0 * a), opp))
-        for e1, c1, o1 in locals_:
-            for e2, c2, o2 in locals_:
-                acc = 0.0
-                for m in mids:  # midpoint rule: exact for quadratics
-                    acc += (a / 3.0) * np.dot(m - o1, m - o2)
-                g_rwg[e1, e2] += c1 * c2 * acc
-    return Grams(rwg=g_rwg, patch=g_patch, pyramid=g_pyr)
+    # local edge i of a face runs from its vertex i to vertex i+1, opposite
+    # vertex i+2; mesh.edges is sorted by (lo, hi)
+    heads = np.roll(tris, -1, axis=1)
+    keys = np.minimum(tris, heads) * nv + np.maximum(tris, heads)
+    edge = np.searchsorted(mesh.edges[:, 0] * nv + mesh.edges[:, 1], keys)
+    plus = mesh.edge_tri[edge, 0] == np.arange(len(tris))[:, None]
+    corners = v[tris]
+    coef = (np.where(plus, 1.0, -1.0) * np.linalg.norm(v[heads] - corners, axis=2)
+            / (2.0 * areas[:, None]))
+    # arms[f, m, i]: midpoint m of face f less the vertex opposite its edge i;
+    # the midpoint rule is exact for the quadratic products
+    mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
+    arms = mids[:, :, None, :] - v[np.roll(tris, -2, axis=1)][:, None, :, :]
+    local_rwg = coef[:, :, None] * coef[:, None, :] * (
+        areas[:, None, None] / 3.0 * np.einsum("fmix,fmjx->fij", arms, arms))
+    local_pyr = areas[:, None, None] / (12.0 - 6.0 * np.eye(3))
+    return Grams(rwg=_scatter(mesh.n_edges, edge, local_rwg),
+                 patch=np.diag(areas), pyramid=_scatter(nv, tris, local_pyr))
 
 
 def orthonormalize_incidence(inc: IncidenceMatrices, grams: Grams) -> IncidenceMatrices:

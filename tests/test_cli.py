@@ -217,6 +217,20 @@ class TestConfig:
         assert not (tmp_path / "table.csv").exists()
         assert "sizes" in capsys.readouterr().err
 
+    def test_out_that_cannot_be_a_directory_exits_before_any_assembly(
+            self, tmp_path, monkeypatch, capsys):
+        import filtbem.cli as cli_mod
+        calls = []
+        monkeypatch.setattr(cli_mod, "assemble_operators",
+                            lambda *args, **kwargs: calls.append(args))
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        code = main(["refine", "--sizes", "64,96,128", "--filter-n", "13",
+                     "--out", str(regular / "sub")])
+        assert code == 2
+        assert calls == []
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_file_through_main(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("geometry = circle\na = 1.0\nn = 64\n"

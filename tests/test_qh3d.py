@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,82 @@ from filtbem.qh3d import (build_grams, build_incidence, filtered_projectors,
                           icosphere, make_mesh, octahedron,
                           orthonormalize_incidence, projectors, read_off,
                           tetrahedron, torus_mesh, write_off)
+
+
+def loop_grams(mesh):
+    """The three Gram matrices by a Python loop over the faces: the oracle
+    of ``build_grams``, which it was until the Grams were built by array
+    operations."""
+    v = mesh.vertices
+    tris = mesh.triangles
+    areas = mesh.triangle_areas()
+    nv, ne = mesh.n_vertices, mesh.n_edges
+    g_pyr = np.zeros((nv, nv))
+    for f, tri in enumerate(tris):
+        a = areas[f]
+        for i in range(3):
+            for j in range(3):
+                g_pyr[tri[i], tri[j]] += a / 6.0 if i == j else a / 12.0
+    edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(mesh.edges)}
+    g_rwg = np.zeros((ne, ne))
+    for f, tri in enumerate(tris):
+        a = areas[f]
+        corners = v[tri]
+        mids = 0.5 * (corners + np.roll(corners, -1, axis=0))  # edge midpoints
+        # local edges (tri[i], tri[i+1]) opposite vertex tri[i+2]
+        locals_ = []
+        for i in range(3):
+            p, q = int(tri[i]), int(tri[(i + 1) % 3])
+            opp = v[int(tri[(i + 2) % 3])]
+            edge = edge_index[(min(p, q), max(p, q))]
+            sign = 1.0 if mesh.edge_tri[edge, 0] == f else -1.0
+            length = np.linalg.norm(v[q] - v[p])
+            locals_.append((edge, sign * length / (2.0 * a), opp))
+        for e1, c1, o1 in locals_:
+            for e2, c2, o2 in locals_:
+                acc = 0.0
+                for m in mids:  # midpoint rule: exact for quadratics
+                    acc += (a / 3.0) * np.dot(m - o1, m - o2)
+                g_rwg[e1, e2] += c1 * c2 * acc
+    return g_rwg, np.diag(areas), g_pyr
+
+
+# every built-in mesh the digests below cover
+BUILDERS = {
+    "tetrahedron": tetrahedron,
+    "octahedron": octahedron,
+    **{f"icosphere({k})": (lambda k=k: icosphere(k)) for k in range(5)},
+    **{f"torus_mesh({a},{b})": (lambda a=a, b=b: torus_mesh(a, b))
+       for a, b in ((3, 3), (12, 8), (24, 16))},
+}
+
+# sha256 prefixes of vertices, triangles, edges, edge_tri, star and loop,
+# taken from the per-face-loop builders (the same at 1 and 2 BLAS threads).
+# icosphere(4)'s dense star and loop maps (470 MB) are left out; its edges
+# and edge_tri fix them.
+MESH_DIGESTS = {
+    "tetrahedron": "44c64813011bc24e",
+    "octahedron": "2eb2618fbdd93e7c",
+    "icosphere(0)": "a728c7244703242b",
+    "icosphere(1)": "e7b5db482a341427",
+    "icosphere(2)": "705f1cca1271ccee",
+    "icosphere(3)": "ef4759efa12f3a8d",
+    "icosphere(4)": "8b765ec0bcd153a6",
+    "torus_mesh(3,3)": "dc2abdb9e33a508c",
+    "torus_mesh(12,8)": "6aa2752baa543dee",
+    "torus_mesh(24,16)": "8daa6461a98ec479",
+}
+
+
+def mesh_digest(mesh, maps=True):
+    sha = hashlib.sha256()
+    arrays = [mesh.vertices, mesh.triangles, mesh.edges, mesh.edge_tri]
+    if maps:
+        inc = build_incidence(mesh)
+        arrays += [inc.star, inc.loop]
+    for arr in arrays:
+        sha.update(np.ascontiguousarray(arr).tobytes())
+    return sha.hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +122,14 @@ class TestTriangleMesh:
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float)
         with pytest.raises(ValueError):
             make_mesh(verts, np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("name", list(MESH_DIGESTS))
+    def test_builders_and_off_round_trip_bitwise_unchanged(self, tmp_path, name):
+        mesh = BUILDERS[name]()
+        write_off(mesh, tmp_path / "mesh.off")
+        maps = name != "icosphere(4)"
+        for built in (mesh, read_off(tmp_path / "mesh.off")):
+            assert mesh_digest(built, maps) == MESH_DIGESTS[name]
 
     def test_rejects_inconsistent_orientation(self):
         tet = tetrahedron()
@@ -115,6 +201,18 @@ class TestGrams:
         areas = mesh.triangle_areas()
         # each vertex of the octahedron touches 4 equal triangles: 4 * A/6
         assert np.allclose(np.diag(grams.pyramid), 4.0 * areas[0] / 6.0)
+
+    @pytest.mark.parametrize("name", [name for name in BUILDERS
+                                      if name != "icosphere(4)"])
+    def test_matches_the_per_face_loop(self, name):
+        # within 8.0e-16 relative, max norm, when the loop was replaced
+        mesh = BUILDERS[name]()
+        grams = build_grams(mesh)
+        for new, old in zip((grams.rwg, grams.patch, grams.pyramid),
+                            loop_grams(mesh)):
+            assert np.abs(new - old).max() <= 2e-15 * np.abs(old).max()
+        assert np.array_equal(grams.rwg, grams.rwg.T)
+        assert np.array_equal(grams.pyramid, grams.pyramid.T)
 
     def test_rwg_gram_spd(self, meshes):
         for mesh in meshes.values():
@@ -276,6 +374,17 @@ class TestOffIO:
         path = tmp_path / "cut.off"
         path.write_text("OFF\n4 4 6\n" + kept)
         with pytest.raises(ValueError, match=block):
+            read_off(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_vertices(self, tmp_path, value):
+        path = tmp_path / "tet.off"
+        tet = tetrahedron()
+        rows = [f"{p[0]!r} {p[1]!r} {p[2]!r}" for p in tet.vertices.tolist()]
+        rows[2] = f"{value} 0 0"
+        faces = [f"3 {a} {b} {c}" for a, b, c in tet.triangles.tolist()]
+        path.write_text("\n".join(["OFF", "4 4 6", *rows, *faces]) + "\n")
+        with pytest.raises(ValueError, match="finite"):
             read_off(path)
 
     def test_rejects_missing_header(self, tmp_path):
