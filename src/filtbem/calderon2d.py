@@ -83,13 +83,14 @@ class Operators2D:
     """Operator bundle over one mesh and wavenumber, fixed once assembled.
 
     ``slayer_ginv_hodlr`` is the one copy of P = S G^{-1}: its HODLR form
-    (:func:`~filtbem.hodlr.hodlr_compress`), P itself below two leaves,
-    through which the right-hand sides, the filtered system and the dense
-    routes read P.  ``hyper`` holds the hypersingular N of the Helmholtz
-    kernel pass and ``dlayer`` the double layer D (None unless
-    :func:`assemble_operators` was asked for it), both raw and N x N;
-    ``gram_invsqrt`` is the banded G^{-1/2} as dense cyclic row strips
-    (:func:`~filtbem.spectral.cyclic_strips`), its only form, and
+    (:func:`~filtbem.hodlr.hodlr_compress`), one uncompressed leaf up to
+    64 nodes (``hodlr.LEAF``), through which the right-hand sides, the
+    filtered system and the dense routes read P.  ``hyper`` holds the
+    hypersingular N of the Helmholtz kernel pass and ``dlayer`` the
+    double layer D (None unless :func:`assemble_operators` was asked for
+    it), both raw and N x N; ``gram_invsqrt`` is the banded G^{-1/2} as
+    dense cyclic row strips (:func:`~filtbem.spectral.cyclic_strips`),
+    its only form, and
     ``rule`` the :func:`~filtbem.assembly2d.segment_rule` of the mesh at
     the operators' quadrature order (``rule.quad_order``), the per-mesh
     part of every right-hand side.  Every stored array, the form's, the
@@ -155,7 +156,7 @@ def assemble_operators(mesh: CurveMesh, k: float, quad_order: int = 8,
     here at ``quad_order`` (:func:`~filtbem.assembly2d.segment_rule`).
     The HODLR form of S G^{-1} is built last, after the kernel passes, so
     their peak does not grow, and the dense S G^{-1} is dropped on return:
-    above two leaves only the form holds P.
+    only the form holds P.
     """
     if slayer_kind not in KERNEL_KINDS:   # before the S+N pass, not after
         raise ValueError(f"slayer_kind must be one of {KERNEL_KINDS}")

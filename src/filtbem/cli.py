@@ -265,9 +265,9 @@ def _set_up(cfg: ExperimentConfig, n_nodes: int):
     process CPU time ``*_cpu_s`` beside it (``cpu_s`` for the whole), so
     that a slow set-up tells the program's work from the machine's load;
     the process's peak RSS right after it, the operator bundle's size,
-    and the form's size ``hodlr_mb`` (that of S G^{-1} itself below two
-    leaves), level ranks ``hodlr_ranks`` and certified relative error
-    ``hodlr_error``."""
+    and the form's size ``hodlr_mb``, level ranks ``hodlr_ranks`` (none
+    up to 64 nodes, where the form is one uncompressed leaf) and
+    certified relative error ``hodlr_error``."""
     t0, cpu0 = time.perf_counter(), time.process_time()
     mesh = build_mesh(cfg.curve(), n_nodes)
     _, second = formulation_weights(cfg.formulation, cfg.alpha)

@@ -215,6 +215,12 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
         With ``converged`` false (and the captured-range rank) only if the
         tolerance is unreachable below full rank; that case also emits a
         ``RuntimeWarning``.
+
+    Raises
+    ------
+    FloatingPointError
+        When the matrix (the coefficient block of a ``ProjectedMatrix``)
+        holds a NaN or infinite entry, before any sketch is drawn.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -224,6 +230,8 @@ def lowrank_factor(mat, epsilon: float, seed: int = 0) -> LowRankFactor:
     if n != m:
         raise ValueError("expected a square matrix")
     basis, mat = mat.basis, mat.coeffs
+    if not np.isfinite(mat).all():
+        raise FloatingPointError("matrix contains non-finite entries")
     rows = mat.shape[0]
     full = min(rows, n)   # the largest rank the block can have
     rng = np.random.default_rng(seed)

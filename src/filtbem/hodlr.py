@@ -58,11 +58,11 @@ class HodlrMatrix:
     n 2^(L-l-1) (viewed as (2^l, 2, m, r) and (2^l, 2, r, m) in ``T``):
     block b of the level couples its rows b with its columns b xor 1 as
     ``u[b] @ vh[b]``, complex as the sketches that found it (a real
-    matrix gets a complex form).  The arrays are read-only.  Below two
-    leaves ``levels`` is empty and ``diagonal`` is the matrix itself, not
-    a copy.  The form has no ``__array__``: numpy would turn it into a
+    matrix gets a complex form).  The arrays are read-only.  Up to LEAF
+    rows the form is one leaf, a copy of the matrix, and ``levels`` is
+    empty.  The form has no ``__array__``: numpy would turn it into a
     dense N x N array in any product.  ``error`` is the certified
-    ||A - H||_2 / ||A||_2 (0 for the matrix itself), ``norm_estimate`` the
+    ||A - H||_2 / ||A||_2 (0 for one leaf), ``norm_estimate`` the
     power-iteration estimate of ||A||_2 it is relative to.  ``build_s``
     and ``build_cpu_s`` are the build's wall and process CPU times.
     """
@@ -82,7 +82,7 @@ class HodlrMatrix:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the form's arrays, the matrix's below two leaves."""
+        """Bytes of the form's arrays."""
         return self.diagonal.nbytes + sum(u.nbytes + vh.nbytes
                                           for u, vh in self.levels)
 
@@ -108,12 +108,10 @@ class HodlrMatrix:
         if x.shape[0] != self.size:
             raise ValueError(f"operand has {x.shape[0]} rows, "
                              f"not {self.size}")
-        if not self.levels:
-            return self.diagonal @ x
         block = x.reshape(self.size, -1)
         leaves, leaf = self.diagonal.shape[:2]
-        padded = np.zeros((leaves * leaf, block.shape[1]), np.result_type(
-            x, self.diagonal, self.levels[0][0]))
+        padded = np.zeros((leaves * leaf, block.shape[1]),
+                          np.result_type(x, self.diagonal, np.complex128))
         padded[:self.size] = block
         out = self.diagonal @ padded.reshape(leaves, leaf, -1)
         for u, vh in self.levels:
@@ -130,9 +128,9 @@ def _pairs(arr: np.ndarray) -> np.ndarray:
 
 
 def _depth(size: int) -> int:
-    """Levels L of the bisection: 0 below two leaves, else the least L
-    with LEAF 2^L >= size, so that leaves hold at most LEAF rows."""
-    return 0 if size < 2 * LEAF else ((size - 1) // LEAF).bit_length()
+    """Levels L of the bisection: the least L with LEAF 2^L >= size, so
+    that leaves hold at most LEAF rows."""
+    return ((size - 1) // LEAF).bit_length()
 
 
 def _compress_block(block: np.ndarray, tol: float, width: int, rng):
@@ -182,14 +180,14 @@ def hodlr_compress(mat: np.ndarray) -> HodlrMatrix:
     times the number of levels, relative to ||mat||_2.
 
     Block b of level l draws from the generator seeded by (l, b).
-    ``mat`` is read through views, not copied.
+    ``mat`` is read through views, not copied.  A NaN or infinite entry
+    raises ``FloatingPointError`` before any product.
     """
     t0, cpu0 = time.perf_counter(), time.process_time()
+    if not np.isfinite(mat).all():
+        raise FloatingPointError("matrix contains non-finite entries")
     size = mat.shape[0]
     depth = _depth(size)
-    if depth == 0:
-        return HodlrMatrix(size, mat, (), 0.0, 0.0,
-                           time.perf_counter() - t0, time.process_time() - cpu0)
     norm = _power_norm(mat.__matmul__, lambda y: _adjoint_times(mat, y), size,
                        NORM_ITERS, np.random.default_rng(0))
     tol = TOLERANCE * norm

@@ -7,6 +7,7 @@ segments) are the trial/test space for all 2D boundary-operator assembly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -54,7 +55,8 @@ class Ellipse:
 class PerturbedCircle:
     """Closed curve r(theta) = r0 + amp*sin(lobes*theta), counterclockwise.
 
-    Requires |amp| < r0 so the radius stays positive.
+    Requires |amp| < r0 so the radius stays positive, and a whole number of
+    lobes so the curve closes: r(2 pi) = r(0).
     """
 
     r0: float
@@ -66,6 +68,8 @@ class PerturbedCircle:
             raise ValueError("base radius must be positive")
         if abs(self.amp) >= self.r0:
             raise ValueError("perturbation amplitude must satisfy |amp| < r0")
+        if not float(self.lobes).is_integer():
+            raise ValueError(f"lobes must be a whole number, got {self.lobes}")
 
     def _radius(self, theta):
         return self.r0 + self.amp * np.sin(self.lobes * theta)
@@ -139,7 +143,8 @@ def build_mesh(curve: ParametricCurve, n_nodes: int) -> CurveMesh:
     ----------
     curve : ParametricCurve
     n_nodes : int
-        Number of nodes (= number of segments); at least 8.
+        Number of nodes (= number of segments); at least 8.  Any integer
+        type serves; a float, even a whole one, raises ``TypeError``.
 
     Returns
     -------
@@ -151,6 +156,7 @@ def build_mesh(curve: ParametricCurve, n_nodes: int) -> CurveMesh:
         For fewer than 8 nodes, or if the resulting chain is degenerate
         (zero-length segment, or total turning angle not +2*pi).
     """
+    n_nodes = operator.index(n_nodes)
     if n_nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes, got {n_nodes}")
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes

@@ -75,10 +75,7 @@ class WoodburyInverse:
         raise ValueError("right-hand side must be a vector or a 2D block")
 
     def _apply_one(self, rhs):
-        x = rhs / self.beta
-        if self.rank == 0:
-            return x.astype(np.complex128, copy=False)
-        return x - self.left @ (self.gain @ rhs)
+        return rhs / self.beta - self.left @ (self.gain @ rhs)
 
 
 def woodbury_factorize(beta: float,
@@ -123,14 +120,11 @@ def woodbury_factorize(beta: float,
     if cond > CORE_COND_WARN:
         warnings.warn(f"near-singular core: condition number {cond:.3e}",
                       RuntimeWarning, stacklevel=2)
-    if rank:
-        # row-major: a product with the (r, n) gain runs about twice as
-        # fast as with its column-major transpose view
-        gain = np.ascontiguousarray(
-            scipy.linalg.lu_solve(scipy.linalg.lu_factor(core), right.T))
-        gain /= beta * beta
-    else:
-        gain = right.T   # (0, n), never read: apply returns rhs / beta
+    # row-major: a product with the (r, n) gain runs about twice as fast
+    # as with its column-major transpose view; at rank 0 it is (0, n)
+    gain = np.ascontiguousarray(
+        scipy.linalg.lu_solve(scipy.linalg.lu_factor(core), right.T))
+    gain /= beta * beta
     return WoodburyInverse(beta=float(beta), left=left, gain=gain,
                            core_cond=float(cond))
 

@@ -168,8 +168,9 @@ class CyclicStrips:
     strip with X reads the STRIP + 2 band rows of X, padded cyclically by
     ``band`` rows, that start at row i STRIP.  The whole strips are one
     batched product with overlapping views of the padded X, no gathered
-    copy; a last, shorter strip is one more.  When N <= STRIP + 2 band,
-    ``rows`` is the dense matrix.
+    copy; a last, shorter strip is one more.  Every N takes this path:
+    ``band`` is at most N / 2, so the cyclic padding is a slice of X, and
+    below STRIP rows there are no whole strips.
     """
 
     size: int
@@ -194,22 +195,20 @@ class CyclicStrips:
         if np.iscomplexobj(x):
             real = np.ascontiguousarray(block, np.complex128).view(np.float64)
             return (self @ real).view(np.complex128).reshape(x.shape)
-        if size <= STRIP + 2 * band:
-            return self.rows @ x
         padded = np.empty((size + 2 * band, block.shape[1]))
         padded[:band] = block[size - band:]
         padded[band:size + band] = block
         padded[size + band:] = block[:band]
-        whole = size // STRIP
-        # window i: rows i STRIP .. i STRIP + STRIP + 2 band - 1 of padded
+        whole, width = size // STRIP, STRIP + 2 * band
+        # window i: rows i STRIP .. i STRIP + width - 1 of padded
         step = padded.strides[0]
         windows = np.lib.stride_tricks.as_strided(
-            padded, (whole, STRIP + 2 * band, block.shape[1]),
+            padded, (whole, width, block.shape[1]),
             (STRIP * step, step, padded.strides[1]), writeable=False)
         out = np.empty((size, block.shape[1]))
         split = whole * STRIP
-        np.matmul(self.rows[:split].reshape(whole, STRIP, -1), windows,
-                  out=out[:split].reshape(whole, STRIP, -1))
+        np.matmul(self.rows[:split].reshape(whole, STRIP, width), windows,
+                  out=out[:split].reshape(whole, STRIP, block.shape[1]))
         if split < size:   # a last strip of fewer rows reads fewer columns
             np.matmul(self.rows[split:, :size - split + 2 * band],
                       padded[split:], out=out[split:])
@@ -227,11 +226,8 @@ def cyclic_strips(mat) -> CyclicStrips:
     row = np.repeat(np.arange(size), np.diff(mat.indptr))
     offset = (mat.indices - row) % size
     band = int(np.minimum(offset, size - offset).max(initial=0))
-    if size <= STRIP + 2 * band:
-        rows = mat.toarray()
-    else:
-        rows = np.zeros((size, STRIP + 2 * band))
-        rows[row, row % STRIP + (offset + band) % size] = mat.data
+    rows = np.zeros((size, STRIP + 2 * band))
+    rows[row, row % STRIP + (offset + band) % size] = mat.data
     rows.flags.writeable = False
     return CyclicStrips(size, band, rows)
 

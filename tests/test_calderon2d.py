@@ -23,6 +23,7 @@ from filtbem.calderon2d import (FORMULATIONS, assemble_operators,
                                 second_kind_split)
 from filtbem.compression import lowrank_factor
 from filtbem.excitation2d import MagneticLineSource, PlaneWaveTE, assemble_rhs
+from filtbem.hodlr import LEAF
 from filtbem.mesh2d import Ellipse, PerturbedCircle, build_mesh
 from filtbem.solver import dense_solve, woodbury_factorize
 from filtbem.spectral import (STRIP, CyclicStrips, chebyshev_invsqrt,
@@ -124,8 +125,10 @@ class TestCalderonMatrix:
 class TestOperatorBundle:
     def test_operators_stored_raw_and_read_only(self):
         # the bundle keeps N and D raw and P = S G^{-1} once, in its HODLR
-        # form, which below two leaves is P itself; no Gram-normalized form
-        # is kept: those are made on demand, against the independent dense
+        # form, here two leaves of 48 rows and one level, within its
+        # certificate of the dense P (1e-14 covers the rounding between
+        # the sparse LU and the dense solve); no Gram-normalized form is
+        # kept: those are made on demand, against the independent dense
         # root to rounding (the banded root agrees with it, not bit for bit)
         mesh = build_mesh(Ellipse(1.42, 1.32), 96)
         ops = assemble_operators(mesh, K, need_double_layer=True)
@@ -138,18 +141,28 @@ class TestOperatorBundle:
         assert normalized_double_layer(ops) is not dn   # nothing cached
         ref_p = np.linalg.solve(gram, slayer.T).T       # G is symmetric
         form = ops.slayer_ginv_hodlr
-        assert form.levels == ()
-        assert (np.abs(form.diagonal - ref_p).max()
-                <= 1e-14 * np.abs(ref_p).max())
+        assert form.diagonal.shape == (2, 48, 48) and len(form.levels) == 1
+        norm = np.linalg.norm(ref_p, 2)
+        assert (np.linalg.norm(form @ np.eye(96) - ref_p, 2)
+                <= (form.error + 1e-14) * norm)
         assert np.array_equal(ops.hyper, hyper)
         assert np.array_equal(ops.dlayer, dlayer)
-        for stored in (form.diagonal, ops.hyper, ops.dlayer):
+        for stored in (form.diagonal, *form.levels[0], ops.gram_invsqrt.rows,
+                       ops.hyper, ops.dlayer):
             assert not stored.flags.writeable
-        assert ops.nbytes == 3 * 16 * 96 ** 2 + ops.gram_invsqrt.nbytes
+        assert ops.nbytes == (2 * 16 * 96 ** 2 + form.nbytes
+                              + ops.gram_invsqrt.nbytes)
+        ref = gm @ dlayer @ gm
+        assert np.abs(dn - ref).max() <= 1e-13 * np.abs(ref).max()
+        # Z reads P through the form: the form's certified error carried
+        # through G^{-1/2} and N (measured 5.7e-13 against a bound of
+        # 1.5e-12), plus rounding (measured 3.2e-14 for the dense P)
         zref = gm @ slayer @ np.linalg.inv(gram) @ hyper @ gm / (1j * K)
-        for made, ref in ((build_calderon_matrix(mesh, K, ops=ops), zref),
-                          (dn, gm @ dlayer @ gm)):
-            assert np.abs(made - ref).max() <= 1e-13 * np.abs(ref).max()
+        zbound = (form.error * norm * np.linalg.norm(gm, 2) ** 2
+                  * np.linalg.norm(hyper, 2) / K)
+        zmat = build_calderon_matrix(mesh, K, ops=ops)
+        assert (np.linalg.norm(zmat - zref, 2)
+                <= zbound + 1e-12 * np.linalg.norm(zref, 2))
 
     @pytest.mark.parametrize("need_double_layer", [False, True])
     def test_no_dense_p_outlives_assembly(self, need_double_layer):
@@ -262,8 +275,8 @@ class TestOperatorBundle:
 
     @pytest.mark.parametrize("n", [8, 16, 96, 127, 128, 1004, 1030])
     def test_strips_match_the_banded_root(self, n):
-        # one dense strip up to N = STRIP + 2 b (b = 36-37 from N = 96), whole
-        # strips and a shorter last one above.  The bound is relative to
+        # whole strips and a shorter last one at every N (b = 36-37 from
+        # N = 96), no whole strip below N = STRIP.  The bound is relative to
         # max |G^{-1/2}| |X|, the scale of both products' rounding: against
         # max |G^{-1/2} X| some draws of X reach 1.2e-15
         mesh = build_mesh(BENCH_CURVES["lobed"], n)
@@ -273,7 +286,7 @@ class TestOperatorBundle:
         assert strips.size == n and strips.band == band
         assert not strips.rows.flags.writeable
         assert strips.nbytes <= 8 * n * (STRIP + 2 * band)
-        assert (strips.rows.shape == (n, n)) == (n <= STRIP + 2 * band)
+        assert strips.rows.shape == (n, STRIP + 2 * band)
         rng = np.random.default_rng(0)
         for shape in ((n,), (n, 1), (n, 4), (n, 2 * n)):
             for x in (rng.standard_normal(shape),
@@ -286,6 +299,68 @@ class TestOperatorBundle:
         for shape in ((n + 1,), (2 * n, 4), (n // 2, 2)):
             with pytest.raises(ValueError):
                 strips @ np.ones(shape)
+
+    @pytest.mark.parametrize("n, digests", [
+        (502, ({"d0198b1b356fba73"}, {"61e6c75528e09e90"},
+               {"bc6af27db2d0d14f"}, {"951c6a7294ac16c4"},
+               {"bff1116ff8ae33cc", "281a09924daaa9d1"},
+               {"c3894aaf00c673c4"})),
+        (1004, ({"09753cdc18b2770e"}, {"b295872890f5fb43"},
+                {"50bf8905efb59b2e"}, {"6a69934aa3359fc4"},
+                {"bea7165181168366"}, {"9cf5982ae99f31b7"})),
+    ])
+    def test_strips_products_bitwise_unchanged(self, n, digests):
+        # sha256 prefixes of G^{-1/2} X on the lobed curve, X of 1, 4 and
+        # 2N columns, real then complex, taken before the strips lost their
+        # dense branch for small N; the real 2N product at N = 502 rounds
+        # differently at one and at two BLAS threads
+        mesh = build_mesh(BENCH_CURVES["lobed"], n)
+        strips = cyclic_strips(chebyshev_invsqrt(sparse_gram(mesh)))
+        rng = np.random.default_rng(n)
+        got = []
+        for m in (1, 4, 2 * n):
+            x = rng.standard_normal((n, m))
+            for arr in (x, x + 1j * rng.standard_normal((n, m))):
+                got.append(hashlib.sha256(
+                    (strips @ arr).tobytes()).hexdigest()[:16])
+        assert all(digest in allowed for digest, allowed in zip(got, digests))
+
+    @pytest.mark.parametrize("curve", sorted(BENCH_CURVES))
+    @pytest.mark.parametrize("n", [8, 9, 16, 63, 64, 65, 96, 127, 128, 129,
+                                   138, 139, 200, 255])
+    def test_one_path_at_every_size(self, curve, n):
+        # the strips and the HODLR form run the benchmark's code at every N:
+        # no whole strip below N = STRIP, then whole strips and a shorter
+        # last one; one leaf and no level up to LEAF rows, then leaves of at
+        # most LEAF rows.  The strips' bound is that of
+        # test_strips_match_the_banded_root; the form's adds 1e-14 for the
+        # rounding between the bundle's sparse LU and the dense Gram solve,
+        # as one leaf certifies an error of 0
+        mesh = build_mesh(BENCH_CURVES[curve], n)
+        ops = assemble_operators(mesh, K)
+        csr = chebyshev_invsqrt(sparse_gram(mesh))
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (n, 4), (n, 2 * n)):
+            for x in (rng.standard_normal(shape),
+                      rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape)):
+                got = ops.gram_invsqrt @ x
+                assert got.shape == shape and got.dtype == x.dtype
+                assert (np.abs(got - csr @ x).max()
+                        <= 1e-15 * (abs(csr) @ np.abs(x)).max())
+        form = ops.slayer_ginv_hodlr
+        assert form.diagonal.shape[1] <= LEAF
+        assert (not form.levels) == (n <= LEAF)
+        slayer = assemble_helmholtz_pair(mesh, K)[0]
+        p_mat = np.linalg.solve(assemble_gram(mesh), slayer.T).T
+        bound = (form.error + 1e-14) * np.linalg.norm(p_mat, 2)
+        x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        for got, mat, operand in ((form @ x, p_mat, x),
+                                  (form.T @ x, p_mat.T, x),
+                                  (form @ x[:, 0], p_mat, x[:, 0])):
+            assert got.shape == operand.shape
+            assert (np.linalg.norm(got - mat @ operand, 2)
+                    <= bound * np.linalg.norm(operand, 2))
 
     def test_strips_of_a_matrix_with_repeated_entries(self):
         # a cyclically banded CSR input whose entries repeat, as sparse

@@ -12,6 +12,7 @@ import scipy
 from filtbem.cli import (ExperimentConfig, _solve_one, main,
                          parse_config_file, resolve_config, run_refinement,
                          run_spectra, run_table)
+from filtbem.hodlr import LEAF
 
 
 def read_csv(path):
@@ -601,13 +602,15 @@ def test_meta_records_each_set_up(tmp_path, command, argv, solved):
         assert rec["seconds"] > 0 and rec["peak_rss_mb"] > 0
         stages = [rec["assemble_s"], rec["filter_s"], rec["compress_s"]]
         assert min(stages) >= 0 and sum(stages) <= rec["seconds"]
-        # efie holds N and the HODLR form of S G^{-1}, which below two
-        # leaves is S G^{-1} itself: two complex N x N arrays, and the
-        # banded root, O(N) bytes
+        # efie holds N, one complex N x N array, the HODLR form of
+        # S G^{-1} and the banded root, O(N) bytes; the form is one leaf,
+        # uncompressed, up to LEAF rows and has a certified level above
         n = rec["n_nodes"]
-        assert 0 < rec["operators_mb"] * 1e6 - 32 * n * n < 2000 * n
-        assert ((rec["hodlr_mb"], rec["hodlr_ranks"], rec["hodlr_error"])
-                == (16 * n * n / 1e6, [], 0))
+        assert (0 < (rec["operators_mb"] - rec["hodlr_mb"]) * 1e6 - 16 * n * n
+                < 2000 * n)
+        assert 0 < rec["hodlr_mb"] and 0 <= rec["hodlr_error"] <= 1e-12
+        assert len(rec["hodlr_ranks"]) == (n > LEAF)
+        assert (rec["hodlr_error"] == 0) == (n <= LEAF)
 
 
 @pytest.mark.parametrize("command", ["refine", "table"])

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,27 @@ class TestLowRankFactor:
         # a plain array is the projected form with the identity basis
         assert digest(lowrank_factor(ProjectedMatrix(None, q), 1e-6, seed=12)) \
             == "3e0ab966492cf7a7"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_non_finite_matrix_is_refused(self, monkeypatch, bad, projected):
+        # one NaN or inf would pass the norm estimate as a NaN and end in a
+        # rank-0 factor with a NaN error, after about 60 warnings; it is
+        # refused before the first product
+        import filtbem.compression as compression
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("norm estimated")
+
+        monkeypatch.setattr(compression, "_row_space_norm", refuse)
+        mat = np.eye(40, dtype=complex)
+        mat[7, 30] = bad
+        if projected:
+            mat = ProjectedMatrix(np.eye(40)[:, :20], mat[:20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                lowrank_factor(mat, 1e-3)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):

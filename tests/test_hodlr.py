@@ -80,27 +80,39 @@ class TestHodlrForm:
         assert np.array_equal(form.T.T @ block, form @ block)
 
     def test_below_two_leaves_the_form_is_the_matrix(self):
-        mesh = build_mesh(Ellipse(1.0, 1.0), 2 * LEAF - 1)
-        ops = assemble_operators(mesh, K)
-        form = ops.slayer_ginv_hodlr
+        # up to LEAF rows the form is one leaf, a read-only copy of P with no
+        # level and a certified error of 0, applied by the same batched
+        # leaf product as every larger form; from LEAF + 1 rows it has two
+        # leaves of at most LEAF rows and a level within its certificate
+        mesh = build_mesh(Ellipse(1.0, 1.0), LEAF)
+        form = assemble_operators(mesh, K).slayer_ginv_hodlr
         size = form.size
-        assert form.levels == () and form.error == 0.0
-        assert form.diagonal.shape == (size, size)
+        assert form.levels == () and form.ranks == [] and form.error == 0.0
+        assert form.diagonal.shape == (1, size, size)
         assert not form.diagonal.flags.writeable
-        assert form.nbytes == 16 * size ** 2   # the matrix is the form
+        assert form.nbytes == 16 * size ** 2   # one leaf holds the matrix
         p_mat = exact_p(mesh)
-        assert (np.abs(form.diagonal - p_mat).max()
-                <= 1e-14 * np.abs(p_mat).max())
+        scale = np.abs(p_mat).max()
+        assert np.abs(form.diagonal[0] - p_mat).max() <= 1e-14 * scale
         rng = np.random.default_rng(0)
         x = rng.standard_normal(size) + 0j
         block = gaussian_block(rng, size, 5)
-        assert np.array_equal(form @ x, form.diagonal @ x)
-        assert np.array_equal(form @ block, form.diagonal @ block)
-        assert np.array_equal(form.T @ block, form.diagonal.T @ block)
+        for got, mat, operand in ((form @ x, p_mat, x),
+                                  (form @ block, p_mat, block),
+                                  (form.T @ block, p_mat.T, block)):
+            assert got.shape == operand.shape
+            assert (np.abs(got - mat @ operand).max()
+                    <= 1e-14 * (np.abs(mat) @ np.abs(operand)).max())
         assert np.shares_memory(form.T.diagonal, form.diagonal)
-        two = assemble_operators(build_mesh(Ellipse(1.0, 1.0), 2 * LEAF), K)
-        assert two.slayer_ginv_hodlr.ranks
-        assert two.slayer_ginv_hodlr.nbytes < 16 * (2 * LEAF) ** 2
+        for size in (LEAF + 1, 2 * LEAF - 1):
+            mesh = build_mesh(Ellipse(1.0, 1.0), size)
+            two = assemble_operators(mesh, K).slayer_ginv_hodlr
+            assert two.diagonal.shape == (2, (size + 1) // 2, (size + 1) // 2)
+            assert len(two.ranks) == 1 and 0 < two.error <= 1e-12
+            p_mat = exact_p(mesh)
+            assert (np.linalg.norm(dense_form(two) - p_mat, 2)
+                    <= two.error * np.linalg.norm(p_mat, 2))
+        assert two.nbytes < 16 * (2 * LEAF - 1) ** 2
 
     def test_empty_padding_blocks(self):
         # N = 2049 pads to 64 leaves of 33 rows, 2112 rows: the last leaf is
@@ -139,13 +151,28 @@ class TestHodlrForm:
     @pytest.mark.parametrize("size", [100, 200])
     def test_operand_of_another_length_is_refused(self, size):
         # a 2N vector used to be reshaped to (N, 2) and returned as a wrong
-        # (2N,) product; at 100 the form is the matrix itself, at 200 it
-        # has levels
+        # (2N,) product; the form has one level at 100 and two at 200
         form = hodlr_compress(np.random.default_rng(1).standard_normal(
             (size, size)))
-        assert bool(form.levels) == (size >= 2 * LEAF)
+        assert len(form.levels) == size // 100
         for shape in ((2 * size,), (2 * size, 3), (size - 1,), (size // 2, 2)):
             with pytest.raises(ValueError):
                 form @ np.ones(shape)
             with pytest.raises(ValueError):
                 form.T @ np.ones(shape)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_refused(self, monkeypatch, bad):
+        # one NaN or inf would end in "SVD did not converge" deep in a
+        # block; it is refused before the norm estimate and any sketch
+        import filtbem.hodlr as hodlr
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix read")
+
+        monkeypatch.setattr(hodlr, "_power_norm", refuse)
+        monkeypatch.setattr(hodlr, "_compress_block", refuse)
+        mat = np.eye(200, dtype=complex)
+        mat[150, 20] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            hodlr_compress(mat)

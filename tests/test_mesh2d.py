@@ -28,6 +28,16 @@ class TestCurves:
             PerturbedCircle(2.0, -2.5, 8)
         PerturbedCircle(2.0, 0.2, 8)  # valid
 
+    @pytest.mark.parametrize("lobes", [2.3, 8.5, float("nan")])
+    def test_perturbed_circle_needs_whole_lobes(self, lobes):
+        # r(2 pi) = r(0) only for a whole number of lobes: at 2.3 the radius
+        # jumps from 2.48 back to 2.0, and a mesh would bridge the gap with
+        # one long segment
+        with pytest.raises(ValueError, match="lobes"):
+            PerturbedCircle(2.0, 0.2, lobes)
+        for whole in (8, np.int64(8), 8.0):
+            PerturbedCircle(2.0, 0.2, whole)  # valid
+
     def test_derivative_matches_finite_difference(self):
         curve = PerturbedCircle(2.0, 0.2, 8)
         theta = np.linspace(0.1, 6.0, 7)
@@ -42,6 +52,17 @@ class TestBuildMesh:
             build_mesh(Ellipse(1.0, 1.0), 4)
         with pytest.raises(ValueError):
             build_mesh(Ellipse(1.0, 1.0), 7)
+
+    @pytest.mark.parametrize("n_nodes", [10.5, 16.0, "16"])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n_nodes):
+        # sampling at 10.5 would give 11 nodes with a closing segment half
+        # as long as the others; a count of any integer type serves
+        with pytest.raises(TypeError):
+            build_mesh(Ellipse(1.0, 1.0), n_nodes)
+        mesh = build_mesh(Ellipse(1.0, 1.0), np.int64(16))
+        assert mesh.n_nodes == 16
+        assert np.array_equal(mesh.nodes,
+                              build_mesh(Ellipse(1.0, 1.0), 16).nodes)
 
     def test_circle_chord_length(self):
         # h = 2 sin(pi/n) for the unit circle

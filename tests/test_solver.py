@@ -18,6 +18,18 @@ class TestWoodbury:
         x = inv.apply(np.arange(10.0) + 0j)
         assert np.allclose(x, 4.0 * np.arange(10.0))
 
+    def test_rank_zero_applies_exactly_one_over_beta(self):
+        # the rank-0 gain is (0, n): the update term is an exact zero, so
+        # every entry is rhs / beta as a complex number, signed zeros too
+        inv = woodbury_factorize(0.3, (np.zeros((6, 0)), np.zeros((6, 0))))
+        assert inv.gain.shape == (0, 6)
+        rhs = np.array([1.0, -0.0, 0.0, -2.5, 7.0, 1e-300])
+        for b in (rhs, rhs - 3j * rhs[::-1], np.column_stack([rhs, 2 * rhs])):
+            x = inv.apply(b)
+            assert x.dtype == np.complex128
+            expected = (b / 0.3).astype(np.complex128)
+            assert x.tobytes() == expected.tobytes()
+
     def test_matches_dense_lu(self):
         rng = np.random.default_rng(0)
         u, v = random_skeleton(rng, 50, 5, scale=1.0 / np.sqrt(50))
